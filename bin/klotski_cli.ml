@@ -112,16 +112,18 @@ let load_task ?(theta = 0.75) ?(alpha = 0.0) ?(block_factor = 1.0) ?(seed = 42)
 let gen_cmd =
   let label =
     let doc =
-      "Topology label: the paper's Table 3 (A, B, C, D, E) or the OCS \
-       tiers (OCS, OCS-LITE)."
+      "Topology label: the paper's Table 3 (A, B, C, D, E), the other two \
+       migration types on E (E-SSW, E-DMAG), the scale tiers (F, F-SSW, \
+       F-LITE) or the OCS tiers (OCS, OCS-LITE, OCS-SWAP, OCS-SWAP-LITE)."
     in
     Arg.(value & opt string "A" & info [ "label" ] ~doc)
   in
   let kind =
     let doc =
       "Migration kind: hgrid-v1-to-v2, ssw-forklift, dmag, ocs-rewire or \
-       ocs-swap.  Defaults to the kind the label's scenario family is \
-       built for: ocs-rewire for the OCS tiers, hgrid-v1-to-v2 otherwise."
+       ocs-swap.  Defaults to the kind the label's scenario runs: \
+       ssw-forklift for E-SSW and F-SSW, dmag for E-DMAG, ocs-rewire or \
+       ocs-swap for the OCS tiers, hgrid-v1-to-v2 otherwise."
     in
     Arg.(value & opt (some string) None & info [ "kind" ] ~doc)
   in
@@ -131,30 +133,22 @@ let gen_cmd =
   in
   let run verbose label kind output =
     setup_logs verbose;
-    let params =
-      match label with
-      | "A" -> Gen.params_a ()
-      | "B" -> Gen.params_b ()
-      | "C" -> Gen.params_c ()
-      | "D" -> Gen.params_d ()
-      | "E" -> Gen.params_e ()
-      | "OCS" -> Gen.params_ocs ()
-      | "OCS-LITE" -> Gen.params_ocs_lite ()
-      | other ->
-          Printf.eprintf "error: unknown topology label %S\n" other;
+    let default_kind, params =
+      match Gen.params_of_label label with
+      | Some kp -> kp
+      | None ->
+          Printf.eprintf "error: unknown topology label %S\n" label;
           exit 1
     in
     let kind =
-      let default =
-        if String.length label >= 3 && String.sub label 0 3 = "OCS" then
-          "ocs-rewire"
-        else "hgrid-v1-to-v2"
-      in
-      match Npd_convert.kind_of_id (Option.value kind ~default) with
-      | Ok k -> k
-      | Error e ->
-          Printf.eprintf "error: %s\n" e;
-          exit 1
+      match kind with
+      | None -> default_kind
+      | Some id -> (
+          match Npd_convert.kind_of_id id with
+          | Ok k -> k
+          | Error e ->
+              Printf.eprintf "error: %s\n" e;
+              exit 1)
     in
     let doc = Npd_convert.of_params kind params in
     match output with

@@ -839,22 +839,27 @@ let params_ocs_lite () =
       v2_grids = 0;
     }
 
-let scenario_of_label = function
-  | "A" -> build Hgrid_v1_to_v2 (params_a ())
-  | "B" -> build Hgrid_v1_to_v2 (params_b ())
-  | "C" -> build Hgrid_v1_to_v2 (params_c ())
-  | "D" -> build Hgrid_v1_to_v2 (params_d ())
-  | "E" -> build Hgrid_v1_to_v2 (params_e ())
-  | "E-SSW" -> build Ssw_forklift (params_e ())
-  | "E-DMAG" -> build Dmag (params_e ())
-  | "F" -> build Hgrid_v1_to_v2 (params_f ())
-  | "F-SSW" -> build Ssw_forklift (params_f ())
-  | "F-LITE" -> build Hgrid_v1_to_v2 (params_f_lite ())
-  | "OCS" -> build Ocs_rewire (params_ocs ())
-  | "OCS-SWAP" -> build Ocs_swap (params_ocs ())
-  | "OCS-LITE" -> build Ocs_rewire (params_ocs_lite ())
-  | "OCS-SWAP-LITE" -> build Ocs_swap (params_ocs_lite ())
-  | label -> invalid_arg (Printf.sprintf "Gen.scenario_of_label: unknown %S" label)
+let params_of_label = function
+  | "A" -> Some (Hgrid_v1_to_v2, params_a ())
+  | "B" -> Some (Hgrid_v1_to_v2, params_b ())
+  | "C" -> Some (Hgrid_v1_to_v2, params_c ())
+  | "D" -> Some (Hgrid_v1_to_v2, params_d ())
+  | "E" -> Some (Hgrid_v1_to_v2, params_e ())
+  | "E-SSW" -> Some (Ssw_forklift, params_e ())
+  | "E-DMAG" -> Some (Dmag, params_e ())
+  | "F" -> Some (Hgrid_v1_to_v2, params_f ())
+  | "F-SSW" -> Some (Ssw_forklift, params_f ())
+  | "F-LITE" -> Some (Hgrid_v1_to_v2, params_f_lite ())
+  | "OCS" -> Some (Ocs_rewire, params_ocs ())
+  | "OCS-SWAP" -> Some (Ocs_swap, params_ocs ())
+  | "OCS-LITE" -> Some (Ocs_rewire, params_ocs_lite ())
+  | "OCS-SWAP-LITE" -> Some (Ocs_swap, params_ocs_lite ())
+  | _ -> None
+
+let scenario_of_label label =
+  match params_of_label label with
+  | Some (kind, params) -> build kind params
+  | None -> invalid_arg (Printf.sprintf "Gen.scenario_of_label: unknown %S" label)
 
 (* The paper's tiers only: F/F-SSW/F-LITE stay out so the tolerance
    sweeps and Table 3 jobs that iterate every label do not generate

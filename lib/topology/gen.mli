@@ -137,13 +137,18 @@ val params_ocs : unit -> params
 val params_ocs_lite : unit -> params
 (** The OCS shape at A's scale: the CI smoke tier for the `ocs` bench. *)
 
+val params_of_label : string -> (kind * params) option
+(** The migration kind and parameters a label stands for — the one label
+    table behind {!scenario_of_label} and [klotski gen].  ["A"]–["E"] run
+    HGRID V1→V2; ["E-SSW"] and ["E-DMAG"] the other two migration types
+    on topology E; ["F"], ["F-SSW"] and ["F-LITE"] the beyond-paper scale
+    tiers; ["OCS"]/["OCS-LITE"] the OCS rewire scenarios and
+    ["OCS-SWAP"]/["OCS-SWAP-LITE"] their drain/undrain-only counterparts
+    (none part of {!all_labels}).  [None] on unknown labels. *)
+
 val scenario_of_label : string -> scenario
-(** ["A"]–["E"] run HGRID V1→V2; ["E-SSW"] and ["E-DMAG"] the other two
-    migration types on topology E; ["F"], ["F-SSW"] and ["F-LITE"] the
-    beyond-paper scale tiers; ["OCS"]/["OCS-LITE"] the OCS rewire
-    scenarios and ["OCS-SWAP"]/["OCS-SWAP-LITE"] their drain/undrain-only
-    counterparts (none part of {!all_labels}).  Raises
-    [Invalid_argument] on unknown labels. *)
+(** [build] applied to {!params_of_label}.  Raises [Invalid_argument] on
+    unknown labels. *)
 
 val all_labels : string list
 (** The seven labels of Table 3, in the paper's order.  Excludes the F

@@ -90,9 +90,10 @@ let restore t snap =
      table is rebuilt in bitset (circuit-id) order — deterministic. *)
   Bitset.blit ~src:snap.s_rewired ~dst:t.rewired;
   Hashtbl.reset t.remap;
-  Bitset.iter
-    (fun j -> Hashtbl.replace t.remap j (Hashtbl.find snap.s_remap j))
-    snap.s_rewired
+  if Hashtbl.length snap.s_remap > 0 then
+    Bitset.iter
+      (fun j -> Hashtbl.replace t.remap j (Hashtbl.find snap.s_remap j))
+      snap.s_rewired
 
 let n_switches t = Universe.n_switches t.u
 let n_circuits t = Universe.n_circuits t.u
@@ -136,7 +137,15 @@ let circuit_active t j = Bitset.mem t.circuit_active j
 let usable t j = Bitset.mem t.usable_set j
 
 let circuit_rewired t j = Bitset.mem t.rewired j
-let rewired_count t = Bitset.cardinal t.rewired
+let rewired_count t = Hashtbl.length t.remap
+
+(* The rewired circuits whose current hi endpoint is [s], in circuit-id
+   order.  They are absent from [s]'s as-built adjacency, so every
+   incidence walk adds them.  O(1) while nothing is rewired (the remap is
+   empty on drain/undrain-only tasks), O(|C|/8 + rewired) otherwise. *)
+let iter_rewired_onto t s ~f =
+  if Hashtbl.length t.remap > 0 then
+    Bitset.iter (fun j -> if Hashtbl.find t.remap j = s then f j) t.rewired
 
 (* Does circuit [j]'s current wiring match the [alt] a routing candidate
    was compiled for?  [alt = -1] means the as-built wiring.  On tasks
@@ -202,9 +211,7 @@ let set_switch_active t i active =
     in
     Bitset.set t.switch_active i active;
     Universe.iter_incident t.u i ~f:affect;
-    Bitset.iter
-      (fun j -> if Hashtbl.find t.remap j = i then affect j)
-      t.rewired
+    iter_rewired_onto t i ~f:affect
   end
 
 (* Retarget circuit [j]'s hi endpoint: [Some h] rewires it to [h],
@@ -277,9 +284,7 @@ let reachable t ~from =
       end
     in
     Universe.iter_incident t.u s ~f:visit;
-    Bitset.iter
-      (fun j -> if Hashtbl.find t.remap j = s then visit j)
-      t.rewired
+    iter_rewired_onto t s ~f:visit
   done;
   seen
 

@@ -146,7 +146,8 @@ val usable : t -> int -> bool
 
 val set_switch_active : t -> int -> bool -> unit
 (** Toggle a switch, updating usable degrees and port-violation counts of
-    every incident circuit.  Idempotent. *)
+    every incident circuit.  Idempotent.  Costs O(degree) while no
+    circuit is rewired, O(degree + |C|/8 + rewired) otherwise. *)
 
 val set_circuit_active : t -> int -> bool -> unit
 (** Toggle a circuit.  Idempotent. *)
@@ -166,7 +167,7 @@ val circuit_rewired : t -> int -> bool
     as-built wiring. *)
 
 val rewired_count : t -> int
-(** Number of currently rewired circuits. *)
+(** Number of currently rewired circuits (O(1)). *)
 
 val wiring_matches : t -> int -> int -> bool
 (** [wiring_matches t j alt] is whether [j]'s current wiring matches a

@@ -29,6 +29,37 @@ type compiled = {
   volume : float;
 }
 
+(* Growable scratch vector of switch or circuit ids. *)
+module Ivec = struct
+  type t = { mutable data : int array; mutable len : int }
+
+  let create () = { data = Array.make 64 0; len = 0 }
+
+  let push v x =
+    if v.len = Array.length v.data then begin
+      let data = Array.make (2 * v.len) 0 in
+      Array.blit v.data 0 data 0 v.len;
+      v.data <- data
+    end;
+    v.data.(v.len) <- x;
+    v.len <- v.len + 1
+
+  let clear v = v.len <- 0
+
+  (* The live prefix as a fresh array; [v] stays reusable. *)
+  let take v =
+    let a = Array.sub v.data 0 v.len in
+    v.len <- 0;
+    a
+end
+
+let of_stages ~sources stages =
+  {
+    sources = Array.of_list (List.filter (fun (_, v) -> v > 0.0) sources);
+    stages;
+    volume = List.fold_left (fun acc (_, v) -> acc +. v) 0.0 sources;
+  }
+
 let compile ?(alts = []) u ~sources ~hops =
   let n = Universe.n_switches u in
   let alt_tbl = Hashtbl.create ((2 * List.length alts) + 1) in
@@ -37,63 +68,85 @@ let compile ?(alts = []) u ~sources ~hops =
       let prev =
         match Hashtbl.find_opt alt_tbl j with Some l -> l | None -> []
       in
-      if not (List.mem h prev) then Hashtbl.replace alt_tbl j (h :: prev))
+      if not (List.mem h prev) then Hashtbl.replace alt_tbl j (prev @ [ h ]))
     alts;
-  let potential = Bitset.create n in
+  let potential = Bitset.create n and next_potential = Bitset.create n in
   List.iter (fun (s, v) -> if v > 0.0 then Bitset.add potential s) sources;
+  (* Scratch reused by every hop: the candidate-circuit marks and the
+     stage's rows as flat columns. *)
+  let marked = Bitset.create (Universe.n_circuits u) in
+  let circuits = Ivec.create () and alt_hi = Ivec.create () in
+  let prevs = Ivec.create () and nexts = Ivec.create () in
+  let skips = Ivec.create () in
   let compile_hop h =
-    let candidates = ref [] in
-    let next_potential = Bitset.create n in
-    let skips = ref [] in
-    (* Fold the accept filter and the reachable-from-sources set into a
-       static candidate circuit list: evaluation never scans the rest of
-       the universe. *)
-    for j = 0 to Universe.n_circuits u - 1 do
-      let lo = Universe.endpoint_lo u j and hi = Universe.endpoint_hi u j in
-      let consider ~alt hi_sw =
-        let prev, next =
-          match h.dir with `Up -> (lo, hi_sw) | `Down -> (hi_sw, lo)
-        in
-        if Bitset.mem potential prev && h.accept (Universe.switch u next)
-        then begin
-          candidates := (j, alt, prev, next) :: !candidates;
-          Bitset.add next_potential next
-        end
-      in
-      consider ~alt:(-1) hi;
-      match Hashtbl.find_opt alt_tbl j with
-      | None -> ()
-      | Some alt_his ->
-          (* Reversed at insertion: emit rows in the alts-list order. *)
-          List.iter (fun ah -> consider ~alt:ah ah) (List.rev alt_his)
-    done;
+    let up = match h.dir with `Up -> true | `Down -> false in
+    (* A row can only start at a frontier switch, so its circuit is in
+       the frontier's adjacency for the hop's direction — except a [`Down]
+       alternative row, which starts at the alternative endpoint: mark
+       every circuit with alternatives too.  Walking the marks in id
+       order emits rows in the order a scan of the whole universe would:
+       per circuit the as-built row, then its alternatives in [alts]
+       order. *)
+    let mark j = Bitset.add marked j in
+    Bitset.iter
+      (fun s ->
+        if up then Universe.iter_up u s ~f:mark
+        else Universe.iter_down u s ~f:mark)
+      potential;
+    List.iter (fun (j, _) -> mark j) alts;
+    let row j alt hi_sw =
+      let lo = Universe.endpoint_lo u j in
+      let prev = if up then lo else hi_sw and next = if up then hi_sw else lo in
+      if Bitset.mem potential prev && h.accept (Universe.switch u next) then begin
+        Ivec.push circuits j;
+        Ivec.push alt_hi alt;
+        Ivec.push prevs prev;
+        Ivec.push nexts next;
+        Bitset.add next_potential next
+      end
+    in
+    Bitset.iter
+      (fun j ->
+        row j (-1) (Universe.endpoint_hi u j);
+        match Hashtbl.find_opt alt_tbl j with
+        | None -> ()
+        | Some alt_his -> List.iter (fun ah -> row j ah ah) alt_his)
+      marked;
+    Bitset.clear marked;
     Bitset.iter
       (fun s ->
         if h.skip (Universe.switch u s) then begin
-          skips := s :: !skips;
+          Ivec.push skips s;
           Bitset.add next_potential s
         end)
       potential;
-    let quads = Array.of_list (List.rev !candidates) in
     let stage =
       {
-        circuits = Array.map (fun (j, _, _, _) -> j) quads;
-        alt_hi = Array.map (fun (_, a, _, _) -> a) quads;
-        prevs = Array.map (fun (_, _, p, _) -> p) quads;
-        nexts = Array.map (fun (_, _, _, n) -> n) quads;
-        skip_switches = Array.of_list (List.rev !skips);
+        circuits = Ivec.take circuits;
+        alt_hi = Ivec.take alt_hi;
+        prevs = Ivec.take prevs;
+        nexts = Ivec.take nexts;
+        skip_switches = Ivec.take skips;
       }
     in
-    Bitset.clear potential;
-    Bitset.iter (Bitset.add potential) next_potential;
+    Bitset.blit ~src:next_potential ~dst:potential;
+    Bitset.clear next_potential;
     stage
   in
-  let stages = Array.of_list (List.map compile_hop hops) in
-  {
-    sources = Array.of_list (List.filter (fun (_, v) -> v > 0.0) sources);
-    stages;
-    volume = List.fold_left (fun acc (_, v) -> acc +. v) 0.0 sources;
-  }
+  of_stages ~sources (Array.of_list (List.map compile_hop hops))
+
+let assemble ~sources ~stages =
+  of_stages ~sources
+    (Array.map
+       (fun (rows, skips) ->
+         {
+           circuits = Array.map (fun (j, _, _, _) -> j) rows;
+           alt_hi = Array.map (fun (_, a, _, _) -> a) rows;
+           prevs = Array.map (fun (_, _, p, _) -> p) rows;
+           nexts = Array.map (fun (_, _, _, n) -> n) rows;
+           skip_switches = Array.copy skips;
+         })
+       stages)
 
 let source_volume c = c.volume
 
@@ -112,24 +165,6 @@ let iter_candidates c ~f =
           ~next:stage.nexts.(i)
       done)
     c.stages
-
-(* Growable scratch vector of switch ids. *)
-module Ivec = struct
-  type t = { mutable data : int array; mutable len : int }
-
-  let create () = { data = Array.make 64 0; len = 0 }
-
-  let push v x =
-    if v.len = Array.length v.data then begin
-      let data = Array.make (2 * v.len) 0 in
-      Array.blit v.data 0 data 0 v.len;
-      v.data <- data
-    end;
-    v.data.(v.len) <- x;
-    v.len <- v.len + 1
-
-  let clear v = v.len <- 0
-end
 
 type scratch = {
   vol : float array;  (* per switch, zero outside [touched] *)

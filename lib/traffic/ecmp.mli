@@ -48,7 +48,24 @@ val compile :
     overlay's current wiring matches it ({!Topo.usable_wired}) — so a
     rewired circuit routes through its new endpoint with no
     recompilation.  Duplicate pairs are ignored; with [alts = []]
-    (default) the compilation is exactly the historical one. *)
+    (default) the compilation is exactly the historical one.
+
+    Each hop costs O(frontier degree + |alts|) plus one |C|/8-byte scan:
+    candidates come from the CSR adjacency of the switches the previous
+    hop reached and are walked through a reused circuit-id bitset, so
+    rows come out in increasing circuit id (per circuit: the as-built
+    row, then its alternatives in [alts] order). *)
+
+val assemble :
+  sources:(int * float) list ->
+  stages:((int * int * int * int) array * int array) array ->
+  compiled
+(** [assemble ~sources ~stages] is a compiled class with the given
+    stages, each a row array of [(circuit, alt_hi, prev, next)] — [alt_hi]
+    is [-1] for the as-built wiring, else the alternative hi endpoint the
+    row stands for — and its skip switches.  Rows keep the order given.
+    {!compile} derives the rows from a universe; this is for reference
+    compilers and hand-built fixtures. *)
 
 val source_volume : compiled -> float
 (** Total volume injected by the compiled class. *)

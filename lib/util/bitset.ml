@@ -52,22 +52,33 @@ let blit ~src ~dst =
 
 let clear t = Bytes.fill t.words 0 (Bytes.length t.words) '\000'
 
+(* Bits at or past [n] in the last byte stay zero: [iter], [cardinal] and
+   [equal] read whole bytes and rely on that padding being clear. *)
 let fill t =
-  for i = 0 to t.n - 1 do
-    add t i
-  done
+  let len = Bytes.length t.words in
+  if len > 0 then begin
+    Bytes.fill t.words 0 len '\255';
+    let tail = t.n land 7 in
+    if tail <> 0 then Bytes.set t.words (len - 1) (Char.chr ((1 lsl tail) - 1))
+  end
 
+(* Zero bytes are skipped, so a sparse set costs O(n/8) byte reads plus
+   its members.  Within a non-zero byte every bit is re-read, so a
+   callback that mutates the set sees the same effects as a per-index
+   [mem] loop would give it. *)
 let iter f t =
-  for i = 0 to t.n - 1 do
-    if mem t i then f i
+  for byte = 0 to Bytes.length t.words - 1 do
+    if Char.code (Bytes.get t.words byte) <> 0 then
+      for bit = 0 to 7 do
+        if Char.code (Bytes.get t.words byte) land (1 lsl bit) <> 0 then
+          f ((byte lsl 3) lor bit)
+      done
   done
 
 let to_list t =
   let acc = ref [] in
-  for i = t.n - 1 downto 0 do
-    if mem t i then acc := i :: !acc
-  done;
-  !acc
+  iter (fun i -> acc := i :: !acc) t;
+  List.rev !acc
 
 let create_full n =
   let t = create n in

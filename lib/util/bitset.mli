@@ -29,7 +29,7 @@ val set : t -> int -> bool -> unit
 (** [set t i b] makes [mem t i = b]. *)
 
 val cardinal : t -> int
-(** Number of elements currently present (O(n/64) popcount). *)
+(** Number of elements currently present (O(n/8) byte popcount). *)
 
 val copy : t -> t
 (** An independent clone. *)
@@ -43,10 +43,11 @@ val clear : t -> unit
 (** Remove every element. *)
 
 val fill : t -> unit
-(** Insert every element of [0 .. n-1]. *)
+(** Insert every element of [0 .. n-1] (O(n/8)). *)
 
 val iter : (int -> unit) -> t -> unit
-(** [iter f t] applies [f] to each member in increasing order. *)
+(** [iter f t] applies [f] to each member in increasing order.  Zero
+    bytes are skipped: O(n/8) plus the number of members. *)
 
 val to_list : t -> int list
 (** Members in increasing order. *)

@@ -84,6 +84,66 @@ let prop_matches_reference =
       Bitset.to_list b = Iset.elements !reference
       && Bitset.cardinal b = Iset.cardinal !reference)
 
+(* Every observer against a reference set over capacity [n]: iteration
+   in increasing order and below [n], cardinality, and byte-level
+   equality with a set built element by element (which catches a bulk
+   operation leaking bits into the padding of the last byte). *)
+let agrees b n reference =
+  let seen = ref [] in
+  Bitset.iter (fun i -> seen := i :: !seen) b;
+  let iterated = List.rev !seen and expected = Iset.elements reference in
+  let rebuilt = Bitset.create n in
+  Iset.iter (Bitset.add rebuilt) reference;
+  List.equal Int.equal iterated expected
+  && List.equal Int.equal (Bitset.to_list b) expected
+  && List.for_all (fun i -> i < n) iterated
+  && Bitset.cardinal b = Iset.cardinal reference
+  && Bitset.equal b rebuilt
+  && Bitset.equal rebuilt b
+
+let test_full_every_capacity () =
+  for n = 0 to 300 do
+    let full = Bitset.create_full n in
+    let all = Iset.of_list (List.init n Fun.id) in
+    Alcotest.(check bool) (Printf.sprintf "create_full %d" n) true
+      (agrees full n all);
+    let refilled = Bitset.create n in
+    Bitset.fill refilled;
+    Alcotest.(check bool) (Printf.sprintf "fill %d" n) true
+      (agrees refilled n all)
+  done
+
+let prop_bulk_ops_any_capacity =
+  (* Capacities 0..300, most not a multiple of 8; ops are add/remove of
+     an index reduced mod n, fill, clear, or a fresh create_full. *)
+  QCheck.Test.make ~count:500 ~name:"bulk ops match reference at any capacity"
+    QCheck.(
+      pair (int_bound 300) (list (pair (int_bound 9) (int_bound 299))))
+    (fun (n, ops) ->
+      let b = ref (Bitset.create n) and reference = ref Iset.empty in
+      let all = Iset.of_list (List.init n Fun.id) in
+      List.for_all
+        (fun (op, i) ->
+          (match op with
+          | 0 | 1 | 2 | 3 when n > 0 ->
+              Bitset.add !b (i mod n);
+              reference := Iset.add (i mod n) !reference
+          | 4 | 5 | 6 when n > 0 ->
+              Bitset.remove !b (i mod n);
+              reference := Iset.remove (i mod n) !reference
+          | 7 ->
+              Bitset.fill !b;
+              reference := all
+          | 8 ->
+              Bitset.clear !b;
+              reference := Iset.empty
+          | 9 ->
+              b := Bitset.create_full n;
+              reference := all
+          | _ -> ());
+          agrees !b n !reference)
+        ops)
+
 let suite =
   ( "bitset",
     [
@@ -94,4 +154,7 @@ let suite =
       Alcotest.test_case "iter and to_list" `Quick test_iter_to_list;
       Alcotest.test_case "set and equal" `Quick test_set_equal;
       QCheck_alcotest.to_alcotest prop_matches_reference;
+      Alcotest.test_case "full at every capacity" `Quick
+        test_full_every_capacity;
+      QCheck_alcotest.to_alcotest prop_bulk_ops_any_capacity;
     ] )

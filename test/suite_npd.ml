@@ -152,6 +152,36 @@ let test_convert_roundtrip_all () =
       (Gen.Dmag, { (Gen.params_a ()) with Gen.mas = 6 });
     ]
 
+(* Every label of the shared table survives [klotski gen]'s path: the
+   NPD written from its kind and params parses back to both; the small
+   tiers also rebuild the scenario [Gen.scenario_of_label] builds. *)
+let test_label_table_roundtrip () =
+  List.iter
+    (fun label ->
+      match Gen.params_of_label label with
+      | None -> Alcotest.fail (label ^ ": missing from the label table")
+      | Some (kind, params) -> (
+          let doc = Npd_convert.of_params kind params in
+          (match Npd_convert.to_params doc with
+          | Ok (kind', params') ->
+              Alcotest.(check bool) (label ^ " kind") true (kind = kind');
+              Alcotest.(check bool) (label ^ " params") true (params = params')
+          | Error e -> Alcotest.fail e);
+          if List.mem label [ "A"; "OCS-LITE"; "OCS-SWAP-LITE" ] then
+            match Npd_convert.to_scenario doc with
+            | Ok sc ->
+                let reference = Gen.scenario_of_label label in
+                Alcotest.(check string) (label ^ " scenario") reference.Gen.name
+                  sc.Gen.name;
+                Alcotest.(check int) (label ^ " actions")
+                  (Gen.stats reference).Gen.actions (Gen.stats sc).Gen.actions
+            | Error e -> Alcotest.fail e))
+    [
+      "A"; "B"; "C"; "D"; "E"; "E-SSW"; "E-DMAG"; "F"; "F-SSW"; "F-LITE";
+      "OCS"; "OCS-LITE"; "OCS-SWAP"; "OCS-SWAP-LITE";
+    ];
+  Alcotest.(check bool) "unknown label" true (Gen.params_of_label "Z" = None)
+
 let test_convert_missing_section () =
   match Npd_convert.to_params { Npd_ast.doc_name = "x"; sections = [] } with
   | Error msg ->
@@ -228,6 +258,8 @@ let suite =
       Alcotest.test_case "convert round trips" `Quick test_convert_roundtrip_all;
       Alcotest.test_case "convert missing sections" `Quick
         test_convert_missing_section;
+      Alcotest.test_case "label table round trip" `Quick
+        test_label_table_roundtrip;
       Alcotest.test_case "document to scenario" `Quick test_to_scenario;
       Alcotest.test_case "file loading" `Quick test_load_scenario_file;
       Alcotest.test_case "field accessors" `Quick test_field_accessors;

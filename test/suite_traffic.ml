@@ -286,6 +286,157 @@ let test_end_to_end_delivery () =
     demands
 
 (* ---------------------------------------------------------------- *)
+(* Compile differential: the fast compiler against a whole-universe scan *)
+
+(* Reference compiler, the oracle [Ecmp.compile] must match row for row:
+   every hop visits every circuit of the universe, the as-built row
+   first, then one row per wiring alternative in [alts] order, and finds
+   skips by scanning every switch. *)
+let reference_compile ?(alts = []) u ~sources ~hops =
+  let n = Universe.n_switches u in
+  let alt_tbl = Hashtbl.create 16 in
+  List.iter
+    (fun (j, h) ->
+      let prev = Option.value (Hashtbl.find_opt alt_tbl j) ~default:[] in
+      if not (List.mem h prev) then Hashtbl.replace alt_tbl j (h :: prev))
+    alts;
+  let potential = ref (Kutil.Bitset.create n) in
+  List.iter (fun (s, v) -> if v > 0.0 then Kutil.Bitset.add !potential s) sources;
+  let stage (h : Ecmp.hop) =
+    let rows = ref [] and skips = ref [] in
+    let next_potential = Kutil.Bitset.create n in
+    for j = 0 to Universe.n_circuits u - 1 do
+      let lo = Universe.endpoint_lo u j in
+      let consider alt hi =
+        let prev, next =
+          match h.Ecmp.dir with `Up -> (lo, hi) | `Down -> (hi, lo)
+        in
+        if Kutil.Bitset.mem !potential prev && h.Ecmp.accept (Universe.switch u next)
+        then begin
+          rows := (j, alt, prev, next) :: !rows;
+          Kutil.Bitset.add next_potential next
+        end
+      in
+      consider (-1) (Universe.endpoint_hi u j);
+      List.iter
+        (fun ah -> consider ah ah)
+        (List.rev (Option.value (Hashtbl.find_opt alt_tbl j) ~default:[]))
+    done;
+    for s = 0 to n - 1 do
+      if Kutil.Bitset.mem !potential s && h.Ecmp.skip (Universe.switch u s) then begin
+        skips := s :: !skips;
+        Kutil.Bitset.add next_potential s
+      end
+    done;
+    potential := next_potential;
+    (Array.of_list (List.rev !rows), Array.of_list (List.rev !skips))
+  in
+  Ecmp.assemble ~sources ~stages:(Array.of_list (List.map stage hops))
+
+let candidate_rows c =
+  let rows = ref [] in
+  Ecmp.iter_candidates c ~f:(fun ~stage ~circuit ~prev ~next ->
+      rows := (stage, circuit, prev, next) :: !rows);
+  List.rev !rows
+
+let evaluated_loads topo c =
+  let u = Topo.universe topo in
+  let loads = Array.make (Universe.n_circuits u) 0.0 in
+  let r = Ecmp.evaluate topo (Ecmp.make_scratch u) c ~loads in
+  (r, loads)
+
+let same_evaluation what topo fast oracle =
+  let r, loads = evaluated_loads topo fast in
+  let r', loads' = evaluated_loads topo oracle in
+  Alcotest.(check bool) (what ^ ": delivered and stuck") true
+    (Float.equal r.Ecmp.delivered r'.Ecmp.delivered
+    && Float.equal r.Ecmp.stuck r'.Ecmp.stuck);
+  Alcotest.(check bool) (what ^ ": loads bit-identical per circuit") true
+    (Array.for_all2 Float.equal loads loads')
+
+(* A [`Down] alternative row can start where the as-built wiring never
+   reaches: volume enters at [s1]/[s2] only, and circuit [c] is cabled to
+   [s0] until it is rewired.  Neither [s1] nor [s2] lists [c] in its
+   adjacency, so the rows must come from [alts] itself — one per
+   distinct alternative, in [alts] order. *)
+let test_compile_alt_row_off_frontier () =
+  let b = Builder.create () in
+  let sw name role = Builder.add_switch b ~name ~role ~max_ports:8 () in
+  let f0 = sw "f0" Switch.FSW in
+  let s0 = sw "s0" Switch.SSW and s1 = sw "s1" Switch.SSW in
+  let s2 = sw "s2" Switch.SSW in
+  let c = List.hd (Builder.connect_all b ~los:[ f0 ] ~his:[ s0 ] ~capacity:1.0 ()) in
+  let topo = Builder.freeze b in
+  let u = Topo.universe topo in
+  let sources = [ (s2, 1.0); (s1, 2.0) ] in
+  let hops = [ Ecmp.hop `Down (role_is Switch.FSW) ] in
+  let alts = [ (c, s2); (c, s1); (c, s2) ] in
+  let fast = Ecmp.compile ~alts u ~sources ~hops in
+  let oracle = reference_compile ~alts u ~sources ~hops in
+  Alcotest.(check (list (pair int (pair int (pair int int)))))
+    "one row per alternative, in alts order"
+    [ (0, (c, (s2, f0))); (0, (c, (s1, f0))) ]
+    (List.map (fun (k, j, p, n) -> (k, (j, (p, n)))) (candidate_rows fast));
+  Alcotest.(check bool) "same rows as the scan" true
+    (candidate_rows oracle = candidate_rows fast);
+  Topo.set_circuit_hi topo c (Some s1);
+  let r, loads = evaluated_loads topo fast in
+  Alcotest.check feq "only the live wiring delivers" 2.0 r.Ecmp.delivered;
+  Alcotest.check feq "circuit load" 2.0 loads.(c);
+  same_evaluation "rewired fixture" topo fast oracle
+
+let test_compile_matches_reference () =
+  List.iter
+    (fun label ->
+      let sc = Gen.scenario_of_label label in
+      let topo = sc.Gen.topo in
+      let u = Topo.universe topo in
+      let layout = sc.Gen.layout in
+      let alts =
+        List.concat_map
+          (fun (_, circuits, hi) -> List.map (fun j -> (j, hi)) circuits)
+          sc.Gen.rewire_groups
+      in
+      (* The OCS tier is also evaluated with every rewire applied, so the
+         alternative rows carry the flow. *)
+      let rewired =
+        if alts = [] then None
+        else begin
+          let t = Topo.copy topo in
+          List.iter (fun (j, hi) -> Topo.set_circuit_hi t j (Some hi)) alts;
+          Some t
+        end
+      in
+      let demands =
+        Matrix.generate ~prng:(Kutil.Prng.create ~seed:42)
+          ~dcs:layout.Gen.params.Gen.dcs ()
+      in
+      List.iter
+        (fun (d : Demand.t) ->
+          let what = label ^ " " ^ d.Demand.name in
+          let fast =
+            Routes.compile ~alts u ~rsws_by_dc:layout.Gen.rsws_by_dc
+              ~ebbs:layout.Gen.ebbs d
+          in
+          let oracle =
+            reference_compile ~alts u
+              ~sources:
+                (Routes.sources_for ~rsws_by_dc:layout.Gen.rsws_by_dc
+                   ~ebbs:layout.Gen.ebbs d)
+              ~hops:(Routes.hops_for d)
+          in
+          Alcotest.(check (array int)) (what ^ ": stage sizes")
+            (Ecmp.stage_sizes oracle) (Ecmp.stage_sizes fast);
+          Alcotest.(check bool) (what ^ ": candidate rows") true
+            (candidate_rows oracle = candidate_rows fast);
+          same_evaluation what topo fast oracle;
+          Option.iter
+            (fun t -> same_evaluation (what ^ " rewired") t fast oracle)
+            rewired)
+        demands)
+    [ "A"; "C"; "E-SSW"; "OCS-LITE" ]
+
+(* ---------------------------------------------------------------- *)
 (* Matrix *)
 
 let test_matrix_generate () =
@@ -375,6 +526,10 @@ let suite =
       Alcotest.test_case "source spreading" `Quick test_routes_sources_spread;
       Alcotest.test_case "route errors" `Quick test_routes_errors;
       Alcotest.test_case "end-to-end delivery on A" `Quick test_end_to_end_delivery;
+      Alcotest.test_case "compile matches whole-universe scan" `Slow
+        test_compile_matches_reference;
+      Alcotest.test_case "compile finds alternative rows off the frontier"
+        `Quick test_compile_alt_row_off_frontier;
       Alcotest.test_case "matrix generation" `Quick test_matrix_generate;
       Alcotest.test_case "matrix determinism" `Quick test_matrix_determinism;
       Alcotest.test_case "calibration fixpoint" `Quick test_calibration_fixpoint;
