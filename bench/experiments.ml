@@ -741,117 +741,6 @@ let inc opts =
   Runner.note (Printf.sprintf "wrote %s" path)
 
 (* ------------------------------------------------------------------ *)
-(* Universe/overlay split: what a checker costs to create now that
-   [Constraint.create] copies only overlay words (activity bitsets,
-   degree counters, power totals) and defers the demand-load and ECMP
-   allocations until the first evaluation.  [~eager:true] forces those
-   allocations up front, replicating the pre-split creation cost, so the
-   eager/lazy ratio is the measured benefit of the split.  s/check rows
-   use the same planners and topology as the `inc` experiment so the two
-   JSON records are directly comparable. *)
-
-let write_overlay_json path ~label ~reps ~eager_us ~lazy_us rows =
-  let oc = open_out path in
-  fprint_json_header oc "universe-overlay-split";
-  Printf.fprintf oc "  \"topology\": %S,\n" label;
-  Printf.fprintf oc
-    "  \"creation\": {\"reps\": %d, \"eager_us\": %.3f, \"lazy_us\": %.3f, \
-     \"speedup\": %.2f},\n"
-    reps eager_us lazy_us
-    (eager_us /. Float.max lazy_us 1e-9);
-  Printf.fprintf oc "  \"rows\": [\n";
-  let n = List.length rows in
-  List.iteri
-    (fun i (pname, checks, spc, cost, same_cost) ->
-      Printf.fprintf oc
-        "    {\"planner\": %S, \"checks\": %d, \"seconds_per_check\": %.9f, \
-         \"cost\": %s, \"same_cost\": %b}%s\n"
-        pname checks spc
-        (match cost with Some c -> Printf.sprintf "%.6f" c | None -> "null")
-        same_cost
-        (if i = n - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc
-
-let overlay opts =
-  Runner.heading "Universe/overlay split: checker creation cost and s/check";
-  Runner.note
-    "Eager creation materialises demand loads, ECMP scratch and incremental \
-     state up front (the pre-split cost); lazy is the default overlay-only \
-     allocation.  same_cost asserts incremental and full evaluation agree \
-     on the plan cost.";
-  let label, task =
-    if opts.quick then ("A", task "A")
-    else
-      ( "C-DMAG",
-        Task.of_scenario (Gen.build Gen.Dmag { (Gen.params_c ()) with Gen.mas = 24 })
-      )
-  in
-  let time_creation ~eager reps =
-    (* one warm-up creation per mode so allocation effects hit both sides *)
-    ignore (Constraint.create ~eager task);
-    let t0 = Kutil.Timer.now () in
-    for _ = 1 to reps do
-      ignore (Constraint.create ~eager task)
-    done;
-    (Kutil.Timer.now () -. t0) /. float_of_int reps *. 1e6
-  in
-  let reps = if opts.quick then 50 else 200 in
-  let eager_us = time_creation ~eager:true reps in
-  let lazy_us = time_creation ~eager:false reps in
-  Printf.printf
-    "  checker creation on %s: eager %.1f us, overlay-only %.1f us (%.1fx)\n%!"
-    label eager_us lazy_us
-    (eager_us /. Float.max lazy_us 1e-9);
-  let planners =
-    [
-      ("astar", fun ~config task -> Astar.plan ~config task);
-      ("dp", fun ~config task -> Dp.plan ~config task);
-      ("greedy", fun ~config task -> Greedy.plan ~config task);
-    ]
-  in
-  let t =
-    Table_fmt.create
-      ~headers:[ "Planner"; "Checks"; "s/check"; "Cost"; "Same cost" ]
-  in
-  let rows = ref [] in
-  List.iter
-    (fun (pname, plan) ->
-      Printf.printf "  %s / %s...\n%!" label pname;
-      let incr = plan ~config:(cfg opts) task in
-      let full =
-        plan ~config:(Planner.with_incremental false (cfg opts)) task
-      in
-      let spc =
-        incr.Planner.stats.Planner.check_seconds
-        /. float_of_int (max 1 incr.Planner.stats.Planner.sat_checks)
-      in
-      let cost = Planner.cost_of incr in
-      let same_cost =
-        match (Planner.cost_of full, cost) with
-        | Some a, Some b -> Float.abs (a -. b) < 1e-9
-        | None, None -> true
-        | _ -> false
-      in
-      rows :=
-        (pname, incr.Planner.stats.Planner.sat_checks, spc, cost, same_cost)
-        :: !rows;
-      Table_fmt.add_row t
-        [
-          pname;
-          string_of_int incr.Planner.stats.Planner.sat_checks;
-          Printf.sprintf "%.2e" spc;
-          (match cost with Some c -> Printf.sprintf "%.3f" c | None -> "-");
-          (if same_cost then "yes" else "NO");
-        ])
-    planners;
-  Table_fmt.print ~align:Table_fmt.Right t;
-  let path = "BENCH_OVERLAY.json" in
-  write_overlay_json path ~label ~reps ~eager_us ~lazy_us (List.rev !rows);
-  Runner.note (Printf.sprintf "wrote %s" path)
-
-(* ------------------------------------------------------------------ *)
 (* Robust ensemble satisfiability: one admission check against k demand
    matrices (growth percentiles and spike scenarios) versus the
    single-forecast check.  Two claims are measured: (1) the shared
@@ -1489,7 +1378,6 @@ let all = [
   ("fig13", fig13);
   ("par", par);
   ("inc", inc);
-  ("overlay", overlay);
   ("robust", robust);
   ("ext", ext);
   ("scale", scale);

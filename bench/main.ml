@@ -11,7 +11,7 @@
 let usage () =
   prerr_endline
     "usage: main.exe [--quick] [--budget S] \
-     [table1|table3|fig8|fig9|fig10|fig11|fig12|fig13|par|inc|overlay|robust|ext|scale|bechamel|all]...";
+     [table1|table3|fig8|fig9|fig10|fig11|fig12|fig13|par|inc|robust|ext|scale|bechamel|all]...";
   exit 2
 
 let () =

@@ -56,8 +56,7 @@ let no_incremental =
     "Disable incremental demand evaluation: every satisfiability check \
      replays all ECMP classes from scratch (the historical path).  \
      Verdicts, plans and costs are identical either way; this is an \
-     escape hatch and the baseline for the incremental benchmark.  \
-     Setting KLOTSKI_INCREMENTAL=0 has the same effect globally."
+     escape hatch and the baseline for the incremental benchmark."
   in
   Arg.(value & flag & info [ "no-incremental" ] ~doc)
 

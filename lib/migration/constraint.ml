@@ -71,7 +71,7 @@ type t = {
   related : int array option array;  (* funneling neighborhoods, lazy *)
   power_load : float array;  (* active draw per power domain *)
   mutable power_violations : int;  (* domains over capacity *)
-  incremental : bool;  (* delta demand evaluation requested and enabled *)
+  incremental : bool;  (* delta demand evaluation requested *)
 }
 
 (* Refresh every so many patches: bounds the float drift the subtract/add
@@ -84,12 +84,6 @@ let patch_interval = 512
    bookkeeping (load subtraction, dirty marking) eats the saving, so only
    clearly profitable deltas are worth taking. *)
 let fallback_fraction = 0.5
-
-let env_enabled =
-  lazy
-    (match Sys.getenv_opt "KLOTSKI_INCREMENTAL" with
-    | Some ("0" | "false" | "off" | "no") -> false
-    | _ -> true)
 
 let lowest_bit m =
   let rec go k = if m land (1 lsl k) <> 0 || k >= 62 then k else go (k + 1) in
@@ -216,7 +210,7 @@ let eval_state ck =
       ck.eval <- Some es;
       es
 
-let create ?(incremental = true) ?(eager = false) (task : Task.t) =
+let create ?(incremental = true) (task : Task.t) =
   (* Overlay words only: the universe (switch/circuit/adjacency arrays)
      stays physically shared with the task. *)
   let topo = Topo.copy task.Task.topo in
@@ -231,23 +225,19 @@ let create ?(incremental = true) ?(eager = false) (task : Task.t) =
           load;
         (load, !violations)
   in
-  let ck =
-    {
-      task;
-      topo;
-      cur = Array.make (Action.Set.cardinal task.Task.actions) 0;
-      applied = Array.make task.Task.state_word_count 0;
-      target = Array.make task.Task.state_word_count 0;
-      eval = None;
-      checks = 0;
-      related = Array.make (Array.length task.Task.blocks) None;
-      power_load;
-      power_violations;
-      incremental = incremental && Lazy.force env_enabled;
-    }
-  in
-  if eager then ignore (eval_state ck : eval_state);
-  ck
+  {
+    task;
+    topo;
+    cur = Array.make (Action.Set.cardinal task.Task.actions) 0;
+    applied = Array.make task.Task.state_word_count 0;
+    target = Array.make task.Task.state_word_count 0;
+    eval = None;
+    checks = 0;
+    related = Array.make (Array.length task.Task.blocks) None;
+    power_load;
+    power_violations;
+    incremental;
+  }
 
 let task ck = ck.task
 let overlay ck = ck.topo

@@ -46,27 +46,23 @@
 
 type t
 
-val create : ?incremental:bool -> ?eager:bool -> Task.t -> t
+val create : ?incremental:bool -> Task.t -> t
 (** A fresh checker for [task].  Only the task topology's overlay words
     are copied — no switch, circuit or adjacency array is duplicated —
     so several checkers never interfere yet share the universe
     physically.  [incremental] (default [true]) enables the delta demand
-    evaluation; setting the environment variable [KLOTSKI_INCREMENTAL=0]
-    forces it off globally (escape hatch).  Even when enabled, the delta
-    layer is only instantiated for tasks where it can pay off: when the
-    cost model says a typical one-block delta already approaches a full
-    evaluation (so patches would mostly fall back to rebuilds while
-    still paying the delta bookkeeping), the checker silently uses the
-    plain full evaluation, which is never slower.  [eager] (default [false])
-    also allocates the demand-evaluation state up front instead of on
-    first use — the pre-overlay creation cost, kept for benchmarks. *)
+    evaluation.  Even when enabled, the delta layer is only instantiated
+    for tasks where it can pay off: when the cost model says a typical
+    one-block delta already approaches a full evaluation (so patches
+    would mostly fall back to rebuilds while still paying the delta
+    bookkeeping), the checker silently uses the plain full evaluation,
+    which is never slower. *)
 
 val incremental_active : t -> bool
-(** Whether delta demand evaluation is requested and enabled for this
-    checker (the [incremental] flag gated by [KLOTSKI_INCREMENTAL]).
-    The checker may still evaluate fully when the cost model rules the
-    delta layer out for the task — that choice is internal and only
-    ever makes checks faster. *)
+(** Whether delta demand evaluation was requested for this checker (its
+    [incremental] flag).  The checker may still evaluate fully when the
+    cost model rules the delta layer out for the task — that choice is
+    internal and only ever makes checks faster. *)
 
 val delta_profitable : Task.t -> bool
 (** The cost-model decision behind that internal choice: [true] when a

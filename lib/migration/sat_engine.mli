@@ -32,6 +32,9 @@ val create : ?jobs:int -> ?use_cache:bool -> ?incremental:bool -> Task.t -> t
 val jobs : t -> int
 val task : t -> Task.t
 
+val incremental : t -> bool
+(** The [incremental] flag every worker's checker is created with. *)
+
 val check : t -> ?last_type:int -> ?last_block:int -> Compact.t -> bool
 (** Check a single state on the calling domain (worker 0). *)
 

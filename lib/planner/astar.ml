@@ -1,5 +1,4 @@
 module Vec_key = Kutil.Vec_key
-module Budget = Kutil.Timer.Budget
 
 let name = "Klotski-A*"
 
@@ -40,25 +39,14 @@ let entry_compare a b =
       let c = Float.compare a.g b.g in
       if c <> 0 then c else Int.compare a.seq b.seq
 
-let budget_of (config : Planner.config) =
-  match config.Planner.budget_seconds with
-  | None -> Budget.unlimited
-  | Some s -> Budget.of_seconds s
-
 (* [dedup:false] removes the compact-representation state table entirely
    (the "w/o ESC" ablation together with [use_cache:false]): the search
    degenerates to best-first over the action-sequence tree, so equivalent
    states are re-generated and re-checked once per ordering. *)
 let plan ?(config = Planner.default_config) ?(dedup = true) ?spec_width
-    (task : Task.t) =
-  let task = Planner.robust_task config task in
-  let budget = budget_of config in
-  let started = Kutil.Timer.now () in
-  let engine =
-    Sat_engine.create ~jobs:config.Planner.jobs
-      ~use_cache:config.Planner.use_cache
-      ~incremental:config.Planner.incremental task
-  in
+    task =
+  Search.run ~name config task @@ fun s task ->
+  let engine = Search.engine s in
   let n_types = Action.Set.cardinal task.Task.actions in
   let counts = task.Task.counts in
   let alpha = task.Task.alpha in
@@ -66,7 +54,6 @@ let plan ?(config = Planner.default_config) ?(dedup = true) ?spec_width
   let open_heap = Kutil.Heap.create ~compare:entry_compare in
   let best_g = Vec_key.Table.create 1024 in
   let closed = Vec_key.Table.create 1024 in
-  let expanded = ref 0 and generated = ref 0 in
   let remaining_scratch = Array.make n_types 0 in
   let key_scratch = Array.make (n_types + 1) 0 in
   let seqno = ref 0 in
@@ -94,29 +81,6 @@ let plan ?(config = Planner.default_config) ?(dedup = true) ?spec_width
       rev_types = [];
       seq = next_seq ();
     };
-  let stats () =
-    {
-      Planner.expanded = !expanded;
-      generated = !generated;
-      sat_checks = Sat_engine.checks_performed engine;
-      cache_hits = Sat_engine.cache_hits engine;
-      check_seconds = Sat_engine.check_seconds engine;
-      elapsed = Kutil.Timer.now () -. started;
-    }
-  in
-  let plan_of rev_types =
-    let next = Array.make n_types 0 in
-    let blocks =
-      List.fold_left
-        (fun acc a ->
-          let b = task.Task.blocks_by_type.(a).(next.(a)) in
-          next.(a) <- next.(a) + 1;
-          b :: acc)
-        []
-        (List.rev rev_types)
-    in
-    Plan.make task (List.rev blocks)
-  in
   (* An entry is dead once a cheaper route to its (V, last) key was found
      or the key was expanded; the sequential loop drops such entries at
      pop time, and staleness is monotone (closed only grows, best_g only
@@ -175,55 +139,45 @@ let plan ?(config = Planner.default_config) ?(dedup = true) ?spec_width
   let cand_type = Array.make max_cands 0 in
   let cand_off = Array.make (spec_width + 1) 0 in
   let rec search () =
-    if Budget.expired budget then
-      { Planner.planner = name; outcome = Planner.Timeout None; stats = stats () }
+    Search.poll s;
+    (* Pop up to [spec_width] live entries, dropping stale ones exactly as
+       the sequential loop does.  Stop early on a target entry: nothing
+       past it can be committed this round. *)
+    let n_pend = ref 0 in
+    let popping = ref true in
+    while !popping do
+      match Kutil.Heap.pop open_heap with
+      | None -> popping := false
+      | Some e ->
+          if is_stale e then ()
+          else begin
+            pend.(!n_pend) <- e;
+            incr n_pend;
+            if Compact.is_target e.v ~counts || !n_pend = spec_width then
+              popping := false
+          end
+    done;
+    let n_pend = !n_pend in
+    if n_pend = 0 then Planner.Infeasible
     else begin
-      (* Pop up to [spec_width] live entries, dropping stale ones exactly
-         as the sequential loop does.  Stop early on a target entry:
-         nothing past it can be committed this round. *)
-      let n_pend = ref 0 in
-      let popping = ref true in
-      while !popping do
-        match Kutil.Heap.pop open_heap with
-        | None -> popping := false
-        | Some e ->
-            if is_stale e then ()
-            else begin
-              pend.(!n_pend) <- e;
-              incr n_pend;
-              if Compact.is_target e.v ~counts || !n_pend = spec_width then
-                popping := false
+      (* Gather every pending entry's candidate successors and check them
+         as one batch. *)
+      let nc = ref 0 in
+      for i = 0 to n_pend - 1 do
+        cand_off.(i) <- !nc;
+        let e = pend.(i) in
+        if not (Compact.is_target e.v ~counts) then
+          for a = 0 to n_types - 1 do
+            if e.v.(a) < counts.(a) then begin
+              cand_type.(!nc) <- a;
+              cand_sat.(!nc) <- Search.succ s e.v a;
+              incr nc
             end
+          done
       done;
-      let n_pend = !n_pend in
-      if n_pend = 0 then
-        { Planner.planner = name; outcome = Planner.Infeasible; stats = stats () }
-      else begin
-        (* Gather every pending entry's candidate successors and check
-           them as one batch. *)
-        let nc = ref 0 in
-        for i = 0 to n_pend - 1 do
-          cand_off.(i) <- !nc;
-          let e = pend.(i) in
-          if not (Compact.is_target e.v ~counts) then
-            for a = 0 to n_types - 1 do
-              if e.v.(a) < counts.(a) then begin
-                let block = task.Task.blocks_by_type.(a).(e.v.(a)) in
-                cand_type.(!nc) <- a;
-                cand_sat.(!nc) <-
-                  {
-                    Sat_engine.last_type = Some a;
-                    last_block = Some block;
-                    v = Compact.succ e.v a;
-                  };
-                incr nc
-              end
-            done
-        done;
-        cand_off.(n_pend) <- !nc;
-        let oks = Sat_engine.check_batch engine (Array.sub cand_sat 0 !nc) in
-        commit 0 n_pend oks
-      end
+      cand_off.(n_pend) <- !nc;
+      let oks = Sat_engine.check_batch engine (Array.sub cand_sat 0 !nc) in
+      commit 0 n_pend oks
     end
   and commit i n_pend oks =
     if i >= n_pend then search ()
@@ -248,21 +202,17 @@ let plan ?(config = Planner.default_config) ?(dedup = true) ?spec_width
       end
       else if i > 0 && is_stale e then commit (i + 1) n_pend oks
       else if Compact.is_target e.v ~counts then
-        {
-          Planner.planner = name;
-          outcome = Planner.Found (plan_of e.rev_types);
-          stats = stats ();
-        }
+        Planner.Found (Search.plan_of_types s (List.rev e.rev_types))
       else begin
         if dedup then
           Vec_key.Table.replace closed
             (Vec_key.copy (skey_into key_scratch e.v e.last))
             ();
-        incr expanded;
+        Search.expand s;
         (* Commit this expansion's verdicts in ascending type order — the
            same order the sequential loop used. *)
         for c = cand_off.(i) to cand_off.(i + 1) - 1 do
-          incr generated;
+          Search.generate s;
           if oks.(c) then begin
             let a = cand_type.(c) in
             let v' = cand_sat.(c).Sat_engine.v in
@@ -300,4 +250,4 @@ let plan ?(config = Planner.default_config) ?(dedup = true) ?spec_width
       end
     end
   in
-  Fun.protect ~finally:(fun () -> Sat_engine.shutdown engine) search
+  search ()

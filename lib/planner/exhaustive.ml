@@ -1,25 +1,10 @@
-module Budget = Kutil.Timer.Budget
-
 let name = "Klotski w/o A*"
 
-exception Out_of_time
-
-let plan ?(config = Planner.default_config) ?(bound = `Cost_only)
-    (task : Task.t) =
-  let task = Planner.robust_task config task in
+let plan ?(config = Planner.default_config) ?(bound = `Cost_only) task =
+  Search.run ~name config task @@ fun s task ->
   let prune = bound <> `None in
   let heuristic_bound = bound = `Heuristic in
-  let budget =
-    match config.Planner.budget_seconds with
-    | None -> Budget.unlimited
-    | Some s -> Budget.of_seconds s
-  in
-  let started = Kutil.Timer.now () in
-  let engine =
-    Sat_engine.create ~jobs:config.Planner.jobs
-      ~use_cache:config.Planner.use_cache
-      ~incremental:config.Planner.incremental task
-  in
+  let engine = Search.engine s in
   let parallel = Sat_engine.jobs engine > 1 in
   let n_types = Action.Set.cardinal task.Task.actions in
   let counts = task.Task.counts in
@@ -27,12 +12,10 @@ let plan ?(config = Planner.default_config) ?(bound = `Cost_only)
   let weights = task.Task.type_weights in
   let total = Array.fold_left ( + ) 0 counts in
   let v = Compact.origin task.Task.actions in
-  let seq = Array.make (max total 1) (-1) in
+  let seq = Array.make total (-1) in
   let best_cost = ref infinity in
   let best_seq = ref None in
-  let expanded = ref 0 and generated = ref 0 in
   let remaining = Array.copy counts in
-  let timeout = ref false in
   (* Depth-first over type sequences; blocks are consumed in canonical
      per-type order so a sequence of types determines the plan.
 
@@ -44,40 +27,27 @@ let plan ?(config = Planner.default_config) ?(bound = `Cost_only)
      still applied at the same program point, so the traversal and the
      outcome are unchanged. *)
   let rec dfs depth last g =
-    if Budget.expired budget then raise Out_of_time;
-    incr expanded;
+    Search.poll s;
+    Search.expand s;
     if depth = total then begin
       if g < !best_cost then begin
         best_cost := g;
-        best_seq := Some (Array.copy seq)
+        best_seq := Some (Array.to_list seq)
       end
     end
     else begin
       let sibling_ok =
         if not parallel then [||]
         else begin
-          let cands = ref [] in
-          for a = n_types - 1 downto 0 do
-            if remaining.(a) > 0 then begin
-              v.(a) <- v.(a) + 1;
-              cands :=
-                ( a,
-                  {
-                    Sat_engine.last_type = Some a;
-                    last_block =
-                      Some task.Task.blocks_by_type.(a).(v.(a) - 1);
-                    v = Array.copy v;
-                  } )
-                :: !cands;
-              v.(a) <- v.(a) - 1
-            end
-          done;
-          let cands = Array.of_list !cands in
+          let types =
+            List.filter (fun a -> remaining.(a) > 0) (List.init n_types Fun.id)
+          in
           let oks =
-            Sat_engine.check_batch engine (Array.map snd cands)
+            Sat_engine.check_batch engine
+              (Array.of_list (List.map (Search.succ s v) types))
           in
           let by_type = Array.make n_types false in
-          Array.iteri (fun i (a, _) -> by_type.(a) <- oks.(i)) cands;
+          List.iteri (fun i a -> by_type.(a) <- oks.(i)) types;
           by_type
         end
       in
@@ -102,7 +72,7 @@ let plan ?(config = Planner.default_config) ?(bound = `Cost_only)
           if lower_bound < !best_cost -. 1e-12 || not prune then begin
             let block = task.Task.blocks_by_type.(a).(v.(a)) in
             v.(a) <- v.(a) + 1;
-            incr generated;
+            Search.generate s;
             let ok =
               if parallel then sibling_ok.(a)
               else
@@ -121,42 +91,8 @@ let plan ?(config = Planner.default_config) ?(bound = `Cost_only)
       done
     end
   in
-  Fun.protect
-    ~finally:(fun () -> Sat_engine.shutdown engine)
-    (fun () -> try dfs 0 None 0.0 with Out_of_time -> timeout := true);
-  let stats =
-    {
-      Planner.expanded = !expanded;
-      generated = !generated;
-      sat_checks = Sat_engine.checks_performed engine;
-      cache_hits = Sat_engine.cache_hits engine;
-      check_seconds = Sat_engine.check_seconds engine;
-      elapsed = Kutil.Timer.now () -. started;
-    }
-  in
-  let plan_of_types types =
-    (* Types back to canonical blocks. *)
-    let next = Array.make n_types 0 in
-    let blocks =
-      Array.to_list
-        (Array.map
-           (fun a ->
-             let b = task.Task.blocks_by_type.(a).(next.(a)) in
-             next.(a) <- next.(a) + 1;
-             b)
-           types)
-    in
-    Plan.make task blocks
-  in
-  match (!timeout, !best_seq) with
-  | true, Some s ->
-      {
-        Planner.planner = name;
-        outcome = Planner.Timeout (Some (plan_of_types s));
-        stats;
-      }
-  | true, None -> { Planner.planner = name; outcome = Planner.Timeout None; stats }
-  | false, Some s ->
-      { Planner.planner = name; outcome = Planner.Found (plan_of_types s); stats }
-  | false, None ->
-      { Planner.planner = name; outcome = Planner.Infeasible; stats }
+  let best () = Option.map (Search.plan_of_types s) !best_seq in
+  match dfs 0 None 0.0 with
+  | () -> (
+      match best () with Some p -> Planner.Found p | None -> Planner.Infeasible)
+  | exception Search.Expired -> Planner.Timeout (best ())

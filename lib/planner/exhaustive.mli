@@ -8,13 +8,14 @@
       It must visit every feasible interleaving — multinomially many — to
       certify optimality, which is the "explore the whole search space"
       behaviour the paper measures at 7–1456× slower;
-    - the oracle for the test suite: on small tasks, [plan ~prune:false]
-      enumerates all feasible sequences and its optimum independently
-      validates A* and DP.
+    - the oracle for the test suite: on small tasks,
+      [plan ~bound:`Heuristic] (or [~bound:`None], which enumerates
+      every feasible sequence) finds the optimum independently of A*
+      and DP.
 
-    With [prune] (default), branches whose g plus the admissible bound
-    already reach the best known cost are cut — still exact, just less
-    absurdly slow. *)
+    Every bound is exact: a branch is cut only once a lower bound on its
+    cost reaches the best known plan.  On budget expiry the best plan found
+    so far comes back as [Timeout (Some plan)]. *)
 
 val name : string
 (** ["Klotski w/o A*"] *)

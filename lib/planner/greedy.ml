@@ -1,20 +1,8 @@
-module Budget = Kutil.Timer.Budget
-
 let name = "Guided greedy"
 
-let plan ?(config = Planner.default_config) (task : Task.t) =
-  let task = Planner.robust_task config task in
-  let budget =
-    match config.Planner.budget_seconds with
-    | None -> Budget.unlimited
-    | Some s -> Budget.of_seconds s
-  in
-  let started = Kutil.Timer.now () in
-  let engine =
-    Sat_engine.create ~jobs:config.Planner.jobs
-      ~use_cache:config.Planner.use_cache
-      ~incremental:config.Planner.incremental task
-  in
+let plan ?(config = Planner.default_config) task =
+  Search.run ~name config task @@ fun s task ->
+  let engine = Search.engine s in
   let n_types = Action.Set.cardinal task.Task.actions in
   let counts = task.Task.counts in
   let alpha = task.Task.alpha in
@@ -24,35 +12,21 @@ let plan ?(config = Planner.default_config) (task : Task.t) =
   let remaining = Array.copy counts in
   let rev_types = ref [] in
   let last = ref None in
-  let expanded = ref 0 and generated = ref 0 in
-  let timeout = ref false and dead_end = ref false in
   let cand_types = Array.make n_types 0 in
   let cand_sat = Array.make n_types
       { Sat_engine.last_type = None; last_block = None; v = [||] } in
-  Fun.protect ~finally:(fun () -> Sat_engine.shutdown engine) (fun () ->
   try
     for _step = 1 to total do
-      if Budget.expired budget then begin
-        timeout := true;
-        raise Exit
-      end;
+      Search.poll s;
       (* Score every feasible successor: marginal cost plus the bound on
          the rest; commit to the best without backtracking.  All
          successors of a step are checked as one batch. *)
       let n_cands = ref 0 in
       for a = 0 to n_types - 1 do
         if v.(a) < counts.(a) then begin
-          let block = task.Task.blocks_by_type.(a).(v.(a)) in
-          incr generated;
-          v.(a) <- v.(a) + 1;
+          Search.generate s;
           cand_types.(!n_cands) <- a;
-          cand_sat.(!n_cands) <-
-            {
-              Sat_engine.last_type = Some a;
-              last_block = Some block;
-              v = Array.copy v;
-            };
-          v.(a) <- v.(a) - 1;
+          cand_sat.(!n_cands) <- Search.succ s v a;
           incr n_cands
         end
       done;
@@ -74,47 +48,14 @@ let plan ?(config = Planner.default_config) (task : Task.t) =
           end
         end
       done;
-      if !best < 0 then begin
-        dead_end := true;
-        raise Exit
-      end;
+      (* A dead end: no feasible successor, and no backtracking. *)
+      if !best < 0 then raise Exit;
       let a = !best in
       v.(a) <- v.(a) + 1;
       remaining.(a) <- remaining.(a) - 1;
       rev_types := a :: !rev_types;
       last := Some a;
-      incr expanded
-    done
-  with Exit -> ());
-  let stats =
-    {
-      Planner.expanded = !expanded;
-      generated = !generated;
-      sat_checks = Sat_engine.checks_performed engine;
-      cache_hits = Sat_engine.cache_hits engine;
-      check_seconds = Sat_engine.check_seconds engine;
-      elapsed = Kutil.Timer.now () -. started;
-    }
-  in
-  let plan_of rev_types =
-    let next = Array.make n_types 0 in
-    let blocks =
-      List.rev_map
-        (fun a ->
-          let b = task.Task.blocks_by_type.(a).(next.(a)) in
-          next.(a) <- next.(a) + 1;
-          b)
-        (List.rev rev_types)
-    in
-    Plan.make task (List.rev blocks)
-  in
-  if !timeout then
-    { Planner.planner = name; outcome = Planner.Timeout None; stats }
-  else if !dead_end then
-    { Planner.planner = name; outcome = Planner.Infeasible; stats }
-  else
-    {
-      Planner.planner = name;
-      outcome = Planner.Found (plan_of !rev_types);
-      stats;
-    }
+      Search.expand s
+    done;
+    Planner.Found (Search.plan_of_types s (List.rev !rev_types))
+  with Exit -> Planner.Infeasible

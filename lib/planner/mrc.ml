@@ -1,102 +1,48 @@
-module Budget = Kutil.Timer.Budget
-
 let name = "MRC"
 
-let plan ?(config = Planner.default_config) (task : Task.t) =
-  let task = Planner.robust_task config task in
-  let started = Kutil.Timer.now () in
-  let stats checker expanded generated =
-    {
-      Planner.expanded;
-      generated;
-      sat_checks = Constraint.checks_performed checker;
-      cache_hits = 0;
-      check_seconds = 0.0;
-      elapsed = Kutil.Timer.now () -. started;
-    }
-  in
+let refuse (task : Task.t) =
   if task.Task.adds_layer then
-    {
-      Planner.planner = name;
-      outcome =
-        Planner.Unsupported
-          "migration introduces a new layer; the residual-capacity \
-           objective is undefined on it";
-      stats =
-        { expanded = 0; generated = 0; sat_checks = 0; cache_hits = 0;
-          check_seconds = 0.0; elapsed = 0.0 };
-    }
+    Some
+      "migration introduces a new layer; the residual-capacity objective \
+       is undefined on it"
   else if Task.affects_wiring task then
-    {
-      Planner.planner = name;
-      outcome =
-        Planner.Unsupported
-          "migration rewires circuits; residual capacity after a wiring \
-           change is not a drain-order objective";
-      stats =
-        { expanded = 0; generated = 0; sat_checks = 0; cache_hits = 0;
-          check_seconds = 0.0; elapsed = 0.0 };
-    }
-  else begin
-    let budget =
-      match config.Planner.budget_seconds with
-      | None -> Budget.unlimited
-      | Some s -> Budget.of_seconds s
-    in
-    let checker = Constraint.create task in
-    let n = Array.length task.Task.blocks in
-    let remaining = Array.make n true in
-    let order = ref [] in
-    let expanded = ref 0 and generated = ref 0 in
-    let timeout = ref false in
-    let dead_end = ref false in
-    (* Greedy: try every remaining block, keep the feasible one with the
-       largest minimum residual. *)
-    (try
-       for _step = 1 to n do
-         if Budget.expired budget then begin
-           timeout := true;
-           raise Exit
-         end;
-         let best = ref (-1) and best_residual = ref neg_infinity in
-         for b = 0 to n - 1 do
-           if remaining.(b) then begin
-             incr generated;
-             Constraint.apply_block checker b;
-             let residual = Constraint.current_min_residual checker in
-             Constraint.unapply_block checker b;
-             if residual > !best_residual then begin
-               best_residual := residual;
-               best := b
-             end
-           end
-         done;
-         if !best < 0 || !best_residual = neg_infinity then begin
-           dead_end := true;
-           raise Exit
-         end;
-         Constraint.apply_block checker !best;
-         remaining.(!best) <- false;
-         order := !best :: !order;
-         incr expanded
-       done
-     with Exit -> ());
-    if !timeout then
-      {
-        Planner.planner = name;
-        outcome = Planner.Timeout None;
-        stats = stats checker !expanded !generated;
-      }
-    else if !dead_end then
-      {
-        Planner.planner = name;
-        outcome = Planner.Infeasible;
-        stats = stats checker !expanded !generated;
-      }
-    else
-      {
-        Planner.planner = name;
-        outcome = Planner.Found (Plan.make task (List.rev !order));
-        stats = stats checker !expanded !generated;
-      }
-  end
+    Some
+      "migration rewires circuits; residual capacity after a wiring change \
+       is not a drain-order objective"
+  else None
+
+let plan ?(config = Planner.default_config) task =
+  Search.run ~name ~refuse config task @@ fun s task ->
+  let checker = Search.checker s in
+  let n = Array.length task.Task.blocks in
+  let remaining = Array.make n true in
+  let order = ref [] in
+  (* Greedy: try every remaining block, keep the feasible one with the
+     largest minimum residual.  Residuals within 1e-9 tie and the first
+     block wins: the incremental checker's float drift stays below that
+     slack, so the choice does not depend on how loads are evaluated. *)
+  try
+    for _step = 1 to n do
+      Search.poll s;
+      let best = ref (-1) and best_residual = ref neg_infinity in
+      for b = 0 to n - 1 do
+        if remaining.(b) then begin
+          Search.generate s;
+          Constraint.apply_block checker b;
+          let residual = Constraint.current_min_residual checker in
+          Constraint.unapply_block checker b;
+          if residual > !best_residual +. 1e-9 then begin
+            best_residual := residual;
+            best := b
+          end
+        end
+      done;
+      (* A dead end: every remaining block violates a constraint. *)
+      if !best < 0 || !best_residual = neg_infinity then raise Exit;
+      Constraint.apply_block checker !best;
+      remaining.(!best) <- false;
+      order := !best :: !order;
+      Search.expand s
+    done;
+    Planner.Found (Plan.make task (List.rev !order))
+  with Exit -> Planner.Infeasible

@@ -61,8 +61,9 @@ val robust_task : config -> Task.t -> Task.t
     and no ensemble on the task, attaches a deterministic default built
     from a fixed-seed {!Forecast.t} over the task's classes
     ({!Ensemble.generate}); a task-carried ensemble always wins, and
-    k = 1 returns the task unchanged.  All planners call this at entry,
-    so a config is interpreted identically everywhere. *)
+    k = 1 returns the task unchanged.  The search harness ({!Search.run})
+    calls this before any planner sees the task, so a config is
+    interpreted identically everywhere. *)
 
 type stats = {
   expanded : int;  (** States popped / steps committed. *)

@@ -158,8 +158,8 @@ let test_deps_index_sound () =
         (Array.map2 (fun a b -> (a, b)) before after))
     task.Task.blocks
 
-(* The KLOTSKI_INCREMENTAL escape hatch and the config plumbing reach the
-   checker: ~incremental:false must yield an inactive checker. *)
+(* The incremental flag reaches the checker: ~incremental:false must
+   yield an inactive checker. *)
 let test_escape_hatch () =
   let task = random_task 1 in
   Alcotest.(check bool) "disabled by argument" false

@@ -242,39 +242,6 @@ let test_move_to_matches_replay () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Eager vs lazy checker creation is unobservable: verdicts and
-   summaries agree step by step. *)
-
-let test_eager_matches_lazy () =
-  let task = random_task 3 in
-  let lazy_ck = Constraint.create task in
-  let eager_ck = Constraint.create ~eager:true task in
-  let n = Array.length task.Task.blocks in
-  let g = Kutil.Prng.create ~seed:7 in
-  let applied = Array.make n false in
-  for _ = 1 to 2 * n do
-    let b = Kutil.Prng.int g n in
-    if applied.(b) then begin
-      Constraint.unapply_block lazy_ck b;
-      Constraint.unapply_block eager_ck b
-    end
-    else begin
-      Constraint.apply_block lazy_ck b;
-      Constraint.apply_block eager_ck b
-    end;
-    applied.(b) <- not applied.(b);
-    Alcotest.(check bool) "verdicts agree"
-      (Constraint.current_ok eager_ck)
-      (Constraint.current_ok lazy_ck);
-    let se = Constraint.evaluate_current eager_ck in
-    let sl = Constraint.evaluate_current lazy_ck in
-    Alcotest.check (Alcotest.float 1e-12) "max_util agrees"
-      se.Constraint.max_util sl.Constraint.max_util;
-    Alcotest.check (Alcotest.float 1e-12) "stuck agrees" se.Constraint.stuck
-      sl.Constraint.stuck
-  done
-
-(* ------------------------------------------------------------------ *)
 (* Compact-state word lowering: the packed words set exactly the bits of
    the canonical applied-block prefix, distinct states get distinct
    keys (cache-key soundness), and blit_state_words matches state_words
@@ -426,8 +393,6 @@ let suite =
         `Quick test_snapshot_restore_rewire;
       Alcotest.test_case "move_to matches naive replay" `Quick
         test_move_to_matches_replay;
-      Alcotest.test_case "eager creation unobservable" `Quick
-        test_eager_matches_lazy;
       Alcotest.test_case "state-word lowering sound" `Quick test_state_words;
       Alcotest.test_case "cache counters pinned (random)" `Slow
         test_counters_random;
