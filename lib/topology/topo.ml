@@ -158,6 +158,23 @@ let wiring_matches t j alt =
 
 let usable_wired t j alt = Bitset.mem t.usable_set j && wiring_matches t j alt
 
+(* The per-row form of [usable_wired] for a whole stage, one call per
+   stage.  While nothing is rewired an alternative row is never live and
+   an as-built row is live iff its circuit is usable: one pass over
+   [alt_hi], then one bulk probe of the usable set. *)
+let live_rows t ~circuits ~alt_hi mask =
+  if Hashtbl.length t.remap = 0 then begin
+    for i = 0 to Array.length circuits - 1 do
+      Bytes.set mask i (if alt_hi.(i) < 0 then '\001' else '\000')
+    done;
+    Bitset.mem_rows t.usable_set circuits mask
+  end
+  else
+    for i = 0 to Array.length circuits - 1 do
+      Bytes.set mask i
+        (if usable_wired t circuits.(i) alt_hi.(i) then '\001' else '\000')
+    done
+
 (* Adjust the usable degree of [s] by [delta], keeping the violation count
    in sync with the switch's port limit crossing. *)
 let bump_degree t s delta =

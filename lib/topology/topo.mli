@@ -177,7 +177,15 @@ val wiring_matches : t -> int -> int -> bool
 
 val usable_wired : t -> int -> int -> bool
 (** [usable_wired t j alt] is [usable t j && wiring_matches t j alt] —
-    the ECMP hot-path predicate. *)
+    the ECMP predicate for one candidate row. *)
+
+val live_rows : t -> circuits:int array -> alt_hi:int array -> Bytes.t -> unit
+(** [live_rows t ~circuits ~alt_hi mask] sets byte [i] of [mask] to
+    ['\001'] when [usable_wired t circuits.(i) alt_hi.(i)], else to
+    ['\000'], for every [i < Array.length circuits]: one call per ECMP
+    stage instead of one per row.  O(rows) with a bulk usable-set probe
+    while nothing is rewired.  Raises [Invalid_argument] when [mask] or
+    [alt_hi] is shorter than [circuits] or a circuit is out of range. *)
 
 val active_switch_count : t -> int
 val active_circuit_count : t -> int

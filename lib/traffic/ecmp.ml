@@ -174,6 +174,9 @@ type scratch = {
   touched : Ivec.t;
   ntouched : Ivec.t;
   mutable useful : Bitset.t array;  (* stage index -> useful switches *)
+  mutable live : Bytes.t array;
+      (* stage index -> one byte per row: does the row qualify?  Written
+         by the backward sweep, read by the forward passes. *)
 }
 
 let make_scratch u =
@@ -186,6 +189,7 @@ let make_scratch u =
     touched = Ivec.create ();
     ntouched = Ivec.create ();
     useful = [||];
+    live = [||];
   }
 
 type result = { delivered : float; stuck : float }
@@ -195,7 +199,8 @@ type result = { delivered : float; stuck : float }
    [f] times the base share.  Each (loads, factor) pair mirrors every
    base deposit, scaled — one traversal serves all matrices.  [aux]
    defaults to empty everywhere, leaving the base float stream
-   untouched. *)
+   untouched; callers skip the call then, since passing [share] to a
+   function boxes it. *)
 let aux_add (aux : (float array * float) array) j share =
   for x = 0 to Array.length aux - 1 do
     let l, f = aux.(x) in
@@ -211,124 +216,141 @@ let aux_sub (aux : (float array * float) array) j share =
     l.(j) <- l.(j) -. (share *. f)
   done
 
-let ensure_useful sc count =
-  if Array.length sc.useful < count then begin
+(* Size the per-stage buffers for [c].  They only grow, so a checker
+   allocates them while it meets its largest classes and never again. *)
+let ensure_stages sc c =
+  let n_stages = Array.length c.stages in
+  if Array.length sc.useful < n_stages + 1 then begin
     (* Scratch arrays are sized to the universe's switch count. *)
     let n = Array.length sc.vol in
-    sc.useful <- Array.init count (fun _ -> Bitset.create n)
-  end
+    sc.useful <- Array.init (n_stages + 1) (fun _ -> Bitset.create n)
+  end;
+  if Array.length sc.live < n_stages then sc.live <- Array.make n_stages Bytes.empty;
+  for k = 0 to n_stages - 1 do
+    let m = Array.length c.stages.(k).circuits in
+    if Bytes.length sc.live.(k) < m then sc.live.(k) <- Bytes.create m
+  done
 
 (* A switch is useful at stage k when the remaining hops can still deliver
    from it over usable circuits — the "feasible shortest paths" ECMP routes
-   on.  Backward sweep over the compiled candidate lists, writing into
-   [dst.(0 .. n_stages)]. *)
-let useful_sweep topo c dst =
+   on.  One step of the backward sweep: decide once per row whether it
+   qualifies (usable under the wiring it was compiled for, leading to a
+   switch useful at [k + 1]), keep the verdict in [live] for the forward
+   passes, and collect the qualifying rows' upstream switches, plus the
+   skip switches useful at [k + 1], into [u].  The row loops run inside
+   [Topo] and [Bitset]: under [-opaque] a per-row probe from here would
+   be an out-of-line call. *)
+let sweep_stage topo stage live ~u ~u' =
+  Bitset.clear u;
+  Topo.live_rows topo ~circuits:stage.circuits ~alt_hi:stage.alt_hi live;
+  Bitset.mem_rows u' stage.nexts live;
+  Bitset.add_rows u stage.prevs live;
+  for x = 0 to Array.length stage.skip_switches - 1 do
+    let s = stage.skip_switches.(x) in
+    if Bitset.mem u' s then Bitset.add u s
+  done
+
+(* The whole backward sweep, writing into [dst.(0 .. n_stages)] and
+   [sc.live]; [ensure_stages] must have sized the scratch for [c]. *)
+let useful_sweep topo sc c dst =
   let n_stages = Array.length c.stages in
   Bitset.fill dst.(n_stages);
   for k = n_stages - 1 downto 0 do
-    let stage = c.stages.(k) in
-    let u = dst.(k) and u' = dst.(k + 1) in
-    Bitset.clear u;
-    for i = 0 to Array.length stage.circuits - 1 do
-      if
-        Topo.usable_wired topo stage.circuits.(i) stage.alt_hi.(i)
-        && Bitset.mem u' stage.nexts.(i)
-      then Bitset.add u stage.prevs.(i)
-    done;
-    Array.iter (fun s -> if Bitset.mem u' s then Bitset.add u s) stage.skip_switches
+    sweep_stage topo c.stages.(k) sc.live.(k) ~u:dst.(k) ~u':dst.(k + 1)
   done
 
-let compute_useful topo sc c =
-  ensure_useful sc (Array.length c.stages + 1);
-  useful_sweep topo c sc.useful
-
-let evaluate ?(scale = 1.0) ?(split = `Equal) ?(aux = [||]) topo sc c ~loads =
-  let weighted = split = `Capacity_weighted in
-  compute_useful topo sc c;
-  let stuck = ref 0.0 in
-  Ivec.clear sc.touched;
-  Array.iter
-    (fun (s, v) ->
-      if Float.equal sc.vol.(s) 0.0 then Ivec.push sc.touched s;
-      sc.vol.(s) <- sc.vol.(s) +. (v *. scale))
-    c.sources;
-  let n_stages = Array.length c.stages in
-  for k = 0 to n_stages - 1 do
-    let stage = c.stages.(k) in
-    let u' = sc.useful.(k + 1) in
-    let m = Array.length stage.circuits in
-    Ivec.clear sc.ntouched;
-    (* Skip markers first: a carrier neither splits nor counts as stuck. *)
-    Array.iter
-      (fun s -> if sc.vol.(s) > 0.0 && Bitset.mem u' s then sc.cand.(s) <- -1)
-      stage.skip_switches;
-    (* Count the qualifying usable circuits per loaded switch (and, for
-       weighted routing configurations, their total capacity). *)
-    for i = 0 to m - 1 do
+(* Forward stage, before the deposits: mark the loaded carriers (a
+   carrier neither splits nor counts as stuck), then count the
+   qualifying rows of every loaded switch (and, for weighted routing
+   configurations, their total capacity). *)
+let count_stage ~weighted topo sc stage live u' =
+  Ivec.clear sc.ntouched;
+  for x = 0 to Array.length stage.skip_switches - 1 do
+    let s = stage.skip_switches.(x) in
+    if sc.vol.(s) > 0.0 && Bitset.mem u' s then sc.cand.(s) <- -1
+  done;
+  for i = 0 to Array.length stage.circuits - 1 do
+    if Bytes.get live i <> '\000' then begin
       let prev = stage.prevs.(i) in
-      if
-        sc.vol.(prev) > 0.0
-        && sc.cand.(prev) >= 0
-        && Topo.usable_wired topo stage.circuits.(i) stage.alt_hi.(i)
-        && Bitset.mem u' stage.nexts.(i)
-      then begin
+      if sc.vol.(prev) > 0.0 && sc.cand.(prev) >= 0 then begin
         sc.cand.(prev) <- sc.cand.(prev) + 1;
         if weighted then
           sc.candw.(prev) <-
-            sc.candw.(prev)
-            +. Topo.capacity topo stage.circuits.(i)
+            sc.candw.(prev) +. Topo.capacity topo stage.circuits.(i)
       end
-    done;
+    end
+  done
+
+(* Forward stage, after the deposits: carriers keep their volume for the
+   next stage; anything loaded with neither qualifying rows nor a carrier
+   mark is stuck — the demand constraint of Eq. 4 fails for this
+   topology; then the next stage's volumes move into [vol].  Returns
+   [stuck] plus this stage's stuck volumes, added in [touched] order. *)
+let finish_stage sc stage stuck =
+  for x = 0 to Array.length stage.skip_switches - 1 do
+    let s = stage.skip_switches.(x) in
+    if sc.cand.(s) = -1 && sc.vol.(s) > 0.0 then begin
+      if Float.equal sc.nvol.(s) 0.0 then Ivec.push sc.ntouched s;
+      sc.nvol.(s) <- sc.nvol.(s) +. sc.vol.(s)
+    end
+  done;
+  let stuck = ref stuck in
+  for i = 0 to sc.touched.Ivec.len - 1 do
+    let s = sc.touched.Ivec.data.(i) in
+    if sc.vol.(s) > 0.0 && sc.cand.(s) = 0 then stuck := !stuck +. sc.vol.(s);
+    sc.vol.(s) <- 0.0;
+    sc.cand.(s) <- 0;
+    sc.candw.(s) <- 0.0
+  done;
+  Ivec.clear sc.touched;
+  for i = 0 to sc.ntouched.Ivec.len - 1 do
+    let s = sc.ntouched.Ivec.data.(i) in
+    sc.vol.(s) <- sc.nvol.(s);
+    sc.nvol.(s) <- 0.0;
+    Ivec.push sc.touched s
+  done;
+  !stuck
+
+let load_sources sc c ~scale =
+  Ivec.clear sc.touched;
+  for x = 0 to Array.length c.sources - 1 do
+    let s, v = c.sources.(x) in
+    if Float.equal sc.vol.(s) 0.0 then Ivec.push sc.touched s;
+    sc.vol.(s) <- sc.vol.(s) +. (v *. scale)
+  done
+
+let evaluate ?(scale = 1.0) ?(split = `Equal) ?(aux = [||]) topo sc c ~loads =
+  let weighted = split = `Capacity_weighted in
+  let has_aux = Array.length aux > 0 in
+  ensure_stages sc c;
+  useful_sweep topo sc c sc.useful;
+  load_sources sc c ~scale;
+  let stuck = ref 0.0 in
+  for k = 0 to Array.length c.stages - 1 do
+    let stage = c.stages.(k) and live = sc.live.(k) in
+    count_stage ~weighted topo sc stage live sc.useful.(k + 1);
     (* Distribute over the qualifying circuits: equally under plain ECMP,
        or proportionally to capacity under the temporary routing
        configurations of §7.1 (UCMP). *)
-    for i = 0 to m - 1 do
-      let prev = stage.prevs.(i) in
-      let v = sc.vol.(prev) in
-      if
-        v > 0.0
-        && sc.cand.(prev) > 0
-        && Topo.usable_wired topo stage.circuits.(i) stage.alt_hi.(i)
-        && Bitset.mem u' stage.nexts.(i)
-      then begin
-        let next = stage.nexts.(i) in
-        let j = stage.circuits.(i) in
-        let share =
-          if weighted then
-            v *. Topo.capacity topo j /. sc.candw.(prev)
-          else v /. float_of_int sc.cand.(prev)
-        in
-        loads.(j) <- loads.(j) +. share;
-        aux_add aux j share;
-        if Float.equal sc.nvol.(next) 0.0 then Ivec.push sc.ntouched next;
-        sc.nvol.(next) <- sc.nvol.(next) +. share
+    for i = 0 to Array.length stage.circuits - 1 do
+      if Bytes.get live i <> '\000' then begin
+        let prev = stage.prevs.(i) in
+        let v = sc.vol.(prev) in
+        if v > 0.0 && sc.cand.(prev) > 0 then begin
+          let next = stage.nexts.(i) in
+          let j = stage.circuits.(i) in
+          let share =
+            if weighted then v *. Topo.capacity topo j /. sc.candw.(prev)
+            else v /. float_of_int sc.cand.(prev)
+          in
+          loads.(j) <- loads.(j) +. share;
+          if has_aux then aux_add aux j share;
+          if Float.equal sc.nvol.(next) 0.0 then Ivec.push sc.ntouched next;
+          sc.nvol.(next) <- sc.nvol.(next) +. share
+        end
       end
     done;
-    (* Carriers keep their volume for the next stage. *)
-    Array.iter
-      (fun s ->
-        if sc.cand.(s) = -1 && sc.vol.(s) > 0.0 then begin
-          if Float.equal sc.nvol.(s) 0.0 then Ivec.push sc.ntouched s;
-          sc.nvol.(s) <- sc.nvol.(s) +. sc.vol.(s)
-        end)
-      stage.skip_switches;
-    (* Anything loaded with neither circuits nor a carrier mark is stuck:
-       the demand constraint of Eq. 4 fails for this topology. *)
-    for i = 0 to sc.touched.Ivec.len - 1 do
-      let s = sc.touched.Ivec.data.(i) in
-      if sc.vol.(s) > 0.0 && sc.cand.(s) = 0 then stuck := !stuck +. sc.vol.(s);
-      sc.vol.(s) <- 0.0;
-      sc.cand.(s) <- 0;
-      sc.candw.(s) <- 0.0
-    done;
-    (* Advance: the next stage reads from [vol]. *)
-    Ivec.clear sc.touched;
-    for i = 0 to sc.ntouched.Ivec.len - 1 do
-      let s = sc.ntouched.Ivec.data.(i) in
-      sc.vol.(s) <- sc.nvol.(s);
-      sc.nvol.(s) <- 0.0;
-      Ivec.push sc.touched s
-    done
+    stuck := finish_stage sc stage !stuck
   done;
   let delivered = ref 0.0 in
   for i = 0 to sc.touched.Ivec.len - 1 do
@@ -354,21 +376,23 @@ let evaluate ?(scale = 1.0) ?(split = `Equal) ?(aux = [||]) topo sc c ~loads =
    suffix, and patches the aggregate [loads] by subtracting the stale
    suffix shares and adding the fresh ones. *)
 
-(* Growable (circuit/switch id, value) store. *)
+(* Growable (circuit/switch id, value) store.  [push] is inlined into
+   the per-row loops: a call would box the value. *)
 module Fvec = struct
   type t = { mutable js : int array; mutable vs : float array; mutable len : int }
 
   let create () = { js = Array.make 16 0; vs = Array.make 16 0.0; len = 0 }
   let clear f = f.len <- 0
 
-  let push f j v =
-    if f.len = Array.length f.js then begin
-      let js = Array.make (2 * f.len) 0 and vs = Array.make (2 * f.len) 0.0 in
-      Array.blit f.js 0 js 0 f.len;
-      Array.blit f.vs 0 vs 0 f.len;
-      f.js <- js;
-      f.vs <- vs
-    end;
+  let grow f =
+    let js = Array.make (2 * f.len) 0 and vs = Array.make (2 * f.len) 0.0 in
+    Array.blit f.js 0 js 0 f.len;
+    Array.blit f.vs 0 vs 0 f.len;
+    f.js <- js;
+    f.vs <- vs
+
+  let[@inline] push f j v =
+    if f.len = Array.length f.js then grow f;
     f.js.(f.len) <- j;
     f.vs.(f.len) <- v;
     f.len <- f.len + 1
@@ -403,14 +427,16 @@ let make_inc u c =
 let class_stuck st = st.class_stuck
 
 (* Forward pass over stages [from_ .. n-1].  Entering volumes are already
-   in [sc.vol]/[sc.touched]; useful sets are read from [st.usnap].  The
-   arithmetic mirrors [evaluate] exactly — the recording is the only
-   addition — so a rebuild computes the same loads as the plain path. *)
+   in [sc.vol]/[sc.touched]; useful sets are read from [st.usnap] and row
+   verdicts from [sc.live], which the backward sweep filled for every
+   stage from [from_] on.  The arithmetic mirrors [evaluate] exactly — the
+   recording is the only addition — so a rebuild computes the same loads
+   as the plain path. *)
 let forward_record ~weighted ~from_ ~aux topo sc st ~loads ~mark =
   let c = st.ic in
-  let n_stages = Array.length c.stages in
+  let has_aux = Array.length aux > 0 in
   let suffix_stuck = ref 0.0 in
-  for k = from_ to n_stages - 1 do
+  for k = from_ to Array.length c.stages - 1 do
     let sr = st.recs.(k) in
     Fvec.clear sr.entry;
     for i = 0 to sc.touched.Ivec.len - 1 do
@@ -418,77 +444,31 @@ let forward_record ~weighted ~from_ ~aux topo sc st ~loads ~mark =
       Fvec.push sr.entry s sc.vol.(s)
     done;
     Fvec.clear sr.contrib;
-    let stage_stuck = ref 0.0 in
-    let stage = c.stages.(k) in
-    let u' = st.usnap.(k + 1) in
-    let m = Array.length stage.circuits in
-    Ivec.clear sc.ntouched;
-    Array.iter
-      (fun s -> if sc.vol.(s) > 0.0 && Bitset.mem u' s then sc.cand.(s) <- -1)
-      stage.skip_switches;
-    for i = 0 to m - 1 do
-      let prev = stage.prevs.(i) in
-      if
-        sc.vol.(prev) > 0.0
-        && sc.cand.(prev) >= 0
-        && Topo.usable_wired topo stage.circuits.(i) stage.alt_hi.(i)
-        && Bitset.mem u' stage.nexts.(i)
-      then begin
-        sc.cand.(prev) <- sc.cand.(prev) + 1;
-        if weighted then
-          sc.candw.(prev) <-
-            sc.candw.(prev)
-            +. Topo.capacity topo stage.circuits.(i)
+    let stage = c.stages.(k) and live = sc.live.(k) in
+    count_stage ~weighted topo sc stage live st.usnap.(k + 1);
+    for i = 0 to Array.length stage.circuits - 1 do
+      if Bytes.get live i <> '\000' then begin
+        let prev = stage.prevs.(i) in
+        let v = sc.vol.(prev) in
+        if v > 0.0 && sc.cand.(prev) > 0 then begin
+          let next = stage.nexts.(i) in
+          let j = stage.circuits.(i) in
+          let share =
+            if weighted then v *. Topo.capacity topo j /. sc.candw.(prev)
+            else v /. float_of_int sc.cand.(prev)
+          in
+          loads.(j) <- loads.(j) +. share;
+          if has_aux then aux_add aux j share;
+          mark j;
+          Fvec.push sr.contrib j share;
+          if Float.equal sc.nvol.(next) 0.0 then Ivec.push sc.ntouched next;
+          sc.nvol.(next) <- sc.nvol.(next) +. share
+        end
       end
     done;
-    for i = 0 to m - 1 do
-      let prev = stage.prevs.(i) in
-      let v = sc.vol.(prev) in
-      if
-        v > 0.0
-        && sc.cand.(prev) > 0
-        && Topo.usable_wired topo stage.circuits.(i) stage.alt_hi.(i)
-        && Bitset.mem u' stage.nexts.(i)
-      then begin
-        let next = stage.nexts.(i) in
-        let j = stage.circuits.(i) in
-        let share =
-          if weighted then
-            v *. Topo.capacity topo j /. sc.candw.(prev)
-          else v /. float_of_int sc.cand.(prev)
-        in
-        loads.(j) <- loads.(j) +. share;
-        aux_add aux j share;
-        mark j;
-        Fvec.push sr.contrib j share;
-        if Float.equal sc.nvol.(next) 0.0 then Ivec.push sc.ntouched next;
-        sc.nvol.(next) <- sc.nvol.(next) +. share
-      end
-    done;
-    Array.iter
-      (fun s ->
-        if sc.cand.(s) = -1 && sc.vol.(s) > 0.0 then begin
-          if Float.equal sc.nvol.(s) 0.0 then Ivec.push sc.ntouched s;
-          sc.nvol.(s) <- sc.nvol.(s) +. sc.vol.(s)
-        end)
-      stage.skip_switches;
-    for i = 0 to sc.touched.Ivec.len - 1 do
-      let s = sc.touched.Ivec.data.(i) in
-      if sc.vol.(s) > 0.0 && sc.cand.(s) = 0 then
-        stage_stuck := !stage_stuck +. sc.vol.(s);
-      sc.vol.(s) <- 0.0;
-      sc.cand.(s) <- 0;
-      sc.candw.(s) <- 0.0
-    done;
-    sr.srec_stuck <- !stage_stuck;
-    suffix_stuck := !suffix_stuck +. !stage_stuck;
-    Ivec.clear sc.touched;
-    for i = 0 to sc.ntouched.Ivec.len - 1 do
-      let s = sc.ntouched.Ivec.data.(i) in
-      sc.vol.(s) <- sc.nvol.(s);
-      sc.nvol.(s) <- 0.0;
-      Ivec.push sc.touched s
-    done
+    let stage_stuck = finish_stage sc stage 0.0 in
+    sr.srec_stuck <- stage_stuck;
+    suffix_stuck := !suffix_stuck +. stage_stuck
   done;
   for i = 0 to sc.touched.Ivec.len - 1 do
     sc.vol.(sc.touched.Ivec.data.(i)) <- 0.0
@@ -496,18 +476,11 @@ let forward_record ~weighted ~from_ ~aux topo sc st ~loads ~mark =
   Ivec.clear sc.touched;
   !suffix_stuck
 
-let load_sources sc c ~scale =
-  Ivec.clear sc.touched;
-  Array.iter
-    (fun (s, v) ->
-      if Float.equal sc.vol.(s) 0.0 then Ivec.push sc.touched s;
-      sc.vol.(s) <- sc.vol.(s) +. (v *. scale))
-    c.sources
-
 let evaluate_rebuild ?(scale = 1.0) ?(split = `Equal) ?(aux = [||]) topo sc st
     ~loads =
   let weighted = split = `Capacity_weighted in
-  useful_sweep topo st.ic st.usnap;
+  ensure_stages sc st.ic;
+  useful_sweep topo sc st.ic st.usnap;
   load_sources sc st.ic ~scale;
   let stuck =
     forward_record ~weighted ~from_:0 ~aux topo sc st ~loads ~mark:ignore
@@ -523,7 +496,7 @@ let evaluate_patch ?(scale = 1.0) ?(split = `Equal) ?(aux = [||]) topo sc st
   let weighted = split = `Capacity_weighted in
   let c = st.ic in
   let n_stages = Array.length c.stages in
-  ensure_useful sc (n_stages + 1);
+  ensure_stages sc c;
   let r_dirty =
     let rec lowest k =
       if k >= n_stages || dirty land (1 lsl k) <> 0 then k else lowest (k + 1)
@@ -533,24 +506,16 @@ let evaluate_patch ?(scale = 1.0) ?(split = `Equal) ?(aux = [||]) topo sc st
   (* Backward usefulness sweep with early cutoff: below the lowest dirty
      stage the per-stage transfer function is unchanged since the
      snapshot, so once a freshly computed set equals its snapshot every
-     earlier set is provably unchanged too and keeps its snapshot. *)
+     earlier set is provably unchanged too and keeps its snapshot.  The
+     forward pass below starts at or above the stage the sweep stopped
+     at, so every stage it reads has fresh row verdicts. *)
   Bitset.fill sc.useful.(n_stages);
   let unchanged_below = ref 0 in
   (let k = ref (n_stages - 1) in
    let stop = ref false in
    while (not !stop) && !k >= 0 do
-     let stage = c.stages.(!k) in
-     let u = sc.useful.(!k) and u' = sc.useful.(!k + 1) in
-     Bitset.clear u;
-     for i = 0 to Array.length stage.circuits - 1 do
-       if
-         Topo.usable_wired topo stage.circuits.(i) stage.alt_hi.(i)
-         && Bitset.mem u' stage.nexts.(i)
-       then Bitset.add u stage.prevs.(i)
-     done;
-     Array.iter
-       (fun s -> if Bitset.mem u' s then Bitset.add u s)
-       stage.skip_switches;
+     let u = sc.useful.(!k) in
+     sweep_stage topo c.stages.(!k) sc.live.(!k) ~u ~u':sc.useful.(!k + 1);
      if !k <= r_dirty && Bitset.equal u st.usnap.(!k) then begin
        unchanged_below := !k;
        stop := true
@@ -569,12 +534,13 @@ let evaluate_patch ?(scale = 1.0) ?(split = `Equal) ?(aux = [||]) topo sc st
     st.usnap.(i) <- u
   done;
   let r = max 0 (min r_dirty (!minchg - 1)) in
+  let has_aux = Array.length aux > 0 in
   for k = r to n_stages - 1 do
     let ctr = st.recs.(k).contrib in
     for i = 0 to ctr.Fvec.len - 1 do
       let j = ctr.Fvec.js.(i) in
       loads.(j) <- loads.(j) -. ctr.Fvec.vs.(i);
-      aux_sub aux j ctr.Fvec.vs.(i);
+      if has_aux then aux_sub aux j ctr.Fvec.vs.(i);
       mark j
     done
   done;

@@ -138,7 +138,18 @@ val evaluate :
     base float stream is bit-identical to the historical evaluation.
 
     Deterministic; [delivered +. stuck] equals [scale *. source_volume c]
-    up to rounding. *)
+    up to rounding.
+
+    Cost: a backward sweep decides once per candidate row whether it
+    qualifies — usable under the wiring it was compiled for
+    ({!Topo.live_rows}) and leading to a switch from which the remaining
+    hops still deliver — and keeps the verdict in [scratch], one byte
+    per row; the two forward passes (split counting, share deposit) read
+    that byte and probe nothing else.  So a call makes one usability
+    probe and one usefulness probe per row, and allocates O(stages)
+    words under [`Equal] (the weighted split also boxes each qualifying
+    row's capacity).  [aux] deposits box one float per qualifying row,
+    and only when [aux] is non-empty. *)
 
 (** {1 Incremental evaluation}
 
@@ -191,10 +202,14 @@ val evaluate_patch :
     (stale aux shares are subtracted with the same factors they were
     added with, so they cancel exactly).
 
-    The useful sets are re-derived from scratch and compared with the
-    snapshot: stages before the first dirty stage whose consulted useful
-    sets are unchanged are provably identical and reused verbatim, the
-    rest are re-run from the recorded entering volumes.  [loads] is
-    patched in place — stale suffix shares subtracted, fresh ones added —
-    and [mark] is called on every circuit whose load was touched (for the
-    caller's utilization recheck).  Returns the class's stuck volume. *)
+    The useful sets are re-derived backwards and compared with the
+    snapshot, stopping at the first stage at or below the lowest dirty
+    one whose set is unchanged: stages before the first dirty stage whose
+    consulted useful sets are unchanged are provably identical and reused
+    verbatim, the rest are re-run from the recorded entering volumes.
+    Only re-derived stages are probed, once per row as in {!evaluate};
+    the re-run reads their row verdicts, and records its shares without
+    boxing them.  [loads] is patched in place — stale suffix shares
+    subtracted, fresh ones added — and [mark] is called on every circuit
+    whose load was touched (for the caller's utilization recheck).
+    Returns the class's stuck volume. *)

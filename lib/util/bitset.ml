@@ -9,14 +9,14 @@ let create n =
 
 let capacity t = t.n
 
-let check t i =
+let[@inline] check t i =
   if i < 0 || i >= t.n then invalid_arg "Bitset: index out of range"
 
-let mem t i =
+let[@inline] mem t i =
   check t i;
   Char.code (Bytes.get t.words (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
-let add t i =
+let[@inline] add t i =
   check t i;
   let b = Char.code (Bytes.get t.words (i lsr 3)) in
   Bytes.set t.words (i lsr 3) (Char.chr (b lor (1 lsl (i land 7))))
@@ -27,6 +27,21 @@ let remove t i =
   Bytes.set t.words (i lsr 3) (Char.chr (b land lnot (1 lsl (i land 7)) land 0xff))
 
 let set t i v = if v then add t i else remove t i
+
+(* Row kernels: one call per row array keeps the per-row loop inside this
+   module, where the probe compiles to a few loads.  A per-row [mem] from
+   another module is an out-of-line call: dune's dev profile compiles
+   with [-opaque] and there is no cross-module inlining to undo it. *)
+let mem_rows t rows mask =
+  for i = 0 to Array.length rows - 1 do
+    if Bytes.get mask i <> '\000' && not (mem t rows.(i)) then
+      Bytes.set mask i '\000'
+  done
+
+let add_rows t rows mask =
+  for i = 0 to Array.length rows - 1 do
+    if Bytes.get mask i <> '\000' then add t rows.(i)
+  done
 
 let popcount_byte =
   (* 256-entry popcount table, built once. *)

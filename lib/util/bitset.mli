@@ -28,6 +28,18 @@ val remove : t -> int -> unit
 val set : t -> int -> bool -> unit
 (** [set t i b] makes [mem t i = b]. *)
 
+val mem_rows : t -> int array -> Bytes.t -> unit
+(** [mem_rows t rows mask] tests a row array against [t]: for every row
+    [i] whose mask byte is set (non-zero), the byte is cleared unless
+    [rows.(i)] is a member.  Unset bytes are left alone, so successive
+    kernels narrow one mask.  Reads [Bytes.length mask >= Array.length
+    rows] bytes; raises [Invalid_argument] when a masked row is out of
+    range, as {!mem} does, or when [mask] is too short. *)
+
+val add_rows : t -> int array -> Bytes.t -> unit
+(** [add_rows t rows mask] adds [rows.(i)] for every row [i] whose mask
+    byte is set.  Same bounds checking as {!mem_rows}. *)
+
 val cardinal : t -> int
 (** Number of elements currently present (O(n/8) byte popcount). *)
 

@@ -26,7 +26,19 @@ let test_bounds () =
       ignore (Bitset.mem b 8));
   Alcotest.check_raises "negative"
     (Invalid_argument "Bitset: index out of range") (fun () ->
-      Bitset.add b (-1))
+      Bitset.add b (-1));
+  let mask () = Bytes.make 2 '\001' in
+  Alcotest.check_raises "mem_rows row out of range"
+    (Invalid_argument "Bitset: index out of range") (fun () ->
+      Bitset.mem_rows b [| 3; 8 |] (mask ()));
+  Alcotest.check_raises "add_rows negative row"
+    (Invalid_argument "Bitset: index out of range") (fun () ->
+      Bitset.add_rows b [| -1; 3 |] (mask ()));
+  Alcotest.(check bool) "add_rows added nothing before raising" false
+    (Bitset.mem b 3);
+  (* Rows under an unset mask byte are not probed at all. *)
+  Bitset.add_rows b [| 8; 3 |] (Bytes.of_string "\000\001");
+  Alcotest.(check (list int)) "unmasked row skipped" [ 3 ] (Bitset.to_list b)
 
 let test_full_clear () =
   let b = Bitset.create_full 17 in
@@ -113,35 +125,79 @@ let test_full_every_capacity () =
       (agrees refilled n all)
   done
 
+(* A row array and a row mask derived from [i]: up to 11 rows in range
+   (none when [n = 0]), set mask bytes of varying non-zero values, and
+   two trailing bytes past the rows that the kernels must not touch. *)
+let rows_and_mask n i =
+  let len = if n = 0 then 0 else i mod 12 in
+  let rows = Array.init len (fun r -> ((i * 7) + (13 * r)) mod n) in
+  let mask =
+    Bytes.init (len + 2) (fun r ->
+        if r >= len then '\007'
+        else Char.chr (((i lsr r) land 1) * (1 + (i mod 255))))
+  in
+  (rows, mask)
+
 let prop_bulk_ops_any_capacity =
   (* Capacities 0..300, most not a multiple of 8; ops are add/remove of
-     an index reduced mod n, fill, clear, or a fresh create_full. *)
+     an index reduced mod n, fill, clear, a fresh create_full, or one of
+     the row kernels, which must do what per-index [mem]/[add] do. *)
   QCheck.Test.make ~count:500 ~name:"bulk ops match reference at any capacity"
     QCheck.(
-      pair (int_bound 300) (list (pair (int_bound 9) (int_bound 299))))
+      pair (int_bound 300) (list (pair (int_bound 11) (int_bound 299))))
     (fun (n, ops) ->
       let b = ref (Bitset.create n) and reference = ref Iset.empty in
       let all = Iset.of_list (List.init n Fun.id) in
       List.for_all
         (fun (op, i) ->
-          (match op with
-          | 0 | 1 | 2 | 3 when n > 0 ->
-              Bitset.add !b (i mod n);
-              reference := Iset.add (i mod n) !reference
-          | 4 | 5 | 6 when n > 0 ->
-              Bitset.remove !b (i mod n);
-              reference := Iset.remove (i mod n) !reference
-          | 7 ->
-              Bitset.fill !b;
-              reference := all
-          | 8 ->
-              Bitset.clear !b;
-              reference := Iset.empty
-          | 9 ->
-              b := Bitset.create_full n;
-              reference := all
-          | _ -> ());
-          agrees !b n !reference)
+          let kernel_ok =
+            match op with
+            | 0 | 1 | 2 | 3 when n > 0 ->
+                Bitset.add !b (i mod n);
+                reference := Iset.add (i mod n) !reference;
+                true
+            | 4 | 5 | 6 when n > 0 ->
+                Bitset.remove !b (i mod n);
+                reference := Iset.remove (i mod n) !reference;
+                true
+            | 7 ->
+                Bitset.fill !b;
+                reference := all;
+                true
+            | 8 ->
+                Bitset.clear !b;
+                reference := Iset.empty;
+                true
+            | 9 ->
+                b := Bitset.create_full n;
+                reference := all;
+                true
+            | 10 ->
+                let rows, mask = rows_and_mask n i in
+                let expected = Bytes.copy mask in
+                Array.iteri
+                  (fun r j ->
+                    if Bytes.get mask r <> '\000' && not (Bitset.mem !b j) then
+                      Bytes.set expected r '\000')
+                  rows;
+                Bitset.mem_rows !b rows mask;
+                Bytes.equal mask expected
+            | 11 ->
+                let rows, mask = rows_and_mask n i in
+                let expected = Bitset.copy !b in
+                Array.iteri
+                  (fun r j ->
+                    if Bytes.get mask r <> '\000' then begin
+                      Bitset.add expected j;
+                      reference := Iset.add j !reference
+                    end)
+                  rows;
+                let mask_before = Bytes.copy mask in
+                Bitset.add_rows !b rows mask;
+                Bitset.equal !b expected && Bytes.equal mask mask_before
+            | _ -> true
+          in
+          kernel_ok && agrees !b n !reference)
         ops)
 
 let suite =

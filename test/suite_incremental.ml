@@ -82,18 +82,21 @@ let test_differential_other_migrations () =
 (* Raw apply/unapply random walk: verdicts and diagnostics of an
    incremental checker must track a full checker step by step, including
    non-monotone (undrain-then-redrain) trajectories the planners never
-   produce. *)
+   produce.  The HGRID seeds are the full-path case: their delta layer
+   is never instantiated.  C-SSW, C-DMAG and OCS instantiate it, so their
+   walks run [Ecmp.evaluate_patch] against the full evaluation. *)
 let test_random_walk_verdicts () =
   List.iter
-    (fun seed ->
-      let task = random_task seed in
+    (fun (label, task, delta, walk_seed) ->
       let full = Constraint.create ~incremental:false task in
       let inc = Constraint.create ~incremental:true task in
-      Alcotest.(check bool) "incremental checker active" true
+      Alcotest.(check bool) (label ^ ": incremental checker active") true
         (Constraint.incremental_active inc);
+      Alcotest.(check bool) (label ^ ": delta layer instantiated") delta
+        (Constraint.delta_profitable task);
       let n = Array.length task.Task.blocks in
       let applied = Array.make n false in
-      let g = Kutil.Prng.create ~seed:(seed * 17) in
+      let g = Kutil.Prng.create ~seed:walk_seed in
       for _ = 1 to 4 * n do
         let b = Kutil.Prng.int g n in
         if applied.(b) then begin
@@ -106,17 +109,26 @@ let test_random_walk_verdicts () =
         end;
         applied.(b) <- not applied.(b);
         let last_block = if applied.(b) then Some b else None in
-        Alcotest.(check bool) "verdicts agree"
+        Alcotest.(check bool) (label ^ ": verdicts agree")
           (Constraint.current_ok ?last_block full)
           (Constraint.current_ok ?last_block inc);
         let sf = Constraint.evaluate_current full in
         let si = Constraint.evaluate_current inc in
-        Alcotest.check (Alcotest.float 1e-9) "max_util agrees"
+        Alcotest.check (Alcotest.float 1e-9) (label ^ ": max_util agrees")
           sf.Constraint.max_util si.Constraint.max_util;
-        Alcotest.check (Alcotest.float 1e-9) "stuck agrees"
+        Alcotest.check (Alcotest.float 1e-9) (label ^ ": stuck agrees")
           sf.Constraint.stuck si.Constraint.stuck
       done)
-    [ 3; 8 ]
+    [
+      ("HGRID seed 3", random_task 3, false, 3 * 17);
+      ("HGRID seed 8", random_task 8, false, 8 * 17);
+      ( "C-SSW",
+        Task.of_scenario (Gen.build Gen.Ssw_forklift (Gen.params_c ())),
+        true,
+        5 );
+      ("C-DMAG", Task.of_scenario (Gen.build Gen.Dmag (Gen.params_c ())), true, 6);
+      ("OCS", Task.of_scenario (Gen.scenario_of_label "OCS"), true, 7);
+    ]
 
 (* Soundness of the dependency index: any class whose loads change when a
    block toggles must be listed in deps for that block.  Checked
