@@ -45,8 +45,10 @@ let seed =
 
 let jobs =
   let doc =
-    "Satisfiability-engine workers (OCaml domains).  1 is the sequential \
-     path; 0 picks the runtime's recommended domain count."
+    "Satisfiability-engine workers (OCaml domains), capped at the core \
+     count.  1 is the sequential path; 0 picks the runtime's recommended \
+     domain count.  Of the planners, astar and dp spread their checks \
+     over the workers; the others check on one domain."
   in
   let env = Cmd.Env.info "KLOTSKI_JOBS" ~doc in
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~env ~docv:"N" ~doc)

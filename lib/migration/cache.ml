@@ -1,61 +1,19 @@
 module Table = Kutil.Vec_key.Table
 
-(* The table is sharded by key hash so checker domains can consult it
-   concurrently.  Each shard is a pair of structures:
-
-   - an immutable open-addressing [snapshot], published through an
-     [Atomic.t]: the hit path is one [Atomic.get] plus a pure probe, no
-     lock, no store, no contention — readers can race writers freely
-     because a published snapshot is never mutated again;
-   - a small mutex-guarded [delta] table holding the stores since the
-     last publication.
-
-   A lookup probes the snapshot first and falls back to the delta under
-   the shard lock only on a snapshot miss — i.e. on true misses (which
-   are about to pay a full constraint evaluation anyway) and on hits
-   against recently stored keys.  Stores append to the delta and merge
-   it into a fresh snapshot once it has grown past a fraction of the
-   snapshot (or once enough lookups have had to fall back to it), so
-   writes stay rare and batched while recent entries never stay behind
-   the lock for long.
-
-   The expensive constraint evaluation happens outside any lock: two
-   workers racing on the same fresh key merely both compute the same
-   deterministic result.  Counters are atomics for the same reason. *)
-
-let n_shards = 64
-
-type snapshot = {
-  mask : int;  (* capacity - 1; capacity is a power of two *)
-  keys : Kutil.Vec_key.t array;  (* [empty_slot] marks a free slot *)
-  verdicts : Bytes.t;
-  count : int;  (* occupied slots *)
-}
-
-(* Free slots hold this physically-unique array: emptiness is an identity
-   test, so no inhabited key value is reserved.  The array itself is
-   never written. *)
-let empty_slot : Kutil.Vec_key.t = [| min_int |]
-  [@@klotski.domain_safe "identity sentinel, never written after creation"]
-
-(* No annotation needed: the empty snapshot's arrays are zero-length and
-   [Bytes.empty] is never written, so nothing here is mutable state
-   (PR 5's rewrite left the annotation stale; sentinel S4 flagged it). *)
-let empty_snapshot = { mask = -1; keys = [||]; verdicts = Bytes.empty; count = 0 }
-
-type shard = {
-  snap : snapshot Atomic.t;
-  lock : Mutex.t;  (* guards [delta], [delta_reads] and snapshot rebuilds *)
-  delta : bool Table.t;
-  mutable delta_reads : int;  (* lookups that had to consult the delta *)
-}
+(* One table behind one mutex, so checker domains can consult it
+   concurrently.  The lock covers only the probe and the insert: the
+   expensive constraint evaluation runs outside it, and two workers
+   racing on the same fresh key merely both compute the same
+   deterministic result.  Counters are atomics for the same reason, and
+   so that stats can be read from the calling domain mid-batch. *)
 
 type t = {
   enabled : bool;
   funneling : bool;
   ensemble_id : int option;  (* appended to keys when the task is robust *)
   task : Task.t;  (* for the compact-state -> overlay-word lowering *)
-  shards : shard array;
+  lock : Mutex.t;  (* guards [table] *)
+  table : bool Table.t;
   hits : int Atomic.t;
   misses : int Atomic.t;
   bypassed : int Atomic.t;
@@ -70,14 +28,8 @@ let create ?(enabled = true) (task : Task.t) =
       | Some e when Ensemble.k e > 1 -> Some (Ensemble.id e)
       | _ -> None);
     task;
-    shards =
-      Array.init n_shards (fun _ ->
-          {
-            snap = Atomic.make empty_snapshot;
-            lock = Mutex.create ();
-            delta = Table.create 16;
-            delta_reads = 0;
-          });
+    lock = Mutex.create ();
+    table = Table.create 1024;
     hits = Atomic.make 0;
     misses = Atomic.make 0;
     bypassed = Atomic.make 0;
@@ -114,104 +66,6 @@ let key_of cache ?last_type v =
   | None -> ());
   k
 
-let shard_of cache key =
-  cache.shards.(Kutil.Vec_key.hash key land (n_shards - 1))
-
-(* Pure probe of an immutable snapshot; safe from any domain. *)
-let snap_find snap key =
-  if snap.mask < 0 then None
-  else begin
-    let rec probe i =
-      let k = snap.keys.(i) in
-      if k == empty_slot then None
-      else if Kutil.Vec_key.equal k key then
-        Some (Bytes.unsafe_get snap.verdicts i <> '\000')
-      else probe ((i + 1) land snap.mask)
-    in
-    probe (Kutil.Vec_key.hash key land snap.mask)
-  end
-
-let snap_insert snap key verdict =
-  (* Precondition: the caller sized [snap] with free slots remaining. *)
-  let rec probe i =
-    let k = snap.keys.(i) in
-    if k == empty_slot then begin
-      snap.keys.(i) <- key;
-      Bytes.unsafe_set snap.verdicts i (if verdict then '\001' else '\000');
-      1
-    end
-    else if Kutil.Vec_key.equal k key then begin
-      Bytes.unsafe_set snap.verdicts i (if verdict then '\001' else '\000');
-      0
-    end
-    else probe ((i + 1) land snap.mask)
-  in
-  probe (Kutil.Vec_key.hash key land snap.mask)
-
-let rec capacity_for n c = if c >= 2 * n then c else capacity_for n (2 * c)
-
-(* Rebuild the snapshot from the current one plus the delta and publish
-   it.  Caller holds the shard lock. *)
-let merge shard =
-  let old = Atomic.get shard.snap in
-  let n = old.count + Table.length shard.delta in
-  let cap = capacity_for (max n 8) 16 in
-  let fresh =
-    {
-      mask = cap - 1;
-      keys = Array.make cap empty_slot;
-      verdicts = Bytes.make cap '\000';
-      count = 0;
-    }
-  in
-  let count = ref 0 in
-  if old.mask >= 0 then
-    Array.iteri
-      (fun i k ->
-        if k != empty_slot then
-          count :=
-            !count
-            + snap_insert fresh k (Bytes.unsafe_get old.verdicts i <> '\000'))
-      old.keys;
-  Table.iter (fun k v -> count := !count + snap_insert fresh k v) shard.delta;
-  Table.reset shard.delta;
-  shard.delta_reads <- 0;
-  Atomic.set shard.snap { fresh with count = !count }
-
-(* Merge once the delta holds a meaningful fraction of the shard, or once
-   enough lookups have had to take the lock to reach it: both bound how
-   long recently stored keys stay behind the mutex. *)
-let should_merge shard =
-  let d = Table.length shard.delta in
-  d > 0
-  && (d >= 8 + ((Atomic.get shard.snap).count / 8) || shard.delta_reads >= 64)
-
-let find_opt shard key =
-  match snap_find (Atomic.get shard.snap) key with
-  | Some _ as hit -> hit
-  | None ->
-      Mutex.lock shard.lock;
-      let r = Table.find_opt shard.delta key in
-      (match r with
-      | None -> ()
-      | Some _ ->
-          shard.delta_reads <- shard.delta_reads + 1;
-          if should_merge shard then merge shard);
-      Mutex.unlock shard.lock;
-      r
-
-let store shard key result =
-  Mutex.lock shard.lock;
-  (* A racing worker may have published this key while we were busy
-     evaluating it; results are deterministic, so skipping the duplicate
-     only keeps the size accounting exact. *)
-  (match snap_find (Atomic.get shard.snap) key with
-  | Some _ -> ()
-  | None ->
-      Table.replace shard.delta key result;
-      if should_merge shard then merge shard);
-  Mutex.unlock shard.lock
-
 let check cache ck ?last_type ?last_block v =
   if not cache.enabled then begin
     (* Disabled cache ("w/o ESC"): the check is not a miss — counting it
@@ -222,31 +76,24 @@ let check cache ck ?last_type ?last_block v =
   end
   else begin
     let key = key_of cache ?last_type v in
-    let shard = shard_of cache key in
-    match find_opt shard key with
+    match
+      Mutex.protect cache.lock (fun () -> Table.find_opt cache.table key)
+    with
     | Some result ->
         Atomic.incr cache.hits;
         result
     | None ->
         Atomic.incr cache.misses;
         let result = Constraint.check ?last_block ck v in
-        (* [key] is freshly lowered per lookup, never aliased: store as is. *)
-        store shard key result;
+        (* [key] is freshly lowered per lookup, never aliased: store as
+           is.  A racing worker may have stored it meanwhile; the
+           verdicts agree, so replacing keeps one entry. *)
+        Mutex.protect cache.lock (fun () ->
+            Table.replace cache.table key result);
         result
   end
 
 let hits c = Atomic.get c.hits
 let misses c = Atomic.get c.misses
 let bypassed c = Atomic.get c.bypassed
-
-(* Distinct states stored.  Reads the published snapshot and the pending
-   delta under each shard's lock, so a size taken mid-flight counts every
-   completed store exactly once instead of racing a concurrent insert. *)
-let size c =
-  Array.fold_left
-    (fun acc s ->
-      Mutex.lock s.lock;
-      let n = (Atomic.get s.snap).count + Table.length s.delta in
-      Mutex.unlock s.lock;
-      acc + n)
-    0 c.shards
+let size c = Mutex.protect c.lock (fun () -> Table.length c.table)

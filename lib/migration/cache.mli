@@ -12,11 +12,13 @@
     cache key is extended with the last action type, which identifies the
     last block given V.
 
-    The table is domain-safe: it is sharded by key hash with a mutex per
-    shard, so the parallel satisfiability engine's workers can look up,
-    evaluate and insert concurrently.  The constraint evaluation itself
-    runs outside any lock; checks are deterministic per state, so
-    duplicate concurrent evaluations of one key agree. *)
+    The table is domain-safe: one hashtable behind one mutex, so the
+    parallel satisfiability engine's workers can look up, evaluate and
+    insert concurrently.  The lock covers the probe and the insert only;
+    the constraint evaluation runs outside it.  Checks are deterministic
+    per state, so two workers that miss on the same key concurrently
+    both evaluate it and agree; the table keeps one entry, and both
+    lookups count as misses. *)
 
 type t
 

@@ -1,13 +1,14 @@
 (* The parallel satisfiability engine: a domain pool, one private
-   [Constraint.t] checker per worker, and one shared sharded [Cache.t].
+   [Constraint.t] checker per worker, and one shared locked [Cache.t].
 
    Checkers are the natural per-worker unit: each owns its own topology
    copy, ECMP scratch and funneling memo, so workers never contend on
    mutable planning state.  Worker 0 is the calling domain; its checker is
    created eagerly, the others lazily inside their own domain on first
-   use.  With [jobs = 1] every batch runs inline, in item order, through
+   use.  With one worker every batch runs inline, in item order, through
    exactly the same cache protocol as the historical sequential planners —
-   bit-identical outcomes, counters and costs. *)
+   bit-identical outcomes, counters and costs.  Workers beyond the core
+   count would only time-slice, so the requested count is capped there. *)
 
 type candidate = {
   last_type : int option;
@@ -32,6 +33,7 @@ type t = {
 let create ?(jobs = 1) ?(use_cache = true) ?(incremental = true)
     (task : Task.t) =
   if jobs < 1 then invalid_arg "Sat_engine.create: jobs must be >= 1";
+  let jobs = min jobs (Domain.recommended_domain_count ()) in
   let checkers = Array.make jobs None in
   checkers.(0) <- Some (Constraint.create ~incremental task);
   {

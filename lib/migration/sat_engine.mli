@@ -1,14 +1,17 @@
 (** The parallel satisfiability engine: batched, cached, multicore
     constraint checking for the planners.
 
-    An engine bundles a {!Kutil.Domain_pool} of [jobs] workers, a private
+    An engine bundles a {!Kutil.Domain_pool} of workers, a private
     {!Constraint.t} checker per worker (each with its own topology copy
-    and ECMP scratch), and one shared, sharded {!Cache.t}.  Planners hand
-    it batches of candidate states — A*'s successors of one expansion, a
-    whole DP layer frontier — and get the per-candidate verdicts back in
-    order.
+    and ECMP scratch), and one shared, locked {!Cache.t}.  Planners hand
+    it batches of candidate states and get the per-candidate verdicts
+    back in order.  Three planners batch: A* checks the successors of
+    one expansion, DP a whole lattice layer, Greedy the successors of
+    one step.  Exhaustive checks one state at a time with {!check}, so
+    it runs on the calling domain at every job count; MRC and Janus use
+    a bare {!Constraint.t} and no engine.
 
-    With [jobs = 1] no domains are spawned and every batch is evaluated
+    With one worker no domains are spawned and every batch is evaluated
     inline in item order through the same cache protocol as the historical
     sequential code path, so results, counters and costs are bit-identical
     to pre-engine planning. *)
@@ -22,14 +25,18 @@ type candidate = {
 type t
 
 val create : ?jobs:int -> ?use_cache:bool -> ?incremental:bool -> Task.t -> t
-(** [create task] builds an engine with [jobs] workers (default 1) and
-    the cache enabled unless [~use_cache:false] (the "w/o ESC"
-    ablation).  [incremental] (default [true]) selects delta demand
-    evaluation in every worker's checker (see {!Constraint.create});
-    workers stay independent — each owns its private incremental state.
-    Raises [Invalid_argument] when [jobs < 1]. *)
+(** [create task] builds an engine with [jobs] workers (default 1),
+    capped at the machine's core count
+    ([Domain.recommended_domain_count ()]), and the cache enabled unless
+    [~use_cache:false] (the "w/o ESC" ablation).  [incremental] (default
+    [true]) selects delta demand evaluation in every worker's checker
+    (see {!Constraint.create}); workers stay independent — each owns its
+    private incremental state.  Raises [Invalid_argument] when
+    [jobs < 1]. *)
 
 val jobs : t -> int
+(** The effective worker count: [min jobs cores]. *)
+
 val task : t -> Task.t
 
 val incremental : t -> bool
@@ -40,14 +47,16 @@ val check : t -> ?last_type:int -> ?last_block:int -> Compact.t -> bool
 
 val check_batch : t -> candidate array -> bool array
 (** Check a batch of candidates, fanning the uncached evaluations out
-    over the pool; [result.(i)] is candidate [i]'s verdict.  Repeating a
-    (state, last type) pair within one batch is allowed but wasteful:
-    two workers may then evaluate the same key concurrently (both reach
-    the same deterministic verdict; the cache keeps one).  A*'s
-    speculative rounds can emit such duplicates when two frontier
-    entries share a state, which is also why {!checks_performed} and
-    {!cache_hits} may drift slightly across job counts at [jobs > 1] —
-    verdicts, plans and costs never do. *)
+    over the pool; [result.(i)] is candidate [i]'s verdict.  When the
+    batch's cache keys are distinct, as in A*'s and Greedy's batches, it
+    runs exactly the checks and hits of checking the candidates one by
+    one, at every job count.  A key may repeat within a batch: in a DP
+    layer without funneling the key leaves out the last action type, so
+    one state reached by two types appears twice.  Two workers may then
+    both miss on it and evaluate it concurrently; both reach the same
+    verdict and the cache keeps one, but {!checks_performed} and
+    {!cache_hits} can then split differently than at one worker.  Their
+    sum, and every verdict, never changes. *)
 
 val checks_performed : t -> int
 (** Full (uncached) constraint evaluations, summed over workers.  Each

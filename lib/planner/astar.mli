@@ -6,7 +6,10 @@
     in-progress run, see {!Cost.heuristic_with_last}).  States with equal
     f are ordered by the number of finished actions, descending — deeper
     states first, the secondary priority of §4.4.  Satisfiability of every
-    candidate state goes through the ESC cache.
+    candidate state goes through the ESC cache: each expansion's
+    successors are checked as one {!Sat_engine.check_batch}, so with
+    [jobs > 1] they spread over the engine's workers.  Their states are
+    distinct, so every job count runs the same checks and cache hits.
 
     Terminates with the cost-optimal plan, a proof of infeasibility (open
     list exhausted), or a timeout. *)
@@ -17,7 +20,6 @@ val name : string
 val plan :
   ?config:Planner.config ->
   ?dedup:bool ->
-  ?spec_width:int ->
   Task.t ->
   Planner.result
 (** [dedup] (default [true]) controls the compact-representation state
@@ -26,13 +28,4 @@ val plan :
     ordering-agnostic representation there is nothing to key equivalent
     states by, so the search degenerates to best-first over the
     action-sequence tree and every generated state pays a full
-    satisfiability check.
-
-    [spec_width] overrides the speculative frontier round width (how many
-    frontier entries are popped and batch-checked together).  By default
-    it is [2 * min jobs cores] when both the configured job count and the
-    machine's core count exceed 1, and [1] otherwise — speculation only
-    pays when idle hardware parallelism can absorb the wasted checks.
-    Any width yields bit-identical plans, costs and expansion counters;
-    widths above 1 may drift the cache-hit/check counters slightly.
-    Raises [Invalid_argument] when [spec_width < 1]. *)
+    satisfiability check. *)

@@ -26,12 +26,15 @@ let plan ?(config = Planner.default_config) task =
   Vec_key.Table.replace cells v0 origin_cell;
   layers.(0) <- [ v0 ];
   (* Forward propagation, layer by layer (ascending Σv, Eq. 7/8).  The
-     whole layer frontier is satisfiability-checked as one batch — every
-     (V', last type) pair of a layer is distinct, so the batch carries no
-     duplicate cache keys and parallel evaluation matches the sequential
-     interleaving exactly.  The wave is gathered into counted flat arrays
-     (one predecessor-cell lookup per frontier cell, no interim lists) so
-     the per-layer cost is the checks, not the plumbing around them. *)
+     whole layer frontier is satisfiability-checked as one batch.  Every
+     (V', last type) pair of a layer is distinct, but without funneling
+     the cache key leaves out the last type, so a state V' reached by two
+     types is one key twice in the batch.  Sequentially the second is a
+     hit; two workers may both miss on it instead.  Verdicts never
+     differ, and checks + hits stay equal to the batch size.  The wave
+     is gathered into counted flat arrays (one predecessor-cell lookup
+     per frontier cell, no interim lists) so the per-layer cost is the
+     checks, not the plumbing around them. *)
   let dummy_cand =
     { Sat_engine.last_type = None; last_block = None; v = [||] }
   in

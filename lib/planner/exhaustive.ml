@@ -5,7 +5,6 @@ let plan ?(config = Planner.default_config) ?(bound = `Cost_only) task =
   let prune = bound <> `None in
   let heuristic_bound = bound = `Heuristic in
   let engine = Search.engine s in
-  let parallel = Sat_engine.jobs engine > 1 in
   let n_types = Action.Set.cardinal task.Task.actions in
   let counts = task.Task.counts in
   let alpha = task.Task.alpha in
@@ -17,15 +16,9 @@ let plan ?(config = Planner.default_config) ?(bound = `Cost_only) task =
   let best_seq = ref None in
   let remaining = Array.copy counts in
   (* Depth-first over type sequences; blocks are consumed in canonical
-     per-type order so a sequence of types determines the plan.
-
-     With one worker, each sibling is checked inline exactly where the
-     historical sequential code checked it (no work the pruning bound
-     would have skipped).  With several workers, all siblings of a node
-     are batch-checked up front — speculative for siblings a later
-     best-cost improvement would have pruned, but the bound itself is
-     still applied at the same program point, so the traversal and the
-     outcome are unchanged. *)
+     per-type order so a sequence of types determines the plan.  Each
+     sibling is checked inline, after the pruning bound, so no check is
+     spent on a branch the bound cuts. *)
   let rec dfs depth last g =
     Search.poll s;
     Search.expand s;
@@ -36,21 +29,6 @@ let plan ?(config = Planner.default_config) ?(bound = `Cost_only) task =
       end
     end
     else begin
-      let sibling_ok =
-        if not parallel then [||]
-        else begin
-          let types =
-            List.filter (fun a -> remaining.(a) > 0) (List.init n_types Fun.id)
-          in
-          let oks =
-            Sat_engine.check_batch engine
-              (Array.of_list (List.map (Search.succ s v) types))
-          in
-          let by_type = Array.make n_types false in
-          List.iteri (fun i a -> by_type.(a) <- oks.(i)) types;
-          by_type
-        end
-      in
       for a = 0 to n_types - 1 do
         if remaining.(a) > 0 then begin
           let lower_bound =
@@ -73,12 +51,8 @@ let plan ?(config = Planner.default_config) ?(bound = `Cost_only) task =
             let block = task.Task.blocks_by_type.(a).(v.(a)) in
             v.(a) <- v.(a) + 1;
             Search.generate s;
-            let ok =
-              if parallel then sibling_ok.(a)
-              else
-                Sat_engine.check engine ~last_type:a ~last_block:block v
-            in
-            if ok then begin
+            if Sat_engine.check engine ~last_type:a ~last_block:block v
+            then begin
               seq.(depth) <- a;
               remaining.(a) <- remaining.(a) - 1;
               let g' = g +. Cost.step ~alpha ?weights ~last a in

@@ -13,8 +13,11 @@ type config = {
           §4.2).  [false] reproduces the "Klotski w/o ESC" ablation. *)
   jobs : int;
       (** Satisfiability-engine workers (domains).  [1] (the default) is
-          the bit-identical sequential path; [n > 1] fans candidate
-          checks out over a {!Kutil.Domain_pool} of [n] workers. *)
+          the bit-identical sequential path; [n > 1] fans batched
+          candidate checks out over a {!Kutil.Domain_pool} of
+          [min n cores] workers.  Only A*, DP and Greedy check batches
+          across workers; Exhaustive, MRC and Janus check on the calling
+          domain at every job count. *)
   incremental : bool;
       (** Incremental demand evaluation in the satisfiability checkers
           (default [true]; see {!Constraint.create}).  [false] runs the
@@ -73,7 +76,9 @@ type stats = {
   check_seconds : float;
       (** Wall-clock seconds spent inside satisfiability checking (the
           engine's batches); [0.] for planners that do not meter it. *)
-  elapsed : float;  (** Planning wall-clock seconds. *)
+  elapsed : float;
+      (** Planning wall-clock seconds, including the shutdown of the
+          satisfiability engine's worker domains. *)
 }
 
 type outcome =

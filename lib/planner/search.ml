@@ -95,7 +95,9 @@ let run ~name ?(refuse = fun _ -> None) config task policy =
   match refuse task with
   | Some why -> result (Planner.Unsupported why)
   | None ->
-      Fun.protect
-        ~finally:(fun () -> Option.iter Sat_engine.shutdown s.engine)
-        (fun () ->
-          result (try policy s task with Expired -> Planner.Timeout None))
+      (* The result is built after the engine's domains are joined, so
+         [elapsed] covers the teardown a caller waits for. *)
+      result
+        (Fun.protect
+           ~finally:(fun () -> Option.iter Sat_engine.shutdown s.engine)
+           (fun () -> try policy s task with Expired -> Planner.Timeout None))

@@ -31,7 +31,9 @@ val run :
     is [Unsupported why] with zero counters.  The engine and checker
     are shut down on every exit path, exceptions included.  The stats
     read the engine's checks, hits and check seconds, plus the bare
-    checker's checks; a run that created neither reports zero. *)
+    checker's checks; a run that created neither reports zero.  The
+    elapsed time is read after the shutdown, so it includes joining the
+    engine's worker domains. *)
 
 val engine : t -> Sat_engine.t
 (** The run's satisfiability engine, created on first use from the

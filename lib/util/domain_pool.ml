@@ -6,23 +6,12 @@
    the pool mutex; workers claim chunks of item indices from a shared
    atomic cursor, so results land at the index of their item
    (deterministic order) while the schedule itself is free to balance
-   load.
-
-   Dispatch is adaptive: waking the pool costs a measured round-trip
-   (condition broadcast, context switches, the done handshake), so a
-   batch whose estimated work cannot amortize that overhead runs inline
-   on the calling domain instead.  The estimate is an EWMA of observed
-   per-item seconds, and the effective parallelism is capped by the
-   machine's core count — on a single core dispatching can never win, so
-   every batch stays inline.  Worker domains are spawned lazily, on the
-   first batch that actually dispatches: a pool whose batches all run
-   inline (tiny work items, or no hardware parallelism) costs nothing
-   beyond the record.  Either way the results (and their order) are
-   identical — only where the items run changes. *)
+   load.  Every batch of two or more items is dispatched.  Worker domains
+   are spawned on the first such batch, so a pool that only ever maps
+   single items costs nothing beyond the record. *)
 
 type t = {
   size : int;
-  cores : int;  (* hardware parallelism available to this process *)
   mutable job : (int -> unit) option;  (* protected by [m] *)
   mutable batch_failed : exn option Atomic.t;  (* protected by [m] *)
   mutable epoch : int;
@@ -32,19 +21,9 @@ type t = {
   work_cv : Condition.t;  (* workers: a new epoch (or stop) is available *)
   done_cv : Condition.t;  (* caller: busy dropped to zero *)
   mutable domains : unit Domain.t array;  (* empty until first dispatch *)
-  (* Adaptive inline dispatch (heuristic only: never affects results). *)
-  mutable dispatch_overhead : float;  (* seconds per empty pool round-trip *)
-  mutable per_item_ewma : float;  (* seconds per item, 0.0 = no estimate yet *)
-  mutable inline_max : int;  (* hard cap: batches larger than this always
-                                dispatch, whatever the estimate says *)
 }
 
 let size pool = pool.size
-
-(* Above this many items the batch is dispatched regardless of the work
-   estimate: it bounds the damage of a stale EWMA (e.g. a run of near-free
-   cache-hit batches followed by an expensive one). *)
-let default_inline_max = 256
 
 let worker_loop pool wid =
   let seen = ref 0 in
@@ -75,10 +54,14 @@ let worker_loop pool wid =
   in
   loop ()
 
-(* Dispatch the current [pool.job] to the spawned workers and run it on
-   the caller too; returns once every worker has finished the epoch.
-   Must be called with [pool.batch_failed] set and the domains spawned. *)
+(* Dispatch [body] to the spawned workers and run it on the caller too;
+   returns once every worker has finished the epoch.  Must be called
+   with [pool.batch_failed] set. *)
 let run_epoch pool body =
+  if Array.length pool.domains = 0 then
+    pool.domains <-
+      Array.init (pool.size - 1) (fun i ->
+          Domain.spawn (fun () -> worker_loop pool (i + 1)));
   Mutex.lock pool.m;
   pool.job <- Some body;
   pool.busy <- pool.size - 1;
@@ -93,32 +76,10 @@ let run_epoch pool body =
   pool.job <- None;
   Mutex.unlock pool.m
 
-(* Spawn the worker domains and measure what waking them costs: one
-   warm-up round-trip (absorbs domain start-up), then the best of three
-   no-op epochs.  Runs at most once per pool, the first time a batch
-   actually dispatches. *)
-let ensure_spawned pool =
-  if pool.size > 1 && Array.length pool.domains = 0 then begin
-    pool.domains <-
-      Array.init (pool.size - 1) (fun i ->
-          Domain.spawn (fun () -> worker_loop pool (i + 1)));
-    pool.batch_failed <- Atomic.make None;
-    run_epoch pool (fun _ -> ());
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      let t0 = Timer.now () in
-      run_epoch pool (fun _ -> ());
-      let dt = Timer.now () -. t0 in
-      if dt < !best then best := dt
-    done;
-    pool.dispatch_overhead <- !best
-  end
-
 let create ~jobs =
   if jobs < 1 then invalid_arg "Domain_pool.create: jobs must be >= 1";
   {
     size = jobs;
-    cores = Domain.recommended_domain_count ();
     job = None;
     batch_failed = Atomic.make None;
     epoch = 0;
@@ -128,54 +89,13 @@ let create ~jobs =
     work_cv = Condition.create ();
     done_cv = Condition.create ();
     domains = [||];
-    dispatch_overhead = 0.0;
-    per_item_ewma = 0.0;
-    inline_max = default_inline_max;
   }
-
-let set_inline_max pool n =
-  if n < 0 then invalid_arg "Domain_pool.set_inline_max: negative";
-  pool.inline_max <- n
-
-(* Run the batch inline when the sequential evaluation is estimated to be
-   cheaper than the parallel one: dispatch saves [(1 - 1/w)] of the work
-   for [w] effective workers — capped by the core count, since workers
-   beyond the hardware parallelism time-slice instead of helping — but
-   costs one pool round-trip.  [inline_max = 0] forces dispatch (stress
-   tests); on a single core nothing can ever amortize the round-trip. *)
-let run_inline pool n =
-  n <= 1 || pool.size = 1
-  || (pool.inline_max > 0
-     && (pool.cores = 1
-        || (n <= pool.inline_max
-           &&
-           let w = float_of_int (min (min n pool.size) pool.cores) in
-           if pool.per_item_ewma <= 0.0 then n < 2 * pool.size
-           else
-             pool.per_item_ewma *. float_of_int n *. (1.0 -. (1.0 /. w))
-             < pool.dispatch_overhead)))
-
-let observe_per_item pool ~items ~workers seconds =
-  (* Fold the batch's apparent per-item cost into the EWMA.  Parallel
-     batches under-report by up to the effective worker count; scale back
-     up by it so inline and dispatched samples agree. *)
-  let sample = seconds *. float_of_int workers /. float_of_int items in
-  pool.per_item_ewma <-
-    (if pool.per_item_ewma <= 0.0 then sample
-     else (0.7 *. pool.per_item_ewma) +. (0.3 *. sample))
 
 let map pool ~worker items =
   if pool.stop then invalid_arg "Domain_pool.map: pool is shut down";
   let n = Array.length items in
   if pool.size = 1 || n <= 1 then Array.map (fun x -> worker 0 x) items
-  else if run_inline pool n then begin
-    let t0 = Timer.now () in
-    let r = Array.map (fun x -> worker 0 x) items in
-    observe_per_item pool ~items:n ~workers:1 (Timer.now () -. t0);
-    r
-  end
   else begin
-    ensure_spawned pool;
     let results = Array.make n None in
     let cursor = Atomic.make 0 in
     let failed = Atomic.make None in
@@ -203,11 +123,7 @@ let map pool ~worker items =
       grab ()
     in
     pool.batch_failed <- failed;
-    let t0 = Timer.now () in
     run_epoch pool body;
-    observe_per_item pool ~items:n
-      ~workers:(min (min n pool.size) pool.cores)
-      (Timer.now () -. t0);
     match Atomic.get failed with
     | Some e -> raise e
     | None ->

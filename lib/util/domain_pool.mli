@@ -3,19 +3,12 @@
 
     The calling domain participates as worker 0: a pool created with
     [~jobs:1] spawns no domains at all and {!map} is a plain [Array.map],
-    so sequential callers pay nothing.  With [jobs > 1], [jobs - 1]
-    domains are spawned lazily — on the first batch that actually
-    dispatches — and then reused across batches.
-
-    Dispatch is adaptive: the pool measures what waking the workers costs
-    (one no-op round-trip when they are first spawned) and keeps an EWMA
-    of observed per-item seconds; a batch whose estimated work cannot
-    amortize the wake-up runs inline on the caller instead.  Effective
-    parallelism is capped by the machine's core count, so on a single
-    core every batch stays inline and the worker domains are never
-    spawned at all.  Inline and dispatched batches produce identical
-    results in identical order — only the domains that evaluate the
-    items differ. *)
+    so sequential callers pay nothing.  With [jobs > 1], every batch of
+    two or more items is dispatched to the workers; [jobs - 1] domains
+    are spawned on the first such batch and then reused across batches.
+    The pool spawns what it is asked for, whatever the core count: a
+    caller that wants no more workers than cores caps [jobs] itself, as
+    the satisfiability engine does. *)
 
 type t
 
@@ -34,20 +27,13 @@ val map : t -> worker:(int -> 'a -> 'b) -> 'a array -> 'b array
     dynamically in short contiguous chunks, so the schedule balances
     uneven work; the result order is deterministic regardless.  [worker]
     must only touch shared state that is safe for the worker id it is
-    given (e.g. per-worker scratch indexed by [wid]).  Small batches may
-    run entirely on worker 0 (see the adaptive dispatch note above).
+    given (e.g. per-worker scratch indexed by [wid]).  Empty and
+    single-item batches run on the caller.
 
     If any item raises, one such exception is re-raised in the caller
     after the whole batch settles; the pool remains usable.  Calling
     [map] on a shut-down pool raises [Invalid_argument] on every path,
     including the trivial inline ones. *)
-
-val set_inline_max : t -> int -> unit
-(** [set_inline_max pool n] caps the inline heuristic: batches with more
-    than [n] items are always dispatched to the workers.  [0] forces
-    every multi-item batch onto the pool, overriding even the
-    single-core gate (useful for stress tests); the default is 256.
-    Raises [Invalid_argument] when [n < 0]. *)
 
 val shutdown : t -> unit
 (** Stop and join the spawned domains.  Idempotent; any later {!map}

@@ -97,11 +97,10 @@ let test_shutdown_while_idle () =
   Alcotest.(check pass) "no hang" () ()
 
 let test_forced_dispatch_chunked () =
-  (* [set_inline_max 0] pushes every multi-item batch through the worker
-     epoch, covering the chunked cursor on batches much larger (and much
-     smaller) than the chunk size. *)
+  (* Every multi-item batch goes through the worker epoch, covering the
+     chunked cursor on batches much larger (and much smaller) than the
+     chunk size. *)
   Pool.with_pool ~jobs:4 (fun pool ->
-      Pool.set_inline_max pool 0;
       List.iter
         (fun n ->
           let items = Array.init n (fun i -> i) in
@@ -116,7 +115,6 @@ let test_exception_mid_batch_forced () =
   (* An item exception on the dispatched path: one failure surfaces, the
      remaining chunks drain, and the pool survives. *)
   Pool.with_pool ~jobs:4 (fun pool ->
-      Pool.set_inline_max pool 0;
       let items = Array.init 1000 (fun i -> i) in
       (match
          Pool.map pool
@@ -129,11 +127,35 @@ let test_exception_mid_batch_forced () =
       Alcotest.(check int) "usable after mid-batch failure" 1000
         (Array.fold_left (fun acc x -> acc + (x land 1)) 500 out))
 
-let test_inline_max_validation () =
+let test_two_items_reach_a_worker () =
+  (* A two-item batch must be dispatched, whatever the core count: the
+     caller, as worker 0, holds whichever item it claims until a spawned
+     worker has run the other, so the batch only finishes through real
+     dispatch.  The wait is bounded so a regression fails instead of
+     hanging. *)
+  let deadline = Kutil.Timer.now () +. 10.0 in
   Pool.with_pool ~jobs:2 (fun pool ->
-      Alcotest.check_raises "negative rejected"
-        (Invalid_argument "Domain_pool.set_inline_max: negative") (fun () ->
-          Pool.set_inline_max pool (-1)))
+      for round = 1 to 20 do
+        let other_ran = Atomic.make false in
+        let wids =
+          Pool.map pool
+            ~worker:(fun wid _ ->
+              if wid = 0 then begin
+                while
+                  (not (Atomic.get other_ran)) && Kutil.Timer.now () < deadline
+                do
+                  Domain.cpu_relax ()
+                done
+              end
+              else Atomic.set other_ran true;
+              wid)
+            [| (); () |]
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "round %d: a spawned worker ran an item" round)
+          true
+          (Array.exists (fun w -> w <> 0) wids)
+      done)
 
 let test_create_validation () =
   Alcotest.check_raises "jobs 0 rejected"
@@ -168,6 +190,6 @@ let suite =
         test_forced_dispatch_chunked;
       Alcotest.test_case "exception mid-batch (dispatched)" `Quick
         test_exception_mid_batch_forced;
-      Alcotest.test_case "set_inline_max validation" `Quick
-        test_inline_max_validation;
+      Alcotest.test_case "two-item batches reach a worker" `Quick
+        test_two_items_reach_a_worker;
     ] )
