@@ -682,6 +682,8 @@ let inc opts =
         ("C", task "C");
         ("C-SSW", Task.of_scenario (Gen.build Gen.Ssw_forklift p));
         ("C-DMAG", Task.of_scenario (Gen.build Gen.Dmag p));
+        ("E-SSW", task "E-SSW");
+        ("E-DMAG", task "E-DMAG");
       ]
     end
   in

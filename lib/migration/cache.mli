@@ -28,6 +28,11 @@ val create : ?enabled:bool -> Task.t -> t
     table and re-runs the full evaluation (counted by {!bypassed}, not
     {!misses}). *)
 
+val key_of : t -> ?last_type:int -> Compact.t -> int array
+(** The table key of state [v] (with the last action type when the task
+    enables funneling): two lookups share an entry exactly when their
+    keys are equal under {!Kutil.Vec_key}. *)
+
 val check :
   t -> Constraint.t -> ?last_type:int -> ?last_block:int -> Compact.t -> bool
 (** Cached satisfiability of state [v].  [last_type]/[last_block] describe

@@ -386,13 +386,14 @@ let split_of ck =
   | `Ecmp -> `Equal
   | `Weighted -> `Capacity_weighted
 
-(* The one usability gate every utilization read goes through: a circuit
-   counts toward θ, funneling and headroom only when it carries positive
-   load and is usable in the current overlay (its own flag and both
-   endpoints active).  Keeping this in one place prevents the two former
-   call sites from drifting apart now that activity lives in bitsets. *)
-let loaded_usable ck (loads : float array) j =
-  loads.(j) > 0.0 && Topo.usable ck.topo j
+(* Every utilization read goes through one of [Topo]'s load scans, which
+   share one usability gate: a circuit counts toward θ, funneling and
+   headroom only when it carries positive load and is usable in the
+   current overlay (its own flag and both endpoints active).  Each scan
+   is one call, so no capacity is boxed per circuit. *)
+
+(* The θ bound every violation test compares a utilization against. *)
+let theta_bound ck = ck.task.Task.theta +. 1e-9
 
 (* Reset the per-matrix accumulators before a from-zero evaluation. *)
 let ens_clear x =
@@ -437,36 +438,14 @@ let eval_demands_full ck es =
     ck.task.Task.compiled;
   !stuck
 
-let circuit_bad_on ck (loads : float array) j =
-  loaded_usable ck loads j
-  && loads.(j) /. Topo.capacity ck.topo j > ck.task.Task.theta +. 1e-9
-
-let circuit_bad ck es j = circuit_bad_on ck es.loads j
-
 let rebuild_bad ck es st =
-  Bytes.fill st.bad 0 (Bytes.length st.bad) '\000';
-  let n_bad = ref 0 in
-  for j = 0 to Array.length es.loads - 1 do
-    if circuit_bad ck es j then begin
-      Bytes.unsafe_set st.bad j '\001';
-      incr n_bad
-    end
-  done;
-  st.n_bad <- !n_bad;
+  let theta = theta_bound ck in
+  st.n_bad <- Topo.theta_mark ck.topo es.loads ~theta st.bad;
   match es.ens with
   | None -> ()
   | Some x ->
       for m = 0 to Array.length x.xloads - 1 do
-        let loads = x.xloads.(m) and bad = x.xbad.(m) in
-        Bytes.fill bad 0 (Bytes.length bad) '\000';
-        let n_bad = ref 0 in
-        for j = 0 to Array.length loads - 1 do
-          if circuit_bad_on ck loads j then begin
-            Bytes.unsafe_set bad j '\001';
-            incr n_bad
-          end
-        done;
-        x.xn_bad.(m) <- !n_bad
+        x.xn_bad.(m) <- Topo.theta_mark ck.topo x.xloads.(m) ~theta x.xbad.(m)
       done
 
 (* Full rebuild of the incremental state: loads from zero, per-class
@@ -525,30 +504,25 @@ let mark_block_circuits ck st =
   done
 
 let recheck_dirty ck es st =
+  let theta = theta_bound ck in
+  st.n_bad <-
+    st.n_bad
+    + Topo.theta_recheck ck.topo es.loads ~theta st.bad st.dirty_list
+        st.dirty_len;
+  (* The dirty circuit set is shared: a patch touches the same circuits
+     in every matrix, so the one dirty list maintains all the per-matrix
+     violation counts. *)
+  (match es.ens with
+  | None -> ()
+  | Some x ->
+      for m = 0 to Array.length x.xloads - 1 do
+        x.xn_bad.(m) <-
+          x.xn_bad.(m)
+          + Topo.theta_recheck ck.topo x.xloads.(m) ~theta x.xbad.(m)
+              st.dirty_list st.dirty_len
+      done);
   for i = 0 to st.dirty_len - 1 do
-    let j = st.dirty_list.(i) in
-    let was = Bytes.unsafe_get st.bad j = '\001' in
-    let now = circuit_bad ck es j in
-    if now <> was then begin
-      Bytes.unsafe_set st.bad j (if now then '\001' else '\000');
-      st.n_bad <- st.n_bad + (if now then 1 else -1)
-    end;
-    (* The dirty circuit set is shared: a patch touches the same
-       circuits in every matrix, so one recheck pass maintains all the
-       per-matrix violation counts. *)
-    (match es.ens with
-    | None -> ()
-    | Some x ->
-        for m = 0 to Array.length x.xloads - 1 do
-          let bad = x.xbad.(m) in
-          let was = Bytes.unsafe_get bad j = '\001' in
-          let now = circuit_bad_on ck x.xloads.(m) j in
-          if now <> was then begin
-            Bytes.unsafe_set bad j (if now then '\001' else '\000');
-            x.xn_bad.(m) <- x.xn_bad.(m) + (if now then 1 else -1)
-          end
-        done);
-    Bitset.remove st.dirty j
+    Bitset.remove st.dirty st.dirty_list.(i)
   done;
   st.dirty_len <- 0
 
@@ -622,16 +596,7 @@ let utilization_ok ck =
   let es = eval_state ck in
   match es.inc with
   | Some st when st.loads_valid -> st.n_bad = 0
-  | _ ->
-      let theta = ck.task.Task.theta +. 1e-9 in
-      let n = Array.length es.loads in
-      let rec loop j =
-        j >= n
-        || (((not (loaded_usable ck es.loads j))
-            || es.loads.(j) /. Topo.capacity ck.topo j <= theta)
-           && loop (j + 1))
-      in
-      loop 0
+  | _ -> Topo.theta_ok ck.topo es.loads ~theta:(theta_bound ck)
 
 (* θ check for one extra ensemble matrix: O(1) via the incrementally
    maintained per-matrix violation count when the delta layer owns valid
@@ -640,17 +605,7 @@ let utilization_ok ck =
 let x_utilization_ok ck es x m =
   match es.inc with
   | Some st when st.loads_valid -> x.xn_bad.(m) = 0
-  | _ ->
-      let loads = x.xloads.(m) in
-      let theta = ck.task.Task.theta +. 1e-9 in
-      let n = Array.length loads in
-      let rec loop j =
-        j >= n
-        || (((not (loaded_usable ck loads j))
-            || loads.(j) /. Topo.capacity ck.topo j <= theta)
-           && loop (j + 1))
-      in
-      loop 0
+  | _ -> Topo.theta_ok ck.topo x.xloads.(m) ~theta:(theta_bound ck)
 
 let funneling_ok_on ck (loads : float array) ~last_block =
   let phi = ck.task.Task.funneling in
@@ -661,15 +616,9 @@ let funneling_ok_on ck (loads : float array) ~last_block =
     | Some b ->
         let block = ck.task.Task.blocks.(b) in
         if not (Action.funnels block.Blocks.action) then true
-        else begin
-          let theta = ck.task.Task.theta +. 1e-9 in
-          let circuits = related_circuits ck b in
-          Array.for_all
-            (fun j ->
-              (not (loaded_usable ck loads j))
-              || loads.(j) *. (1.0 +. phi) /. Topo.capacity ck.topo j <= theta)
-            circuits
-        end
+        else
+          Topo.funneling_ok ck.topo loads (related_circuits ck b) ~phi
+            ~theta:(theta_bound ck)
 
 let funneling_ok ck ~last_block =
   let phi = ck.task.Task.funneling in
@@ -720,17 +669,8 @@ let current_ok ?last_block ck =
 let residual_on ck (loads : float array) ~stuck =
   if stuck > 1e-9 then neg_infinity
   else begin
-    let theta = ck.task.Task.theta in
-    let worst = ref infinity in
-    Array.iteri
-      (fun j load ->
-        if loaded_usable ck loads j then begin
-          let w = Topo.capacity ck.topo j in
-          let residual = ((theta *. w) -. load) /. w in
-          if residual < !worst then worst := residual
-        end)
-      loads;
-    if !worst < -1e-9 then neg_infinity else !worst
+    let worst = Topo.min_residual ck.topo loads ~theta:ck.task.Task.theta in
+    if worst < -1e-9 then neg_infinity else worst
   end
 
 let current_min_residual ck =
@@ -798,26 +738,11 @@ type summary = {
 let evaluate_current ck =
   let stuck = eval_demands ck in
   let es = eval_state ck in
-  (* Bounded top-5 scan: one pass, no list of all loaded circuits.  Reads
-     usability through the same [loaded_usable] gate as the θ checks. *)
+  (* Bounded top-5 scan: one pass, no list of all loaded circuits, and
+     the same usability gate as the θ checks. *)
   let top_j = Array.make 5 (-1) in
   let top_u = Array.make 5 neg_infinity in
-  Array.iteri
-    (fun j load ->
-      if loaded_usable ck es.loads j then begin
-        let u = load /. Topo.capacity ck.topo j in
-        if u > top_u.(4) then begin
-          let k = ref 4 in
-          while !k > 0 && u > top_u.(!k - 1) do
-            top_u.(!k) <- top_u.(!k - 1);
-            top_j.(!k) <- top_j.(!k - 1);
-            decr k
-          done;
-          top_u.(!k) <- u;
-          top_j.(!k) <- j
-        end
-      end)
-    es.loads;
+  Topo.hottest ck.topo es.loads top_j top_u;
   let hottest = ref [] in
   for k = 4 downto 0 do
     if top_j.(k) >= 0 then hottest := (top_j.(k), top_u.(k)) :: !hottest

@@ -171,6 +171,106 @@ let iter_incident u s ~f =
   iter_up u s ~f;
   iter_down u s ~f
 
+(* Load scans over every circuit, or a listed subset, one call per scan:
+   the loop reads [cap] here, so no capacity is boxed to cross a module
+   boundary per circuit.  A circuit counts only when it carries positive
+   load and is in [usable]; [usable] is probed last, after the float
+   tests, which is the same verdict for these pure tests and leaves
+   the probe (a call into [Bitset]) to the few circuits that fail them. *)
+let theta_ok u ~usable (loads : float array) ~theta =
+  let cap = u.cap in
+  let n = Array.length loads in
+  let j = ref 0 in
+  while
+    !j < n
+    && ((not (loads.(!j) > 0.0))
+       || loads.(!j) /. cap.(!j) <= theta
+       || not (Kutil.Bitset.mem usable !j))
+  do
+    incr j
+  done;
+  !j >= n
+
+let[@inline] over_theta cap ~usable (loads : float array) ~theta j =
+  loads.(j) > 0.0
+  && loads.(j) /. cap.(j) > theta
+  && Kutil.Bitset.mem usable j
+
+let theta_mark u ~usable loads ~theta bad =
+  let cap = u.cap in
+  let n_bad = ref 0 in
+  for j = 0 to Array.length loads - 1 do
+    if over_theta cap ~usable loads ~theta j then begin
+      Bytes.set bad j '\001';
+      incr n_bad
+    end
+    else Bytes.set bad j '\000'
+  done;
+  !n_bad
+
+let theta_recheck u ~usable loads ~theta bad circuits len =
+  let cap = u.cap in
+  let delta = ref 0 in
+  for i = 0 to len - 1 do
+    let j = circuits.(i) in
+    let was = Bytes.get bad j = '\001' in
+    let now = over_theta cap ~usable loads ~theta j in
+    if now <> was then begin
+      Bytes.set bad j (if now then '\001' else '\000');
+      delta := !delta + if now then 1 else -1
+    end
+  done;
+  !delta
+
+let min_residual u ~usable (loads : float array) ~theta =
+  let cap = u.cap in
+  let worst = ref infinity in
+  for j = 0 to Array.length loads - 1 do
+    let load = loads.(j) in
+    if load > 0.0 then begin
+      let w = cap.(j) in
+      let residual = ((theta *. w) -. load) /. w in
+      if residual < !worst && Kutil.Bitset.mem usable j then worst := residual
+    end
+  done;
+  !worst
+
+let hottest u ~usable (loads : float array) top_j top_u =
+  let cap = u.cap in
+  let last = Array.length top_j - 1 in
+  for j = 0 to Array.length loads - 1 do
+    let load = loads.(j) in
+    if load > 0.0 then begin
+      let util = load /. cap.(j) in
+      if util > top_u.(last) && Kutil.Bitset.mem usable j then begin
+        let k = ref last in
+        while !k > 0 && util > top_u.(!k - 1) do
+          top_u.(!k) <- top_u.(!k - 1);
+          top_j.(!k) <- top_j.(!k - 1);
+          decr k
+        done;
+        top_u.(!k) <- util;
+        top_j.(!k) <- j
+      end
+    end
+  done
+
+let funneling_ok u ~usable (loads : float array) circuits ~phi ~theta =
+  let cap = u.cap in
+  let n = Array.length circuits in
+  let i = ref 0 in
+  while
+    !i < n
+    &&
+    let j = circuits.(!i) in
+    (not (loads.(j) > 0.0))
+    || loads.(j) *. (1.0 +. phi) /. cap.(j) <= theta
+    || not (Kutil.Bitset.mem usable j)
+  do
+    incr i
+  done;
+  !i >= n
+
 let find_switch u name =
   match Hashtbl.find_opt u.name_index name with
   | Some i -> Some u.switches.(i)

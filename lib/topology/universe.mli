@@ -101,6 +101,67 @@ val iter_down : t -> int -> f:(int -> unit) -> unit
 val iter_incident : t -> int -> f:(int -> unit) -> unit
 (** [iter_incident u s ~f] is [iter_up] then [iter_down]. *)
 
+(** {1 Load scans}
+
+    One call per scan over a per-circuit load vector ([loads], indexed by
+    circuit id): the loop reads the capacity array in place, so no
+    capacity is boxed per circuit.  A circuit counts only when its load is
+    positive and it is a member of [usable] (the overlay's usable set);
+    membership is probed after the float tests, which gives the same
+    verdicts and probes only the circuits those tests single out.  Every
+    access is bounds-checked: raises [Invalid_argument] when [loads] or a
+    listed circuit is past the universe's circuits or [usable]. *)
+
+val theta_ok : t -> usable:Kutil.Bitset.t -> float array -> theta:float -> bool
+(** [theta_ok u ~usable loads ~theta] holds when every counted circuit
+    has [loads.(j) /. capacity j <= theta] (Eq. 5). *)
+
+val theta_mark :
+  t -> usable:Kutil.Bitset.t -> float array -> theta:float -> Bytes.t -> int
+(** [theta_mark u ~usable loads ~theta bad] sets byte [j] of [bad] to
+    ['\001'] for every counted circuit with [loads.(j) /. capacity j >
+    theta] and to ['\000'] for every other [j < Array.length loads];
+    returns the number of ['\001'] bytes written. *)
+
+val theta_recheck :
+  t ->
+  usable:Kutil.Bitset.t ->
+  float array ->
+  theta:float ->
+  Bytes.t ->
+  int array ->
+  int ->
+  int
+(** [theta_recheck u ~usable loads ~theta bad circuits len] re-decides
+    the [bad] byte of [circuits.(0 .. len - 1)] as {!theta_mark} does and
+    returns the change in the number of ['\001'] bytes. *)
+
+val min_residual :
+  t -> usable:Kutil.Bitset.t -> float array -> theta:float -> float
+(** [min_residual u ~usable loads ~theta] is the minimum over counted
+    circuits of [((theta *. w) -. load) /. w], [w] the capacity;
+    [infinity] when no circuit counts. *)
+
+val hottest :
+  t -> usable:Kutil.Bitset.t -> float array -> int array -> float array -> unit
+(** [hottest u ~usable loads top_j top_u] keeps the counted circuits of
+    highest [loads.(j) /. capacity j] in the two equally long arrays,
+    highest first: a circuit enters when its utilization exceeds the last
+    entry of [top_u] and moves up past every entry it exceeds.  The
+    caller seeds them ([-1] and [neg_infinity]). *)
+
+val funneling_ok :
+  t ->
+  usable:Kutil.Bitset.t ->
+  float array ->
+  int array ->
+  phi:float ->
+  theta:float ->
+  bool
+(** [funneling_ok u ~usable loads circuits ~phi ~theta] holds when every
+    counted circuit of [circuits] has [loads.(j) *. (1.0 +. phi) /.
+    capacity j <= theta]. *)
+
 (** {1 Array views (cold paths)} *)
 
 val up_circuits : t -> int -> int array

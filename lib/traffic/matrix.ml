@@ -63,14 +63,9 @@ let max_utilization topo scratch classes ~loads =
       let r = Ecmp.evaluate ~scale topo scratch compiled ~loads in
       stuck := !stuck +. r.Ecmp.stuck)
     classes;
-  let max_util = ref 0.0 in
-  for j = 0 to Topo.n_circuits topo - 1 do
-    if loads.(j) > 0.0 && Topo.usable topo j then begin
-      let u = loads.(j) /. Topo.capacity topo j in
-      if u > !max_util then max_util := u
-    end
-  done;
-  (!max_util, !stuck)
+  let top_j = [| -1 |] and top_u = [| neg_infinity |] in
+  Topo.hottest topo loads top_j top_u;
+  ((if top_j.(0) >= 0 then top_u.(0) else 0.0), !stuck)
 
 let calibration_factor topo classes ~target_util =
   let scratch = Ecmp.make_scratch (Topo.universe topo) in

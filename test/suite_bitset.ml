@@ -38,7 +38,27 @@ let test_bounds () =
     (Bitset.mem b 3);
   (* Rows under an unset mask byte are not probed at all. *)
   Bitset.add_rows b [| 8; 3 |] (Bytes.of_string "\000\001");
-  Alcotest.(check (list int)) "unmasked row skipped" [ 3 ] (Bitset.to_list b)
+  Alcotest.(check (list int)) "unmasked row skipped" [ 3 ] (Bitset.to_list b);
+  let usable = Bitset.create 8 and useful = Bitset.create_full 8 in
+  Bitset.add usable 3;
+  let sweep circuits nexts prevs =
+    Bitset.sweep_rows ~usable ~useful ~into:b ~circuits ~nexts ~prevs
+      (Bytes.make 2 '\000')
+  in
+  Alcotest.check_raises "sweep_rows circuit row out of range"
+    (Invalid_argument "Bitset: index out of range") (fun () ->
+      sweep [| 3; 8 |] [| 1; 1 |] [| 2; 2 |]);
+  Alcotest.check_raises "sweep_rows next row out of range"
+    (Invalid_argument "Bitset: index out of range") (fun () ->
+      sweep [| 3; 3 |] [| 1; -1 |] [| 2; 2 |]);
+  Alcotest.check_raises "sweep_rows prev row out of range"
+    (Invalid_argument "Bitset: index out of range") (fun () ->
+      sweep [| 3; 3 |] [| 1; 1 |] [| 2; 9 |]);
+  (* A row whose circuit is not usable probes neither its next nor its
+     prev; a row whose next is not useful does not probe its prev. *)
+  Bitset.remove useful 1;
+  sweep [| 4; 3 |] [| 9; 1 |] [| 9; 9 |];
+  Alcotest.(check (list int)) "dead rows add nothing" [ 2; 3 ] (Bitset.to_list b)
 
 let test_full_clear () =
   let b = Bitset.create_full 17 in
@@ -141,10 +161,11 @@ let rows_and_mask n i =
 let prop_bulk_ops_any_capacity =
   (* Capacities 0..300, most not a multiple of 8; ops are add/remove of
      an index reduced mod n, fill, clear, a fresh create_full, or one of
-     the row kernels, which must do what per-index [mem]/[add] do. *)
+     the row kernels (the fused sweep among them), which must do what
+     per-index [mem]/[add] do. *)
   QCheck.Test.make ~count:500 ~name:"bulk ops match reference at any capacity"
     QCheck.(
-      pair (int_bound 300) (list (pair (int_bound 11) (int_bound 299))))
+      pair (int_bound 300) (list (pair (int_bound 12) (int_bound 299))))
     (fun (n, ops) ->
       let b = ref (Bitset.create n) and reference = ref Iset.empty in
       let all = Iset.of_list (List.init n Fun.id) in
@@ -195,6 +216,35 @@ let prop_bulk_ops_any_capacity =
                 let mask_before = Bytes.copy mask in
                 Bitset.add_rows !b rows mask;
                 Bitset.equal !b expected && Bytes.equal mask mask_before
+            | 12 ->
+                (* The fused sweep: a row is live when [usable] holds its
+                   circuit and [useful] its next; a live row adds its
+                   prev to the set under test.  The mask bytes start out
+                   arbitrary and every row's byte is overwritten. *)
+                let circuits, live = rows_and_mask n i in
+                let nexts = Array.map (fun j -> ((5 * j) + 1) mod n) circuits in
+                let prevs = Array.map (fun j -> ((3 * j) + i) mod n) circuits in
+                let usable = Bitset.create n and useful = Bitset.create n in
+                for j = 0 to n - 1 do
+                  if (j + i) mod 3 <> 0 then Bitset.add usable j;
+                  if ((7 * j) + i) mod 4 <> 0 then Bitset.add useful j
+                done;
+                let expected_live = Bytes.copy live in
+                let expected = Bitset.copy !b in
+                Array.iteri
+                  (fun r j ->
+                    let is_live =
+                      Bitset.mem usable j && Bitset.mem useful nexts.(r)
+                    in
+                    Bytes.set expected_live r (if is_live then '\001' else '\000');
+                    if is_live then begin
+                      Bitset.add expected prevs.(r);
+                      reference := Iset.add prevs.(r) !reference
+                    end)
+                  circuits;
+                Bitset.sweep_rows ~usable ~useful ~into:!b ~circuits ~nexts
+                  ~prevs live;
+                Bitset.equal !b expected && Bytes.equal live expected_live
             | _ -> true
           in
           kernel_ok && agrees !b n !reference)

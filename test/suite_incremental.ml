@@ -130,6 +130,86 @@ let test_random_walk_verdicts () =
       ("OCS", Task.of_scenario (Gen.scenario_of_label "OCS"), true, 7);
     ]
 
+(* [Ecmp.evaluate_patch] names every circuit whose load it changes: the
+   delta layer rechecks θ only on the circuits passed to [mark].  Random
+   block walks patch each class the index lists for the toggled block and
+   compare the loads bit for bit before and after the patch. *)
+let test_patch_marks_complete () =
+  let set_block topo (b : Blocks.t) ~applied =
+    match
+      if applied then Action.applies b.Blocks.action
+      else Action.inverse b.Blocks.action
+    with
+    | Action.Set_activity active ->
+        Array.iter
+          (fun s -> Topo.set_switch_active topo s active)
+          b.Blocks.switches;
+        Array.iter
+          (fun j -> Topo.set_circuit_active topo j active)
+          b.Blocks.circuits
+    | Action.Set_wiring target ->
+        Array.iter (fun j -> Topo.set_circuit_hi topo j target) b.Blocks.circuits
+  in
+  List.iter
+    (fun (label, task, walk_seed) ->
+      let topo = Topo.copy task.Task.topo in
+      let u = Topo.universe topo in
+      let m = Topo.n_circuits topo in
+      let split =
+        match task.Task.routing with
+        | `Ecmp -> `Equal
+        | `Weighted -> `Capacity_weighted
+      in
+      let scratch = Ecmp.make_scratch u in
+      let incs = Array.map (fun (c, _) -> Ecmp.make_inc u c) task.Task.compiled in
+      let loads = Array.make m 0.0 in
+      Array.iteri
+        (fun d (_, scale) ->
+          ignore (Ecmp.evaluate_rebuild ~scale ~split topo scratch incs.(d) ~loads))
+        task.Task.compiled;
+      let n = Array.length task.Task.blocks in
+      let applied = Array.make n false in
+      let g = Kutil.Prng.create ~seed:walk_seed in
+      let changed = ref 0 in
+      for _ = 1 to 2 * n do
+        let b = Kutil.Prng.int g n in
+        applied.(b) <- not applied.(b);
+        set_block topo task.Task.blocks.(b) ~applied:applied.(b);
+        Array.iter
+          (fun (d, dirty) ->
+            let _, scale = task.Task.compiled.(d) in
+            let before = Array.copy loads in
+            let marked = Kutil.Bitset.create m in
+            ignore
+              (Ecmp.evaluate_patch ~scale ~split topo scratch incs.(d) ~dirty
+                 ~loads ~mark:(Kutil.Bitset.add marked));
+            Array.iteri
+              (fun j load ->
+                if
+                  not
+                    (Int64.equal (Int64.bits_of_float load)
+                       (Int64.bits_of_float before.(j)))
+                then begin
+                  incr changed;
+                  if not (Kutil.Bitset.mem marked j) then
+                    Alcotest.failf
+                      "%s: block %d, class %d: circuit %d's load moved from \
+                       %h to %h unmarked"
+                      label b d j before.(j) load
+                end)
+              loads)
+          task.Task.deps.(b)
+      done;
+      Alcotest.(check bool) (label ^ ": the walk moved some loads") true
+        (!changed > 0))
+    [
+      ( "C-SSW",
+        Task.of_scenario (Gen.build Gen.Ssw_forklift (Gen.params_c ())),
+        11 );
+      ("C-DMAG", Task.of_scenario (Gen.build Gen.Dmag (Gen.params_c ())), 12);
+      ("OCS", Task.of_scenario (Gen.scenario_of_label "OCS"), 13);
+    ]
+
 (* Soundness of the dependency index: any class whose loads change when a
    block toggles must be listed in deps for that block.  Checked
    exhaustively, per block and per class, on a small scenario. *)
@@ -192,6 +272,8 @@ let suite =
         test_differential_other_migrations;
       Alcotest.test_case "random walk verdicts" `Quick
         test_random_walk_verdicts;
+      Alcotest.test_case "patch marks every moved load" `Quick
+        test_patch_marks_complete;
       Alcotest.test_case "dependency index sound" `Quick test_deps_index_sound;
       Alcotest.test_case "escape hatch" `Quick test_escape_hatch;
     ] )

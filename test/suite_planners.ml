@@ -548,22 +548,9 @@ let test_counter_pins () =
         rows)
     counter_pins
 
-(* "<outcome> exp=E gen=G checks=C hits=H" with its last two fields
-   folded into one "checks+hits=N". *)
-let fold_checks fp =
-  let count field = int_of_string (List.nth (String.split_on_char '=' field) 1) in
-  match List.rev (String.split_on_char ' ' fp) with
-  | hits :: checks :: rest ->
-      Printf.sprintf "%s checks+hits=%d"
-        (String.concat " " (List.rev rest))
-        (count checks + count hits)
-  | _ -> Alcotest.fail ("malformed fingerprint: " ^ fp)
-
-(* The same rows at jobs=2.  Every planner but DP batches only distinct
-   cache keys, or checks inline, so it must reproduce its jobs=1
-   fingerprint exactly.  A DP layer without funneling can carry one key
-   twice, and two workers may both miss on it: DP pins its outcome,
-   expanded, generated and checks + hits. *)
+(* The same rows at jobs=2.  Every planner batches only distinct cache
+   keys, or checks inline, so it must reproduce its jobs=1 fingerprint
+   exactly. *)
 let test_counter_pins_jobs2 () =
   List.iter
     (fun (label, rows) ->
@@ -571,7 +558,6 @@ let test_counter_pins_jobs2 () =
       List.iter
         (fun (name, want) ->
           let plan = List.assoc name pinned_planners in
-          let fp = if name = "dp" then fold_checks else Fun.id in
           List.iter
             (fun incremental ->
               let config =
@@ -582,8 +568,8 @@ let test_counter_pins_jobs2 () =
               Alcotest.(check string)
                 (Printf.sprintf "%s %s incremental=%b jobs=2" label name
                    incremental)
-                (fp want)
-                (fp (pin_fingerprint (plan config task))))
+                want
+                (pin_fingerprint (plan config task)))
             [ true; false ])
         rows)
     counter_pins

@@ -80,21 +80,19 @@ let random_ensemble ?quantile ~seed ~k task =
 (* ------------------------------------------------------------------ *)
 (* Differential: the ensemble path at k=1 semantics is the legacy path. *)
 
-let check_equivalent ~what ~counters reference candidate =
+let check_equivalent ~what reference candidate =
   Alcotest.(check string)
     (what ^ " outcome")
     (outcome_fingerprint reference.Planner.outcome)
     (outcome_fingerprint candidate.Planner.outcome);
-  if counters then begin
-    Alcotest.(check int)
-      (what ^ " sat_checks")
-      reference.Planner.stats.Planner.sat_checks
-      candidate.Planner.stats.Planner.sat_checks;
-    Alcotest.(check int)
-      (what ^ " cache_hits")
-      reference.Planner.stats.Planner.cache_hits
-      candidate.Planner.stats.Planner.cache_hits
-  end
+  Alcotest.(check int)
+    (what ^ " sat_checks")
+    reference.Planner.stats.Planner.sat_checks
+    candidate.Planner.stats.Planner.sat_checks;
+  Alcotest.(check int)
+    (what ^ " cache_hits")
+    reference.Planner.stats.Planner.cache_hits
+    candidate.Planner.stats.Planner.cache_hits
 
 let check_k1 label task =
   List.iter
@@ -105,21 +103,16 @@ let check_k1 label task =
             (fun jobs ->
               let config = cfg ~incremental ~jobs in
               let reference = plan config task in
-              (* Counters match at every job count for every planner
-                 but DP: a DP layer without funneling can carry one cache
-                 key twice, and two workers may both miss on it. *)
-              let counters = jobs = 1 || name <> "dp" in
               let what =
                 Printf.sprintf "%s: %s inc=%b jobs=%d" label name incremental
                   jobs
               in
               (* --ensemble 1 resolves to the untouched task... *)
-              check_equivalent ~what:(what ^ " via config") ~counters
-                reference
+              check_equivalent ~what:(what ^ " via config") reference
                 (plan (Planner.with_ensemble ~quantile:1.0 1 config) task);
               (* ...and an explicit one-matrix ensemble must not engage
                  the ensemble machinery either. *)
-              check_equivalent ~what:(what ^ " via task") ~counters reference
+              check_equivalent ~what:(what ^ " via task") reference
                 (plan config
                    (Task.with_ensemble (Some (k1_ensemble task)) task)))
             [ 1; 4 ])
@@ -151,7 +144,7 @@ let test_uniform_ensemble_inert () =
                 ~what:
                   (Printf.sprintf "%s: %s inc=%b uniform k=4" label name
                      incremental)
-                ~counters:true reference
+                reference
                 (plan config (Task.with_ensemble (Some e) task)))
             planners)
         [ true; false ])
