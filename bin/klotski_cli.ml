@@ -189,7 +189,7 @@ let info_cmd =
         let blocks = Blocks.organize sc in
         Printf.printf "operation blocks:   %d\n" (List.length blocks);
         let findings = Audit.scenario sc in
-        if findings = [] then print_endline "structural audit:   clean"
+        if List.is_empty findings then print_endline "structural audit:   clean"
         else begin
           Printf.printf "structural audit:   %d finding(s)\n"
             (List.length findings);

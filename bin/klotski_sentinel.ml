@@ -1,18 +1,19 @@
-(* klotski-sentinel: typed whole-program race & determinism analyzer
-   over compiler-generated [.cmt] typedtrees.
+(* klotski-sentinel: typed race & determinism analyzer over
+   compiler-generated [.cmt] typedtrees.
 
      klotski-sentinel [--src DIR]... [CMT-ROOT ...]
 
-   CMT-ROOTs are searched recursively for [.cmt] files (default: lib —
-   correct when invoked by the @sentinel alias, whose working directory
-   is the build root; from a source checkout pass _build/default/lib).
-   --src names the source trees scanned for suppression comments and
-   the S4 stale-suppression audit (default: lib).
+   CMT-ROOTs are searched recursively for [.cmt] files (default: lib bin
+   bench).  Run it from the build root (_build/default), as the
+   @sentinel alias does: the include paths recorded in the cmts, which
+   R1 needs to rebuild each use site's typing environment, are relative
+   to it.  --src names the source trees scanned for suppression
+   comments and the S4 stale-suppression audit (default: lib bin bench).
 
    Prints the S1 worker-closure report, then one
    [file:line:col [rule] message] line per finding, and exits non-zero
-   when any remain unsuppressed.  Rule catalog S1-S4: DESIGN.md
-   §"klotski-sentinel". *)
+   when any remain unsuppressed.  Rule catalog R1-R5 and S1-S4:
+   DESIGN.md section 7. *)
 
 let () =
   let rec parse_args srcs roots = function
@@ -21,11 +22,12 @@ let () =
     | root :: rest -> parse_args srcs (root :: roots) rest
   in
   let srcs, roots = parse_args [] [] (List.tl (Array.to_list Sys.argv)) in
-  let cmt_roots = match roots with [] -> [ "lib" ] | roots -> roots in
+  let default = Sentinel.default_config.Sentinel.source_roots in
+  let cmt_roots = match roots with [] -> default | roots -> roots in
   let config =
     {
       Sentinel.default_config with
-      Sentinel.source_roots = (match srcs with [] -> [ "lib" ] | srcs -> srcs);
+      Sentinel.source_roots = (match srcs with [] -> default | srcs -> srcs);
     }
   in
   let report = Sentinel.analyze ~config ~cmt_roots () in

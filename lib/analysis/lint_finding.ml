@@ -5,7 +5,9 @@ type t = {
   file : string;
   line : int;
   col : int;
-  rule : string;  (* "R1".."R5", or "lint" for analyzer/suppression issues *)
+  rule : string;
+      (* "R1".."R5", "S1".."S4", or "lint"/"sentinel" for malformed
+         directives and annotations, unreadable cmts *)
   message : string;
 }
 

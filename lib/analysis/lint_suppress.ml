@@ -29,9 +29,9 @@ let find_sub s sub =
   in
   go 0
 
-(* R-rules belong to klotski-lint, S-rules to klotski-sentinel; both
-   tools share the directive syntax, each silences only its own rules,
-   and sentinel's S4 audits directives that silence nothing. *)
+(* The rule ids of klotski-sentinel's catalog (R-rules per site,
+   S-rules over the call graph); its S4 audits directives that silence
+   nothing. *)
 let known_rules = [ "R1"; "R2"; "R3"; "R4"; "R5"; "S1"; "S2"; "S3"; "S4" ]
 
 let drop s k = String.trim (String.sub s k (String.length s - k))
@@ -104,11 +104,6 @@ let scan ~file text =
 
 (* A directive covers its own line and the next one, so it can trail the
    offending expression or sit on its own line above it. *)
-let suppressed t (f : Lint_finding.t) =
-  List.exists
-    (fun d ->
-      (d.line = f.line || d.line + 1 = f.line)
-      && List.exists (String.equal f.rule) d.rules)
-    t.directives
-
-let problems t = t.problems
+let covers d (f : Lint_finding.t) =
+  (d.line = f.line || d.line + 1 = f.line)
+  && List.exists (String.equal f.rule) d.rules

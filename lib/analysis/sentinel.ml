@@ -1,8 +1,8 @@
 (* Driver for klotski-sentinel: load [.cmt] typedtrees, build the call
-   graph, solve the effect lattice over SCCs, run S1–S4, apply
-   suppression comments, and audit the suppressions themselves.
-   Printing is left to the caller ([bin/klotski_sentinel]): nothing in
-   [lib/] writes to the console. *)
+   graph, solve the effect lattice over SCCs, run S1–S4 and the site
+   rules R1–R5, apply suppression comments, and audit the suppressions
+   themselves.  Printing is left to the caller ([bin/klotski_sentinel]):
+   nothing in [lib/] writes to the console. *)
 
 module G = Sentinel_callgraph
 
@@ -10,9 +10,9 @@ type config = {
   s1_roots : string list;  (* worker entry points for the race closure *)
   s3_roots : string list;  (* key-feeding functions that must stay deterministic *)
   source_roots : string list;
-      (* source trees scanned for suppression comments; the lint pass
-         also runs over them so stale R-rule suppressions surface under
-         S4.  Empty = skip both. *)
+      (* source trees scanned for suppression comments: malformed and
+         stale directives there are findings.  Empty = scan only the
+         files findings land in. *)
 }
 
 let default_config =
@@ -23,7 +23,7 @@ let default_config =
         "Cache.key_of"; "Ensemble.hash_of"; "Ensemble.id"; "Vec_key.hash";
         "Vec_key.equal"; "Vec_key.compare";
       ];
-    source_roots = [ "lib" ];
+    source_roots = [ "lib"; "bin"; "bench" ];
   }
 
 type report = {
@@ -32,19 +32,29 @@ type report = {
   def_count : int;
   closure_roots : string list;
   closure_units : string list;  (* display names, sorted *)
-  audited : (string * string * int * string option) list;
+  audited : (string * string * int * string) list;
       (* display, file, line, reason of each in-closure annotation *)
 }
 
-let s_rules = [ "S1"; "S2"; "S3"; "S4" ]
-let r_rules = [ "R1"; "R2"; "R3"; "R4"; "R5" ]
-let mem s l = List.exists (String.equal s) l
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
 
-(* Same coverage contract as [Lint_suppress.suppressed]: a directive
-   silences findings on its own line and the next. *)
-let covers (d : Lint_suppress.directive) (f : Lint_finding.t) =
-  d.Lint_suppress.line = f.Lint_finding.line
-  || d.Lint_suppress.line + 1 = f.Lint_finding.line
+(* Deterministic recursive [.ml] collection ([_build] and dot-directories
+   excluded), so the report order never depends on readdir order. *)
+let rec collect_sources acc path =
+  if Sys.file_exists path && Sys.is_directory path then
+    Array.to_list (Sys.readdir path)
+    |> List.sort String.compare
+    |> List.fold_left
+         (fun acc name ->
+           if String.equal name "_build" || Char.equal name.[0] '.' then acc
+           else collect_sources acc (Filename.concat path name))
+         acc
+  else if Filename.check_suffix path ".ml" then path :: acc
+  else acc
 
 let analyze ?(config = default_config) ~cmt_roots () =
   let units, problems = Sentinel_cmt.load ~roots:cmt_roots in
@@ -70,12 +80,13 @@ let analyze ?(config = default_config) ~cmt_roots () =
     @ Sentinel_rules.s3 graph effects ~roots:config.s3_roots
     @ Sentinel_rules.s4_annotations graph
     @ List.map (Sentinel_rules.missing_root ~rule:"S1") missing1
+    @ List.concat_map (Sentinel_sites.check graph) units
   in
   (* Suppression comments live in sources, which the analyzer does not
      otherwise read; scan the configured trees plus any finding's own
      file. *)
   let files =
-    List.fold_left Lint.collect [] config.source_roots
+    List.fold_left collect_sources [] config.source_roots
     @ List.filter_map
         (fun (f : Lint_finding.t) ->
           if Sys.file_exists f.Lint_finding.file then
@@ -85,71 +96,43 @@ let analyze ?(config = default_config) ~cmt_roots () =
     |> List.sort_uniq String.compare
   in
   let sups =
-    List.map
-      (fun file -> (file, Lint_suppress.scan ~file (Lint.read_file file)))
-      files
+    List.map (fun file -> (file, Lint_suppress.scan ~file (read_file file))) files
   in
-  let suppressed (f : Lint_finding.t) =
-    List.exists
-      (fun (file, sup) ->
-        String.equal file f.Lint_finding.file
-        && List.exists
-             (fun (d : Lint_suppress.directive) ->
-               covers d f && mem f.Lint_finding.rule d.Lint_suppress.rules)
-             sup.Lint_suppress.directives)
-      sups
+  let covered_by file (d : Lint_suppress.directive) (f : Lint_finding.t) =
+    String.equal file f.Lint_finding.file && Lint_suppress.covers d f
   in
-  let kept = List.filter (fun f -> not (suppressed f)) raw in
-  (* S4, suppression half: a directive is stale when every rule it lists
-     matches nothing — its S-rules against sentinel's raw findings, its
-     R-rules against the lint pass over the same sources. *)
-  let lint_unused =
-    match config.source_roots with
-    | [] -> []
-    | roots -> snd (Lint.run_report ~roots ())
+  let kept =
+    List.filter
+      (fun f ->
+        not
+          (List.exists
+             (fun (file, sup) ->
+               List.exists (fun d -> covered_by file d f) sup.Lint_suppress.directives)
+             sups))
+      raw
   in
+  (* S4, suppression half: a directive is stale when none of the rules
+     it lists has a raw finding on its line or the next. *)
   let stale =
     List.concat_map
       (fun (file, sup) ->
         List.filter_map
           (fun (d : Lint_suppress.directive) ->
-            let ss = List.filter (fun r -> mem r s_rules) d.Lint_suppress.rules in
-            let rr = List.filter (fun r -> mem r r_rules) d.Lint_suppress.rules in
-            let s_stale =
-              match ss with
-              | [] -> true
-              | _ ->
-                  not
-                    (List.exists
-                       (fun (f : Lint_finding.t) ->
-                         String.equal f.Lint_finding.file file
-                         && covers d f
-                         && mem f.Lint_finding.rule ss)
-                       raw)
-            in
-            let r_stale =
-              match rr with
-              | [] -> true
-              | _ ->
-                  List.exists
-                    (fun (uf, (ud : Lint_suppress.directive)) ->
-                      String.equal uf file && ud.Lint_suppress.line = d.Lint_suppress.line)
-                    lint_unused
-            in
-            if s_stale && r_stale then
+            if List.exists (covered_by file d) raw then None
+            else
               Some
                 (Lint_finding.v ~file ~line:d.Lint_suppress.line
                    ~col:d.Lint_suppress.col ~rule:"S4"
                    (Printf.sprintf
                       "stale suppression (allow %s): no finding on this or \
                        the next line — delete it"
-                      (String.concat " " d.Lint_suppress.rules)))
-            else None)
+                      (String.concat " " d.Lint_suppress.rules))))
           sup.Lint_suppress.directives)
       sups
   in
+  let malformed = List.concat_map (fun (_, sup) -> sup.Lint_suppress.problems) sups in
   {
-    findings = List.sort Lint_finding.order (problems @ kept @ stale);
+    findings = List.sort Lint_finding.order (problems @ kept @ stale @ malformed);
     unit_count = List.length units;
     def_count = List.length vis;
     closure_roots = config.s1_roots;
@@ -181,6 +164,5 @@ let render_summary r =
       "audited [@@klotski.domain_safe] state in the closure:"
       :: List.map
            (fun (display, file, line, reason) ->
-             Printf.sprintf "  %s (%s:%d)%s" display file line
-               (match reason with Some why -> " — " ^ why | None -> ""))
+             Printf.sprintf "  %s (%s:%d) — %s" display file line reason)
            audited

@@ -72,7 +72,7 @@ type def = {
   def_loc : Location.t;
   domain_safe : (Location.t * string option) option;  (* annotation, reason *)
   mutable_init : (Location.t * string) option;
-      (* module-load-time mutable allocation in the RHS, as lint R2 sees it *)
+      (* module-load-time mutable allocation in the RHS (the R2 trigger) *)
   expr : expression;
   mutable locks : bool;  (* takes a Mutex somewhere: direct writes are guarded *)
   mutable events : event list;
@@ -322,13 +322,34 @@ let create () =
     uenvs = Hashtbl.create 64;
   }
 
+(* [[@@klotski.domain_safe "reason"]]: the annotation and its reason
+   string, [None] when the payload is not a non-blank string.  Only a
+   reasoned annotation vouches for anything. *)
 let domain_safe_attr attrs =
   List.fold_left
     (fun acc (a : Parsetree.attribute) ->
-      if String.equal a.attr_name.txt Lint_rules.domain_safe_name then
-        Some (a.attr_loc, Lint_rules.attr_reason a)
+      if String.equal a.attr_name.txt "klotski.domain_safe" then
+        let reason =
+          match a.attr_payload with
+          | Parsetree.PStr
+              [
+                {
+                  pstr_desc =
+                    Pstr_eval
+                      ( { pexp_desc = Pexp_constant (Pconst_string (s, _, _)); _ },
+                        _ );
+                  _;
+                };
+              ]
+            when not (String.equal (String.trim s) "") ->
+              Some s
+          | _ -> None
+        in
+        Some (a.attr_loc, reason)
       else acc)
     None attrs
+
+let reasoned = function Some (_, Some _) -> true | _ -> false
 
 let rec unwrap_mod me =
   match me.mod_desc with
@@ -338,8 +359,7 @@ let rec unwrap_mod me =
 exception Found_mut of Location.t * string
 
 (* First mutable allocation evaluated at module-initialization time
-   (function and lazy bodies run later), mirroring lint R2's untyped
-   scan but over resolved paths. *)
+   (function and lazy bodies run later), over resolved paths. *)
 let find_mutable_init t uenv e =
   let scope = Hashtbl.create 1 in
   let it =

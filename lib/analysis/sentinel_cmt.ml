@@ -1,45 +1,57 @@
-(* Stage-one input for klotski-sentinel: compiler-generated [.cmt]
-   typedtrees.  Dune always compiles with [-bin-annot], so every library
-   module under [_build] carries its typed AST; loading those instead of
-   re-parsing sources gives the analyzer [Path]-resolved identifiers —
-   aliases, [open]s and functor applications are already resolved by the
-   type checker, which is exactly what the syntactic klotski-lint pass
-   cannot see. *)
+(* Input for klotski-sentinel: compiler-generated [.cmt] typedtrees.
+   Dune always compiles with [-bin-annot], so every module under
+   [_build] carries its typed AST; loading those instead of re-parsing
+   sources gives the analyzer [Path]-resolved identifiers and the type
+   at every use site — aliases, [open]s and functor applications are
+   already resolved by the type checker. *)
 
 type unit_info = {
   unit_name : string;  (* compilation unit, e.g. "Cache", "Kutil__Bitset" *)
   source : string;  (* source path as recorded by the compiler *)
+  library : bool;  (* compiled into a library ([.objs]), not an executable *)
+  loadpath : string list;
+      (* the compiler's include path, relative to the build root: rebuilds
+         the typing environment at a use site *)
   str : Typedtree.structure;
 }
 
 let has_suffix suf path = Filename.check_suffix path suf
 
-(* Deterministic recursive [.cmt] collection.  Unlike the source scan in
-   [Lint], dot-directories are included: dune hides object directories
-   under [.libname.objs].  Executable object dirs ([.x.eobjs]) are
-   skipped — their units are mangled [Dune__exe] wrappers and the rules
-   only concern library code. *)
+(* Deterministic recursive [.cmt] collection.  Dot-directories are
+   included: dune hides object directories under [.libname.objs]
+   (libraries) and [.exename.eobjs] (executables), and both are
+   analyzed — bin/ and bench/ are covered like lib/. *)
 let rec collect acc path =
   if Sys.file_exists path && Sys.is_directory path then
-    if has_suffix ".eobjs" path then acc
-    else
-      Array.to_list (Sys.readdir path)
-      |> List.sort String.compare
-      |> List.fold_left (fun acc name -> collect acc (Filename.concat path name)) acc
+    Array.to_list (Sys.readdir path)
+    |> List.sort String.compare
+    |> List.fold_left (fun acc name -> collect acc (Filename.concat path name)) acc
   else if has_suffix ".cmt" path then path :: acc
   else acc
+
+let in_library path =
+  List.exists (has_suffix ".objs") (String.split_on_char '/' path)
 
 let load_file path =
   match Cmt_format.read_cmt path with
   | { Cmt_format.cmt_annots = Cmt_format.Implementation str;
       cmt_modname;
       cmt_sourcefile;
+      cmt_loadpath;
       _;
     } ->
       let source =
         match cmt_sourcefile with Some s -> s | None -> path
       in
-      Ok (Some { unit_name = cmt_modname; source; str })
+      Ok
+        (Some
+           {
+             unit_name = cmt_modname;
+             source;
+             library = in_library path;
+             loadpath = cmt_loadpath;
+             str;
+           })
   | _ -> Ok None  (* interface or partial cmt: nothing to analyze *)
   | exception exn ->
       Error
@@ -48,8 +60,9 @@ let load_file path =
 
 (* [load ~roots] returns every implementation typedtree under the roots,
    sorted by unit name, plus loader problems as findings.  Duplicate unit
-   names (the same library built for byte and native) keep the first
-   occurrence in path order. *)
+   names (the same library built for byte and native, or the empty
+   [Dune__exe] alias unit of each executable) keep the first occurrence
+   in path order. *)
 let load ~roots =
   let files =
     List.fold_left collect [] roots |> List.sort_uniq String.compare

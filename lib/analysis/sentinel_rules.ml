@@ -1,16 +1,15 @@
-(* The klotski-sentinel rule catalog, over the typed call graph
-   ([Sentinel_callgraph]) and solved effect lattice ([Sentinel_effect]).
-   Each rule is the interprocedural, [Path]-resolved counterpart of an
-   invariant klotski-lint can only approximate syntactically:
+(* The graph rules of klotski-sentinel, over the typed call graph
+   ([Sentinel_callgraph]) and solved effect lattice ([Sentinel_effect]);
+   the site rules R1–R5 are [Sentinel_sites].
 
    S1  no unguarded write to module-level (domain-shared) mutable state
        anywhere in the closure reachable from the worker entry points
        ([Sat_engine.check]/[check_batch], [Domain_pool.map]) — unless
-       the written state carries an audited [[@@klotski.domain_safe]].
+       the written state carries an audited [[@@klotski.domain_safe
+       "reason"]].  An annotation without a reason audits nothing.
    S2  no float accumulation inside hash-order container traversals
        ([Hashtbl.fold]/[iter] and functor instances), including named
-       callbacks whose *solved* effect does float arithmetic — the
-       interprocedural generalization of lint R3.
+       callbacks whose *solved* effect does float arithmetic.
    S3  every function feeding cache keys and ensemble ids lies in the
        deterministic fragment of the lattice (its solved effect has no
        nondeterminism).
@@ -96,14 +95,14 @@ let s1_closure g ~roots =
 let s1 g entries =
   List.concat_map
     (fun { def = d; via } ->
-      if d.G.locks || Option.is_some d.G.domain_safe then []
+      if d.G.locks || G.reasoned d.G.domain_safe then []
       else
         List.filter_map
           (function
             | G.Write_shared { loc; target; kind; guarded = false } ->
                 let audited =
                   match G.find_def g target with
-                  | Some td -> Option.is_some td.G.domain_safe
+                  | Some td -> G.reasoned td.G.domain_safe
                   | None -> false
                 in
                 if audited then None
@@ -119,7 +118,7 @@ let s1 g entries =
           d.G.events)
     entries
 
-(* Audited shared state visible to the closure: every
+(* Audited shared state visible to the closure: every reasoned
    [[@@klotski.domain_safe]] binding in a unit the closure touches.
    Rendered in the report so the audit surface is explicit. *)
 let audited g entries =
@@ -130,7 +129,7 @@ let audited g entries =
   List.filter_map
     (fun (d : G.def) ->
       match d.G.domain_safe with
-      | Some (aloc, reason) when Hashtbl.mem units d.G.unit_name ->
+      | Some (aloc, Some reason) when Hashtbl.mem units d.G.unit_name ->
           Some (d, aloc, reason)
       | _ -> None)
     (visible g)

@@ -177,7 +177,7 @@ let run ?(config = default_config) ~prng ~forecast (task : Task.t)
             executed := !executed @ [ block ];
             rest := tail;
             emit (Step_completed { week = !week; block; label });
-            if tail = [] then finished := true
+            if List.is_empty tail then finished := true
           end
     done;
     incr week

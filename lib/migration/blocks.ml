@@ -32,7 +32,7 @@ let split_into k xs =
         let slice, rest = grab len [] rest in
         take (i + 1) (slice :: acc) rest
     in
-    List.filter (fun slice -> slice <> []) (take 0 [] xs)
+    List.filter (fun slice -> not (List.is_empty slice)) (take 0 [] xs)
   end
 
 (* Merge consecutive groups [m] at a time. *)
@@ -74,7 +74,7 @@ let interleave lists =
           match l with [] -> (hs, ts) | h :: t -> (h :: hs, t :: ts))
         lists ([], [])
     in
-    if heads = [] then List.rev acc
+    if List.is_empty heads then List.rev acc
     else loop (List.rev_append heads acc) tails
   in
   loop [] lists
@@ -345,7 +345,9 @@ let symmetry_granularity (sc : Gen.scenario) =
 let validate topo blocks =
   let seen_sw = Hashtbl.create 64 and seen_ci = Hashtbl.create 64 in
   let error = ref None in
-  let fail fmt = Printf.ksprintf (fun s -> if !error = None then error := Some s) fmt in
+  let fail fmt =
+    Printf.ksprintf (fun s -> if Option.is_none !error then error := Some s) fmt
+  in
   List.iter
     (fun b ->
       let active_expected = Action.initial_active b.action in

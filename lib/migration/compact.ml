@@ -13,7 +13,7 @@ let pred v i =
   v'.(i) <- v'.(i) - 1;
   v'
 
-let is_target v ~counts =
+let is_target (v : t) ~(counts : int array) =
   let n = Array.length v in
   let rec loop i = i >= n || (v.(i) = counts.(i) && loop (i + 1)) in
   loop 0

@@ -305,7 +305,7 @@ let set_block ck (b : Blocks.t) ~applied =
 
 let power_ok ck = ck.power_violations = 0
 
-let words_equal a b =
+let words_equal (a : int array) (b : int array) =
   let n = Array.length a in
   let rec go i = i >= n || (a.(i) = b.(i) && go (i + 1)) in
   go 0

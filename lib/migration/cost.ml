@@ -55,7 +55,7 @@ let runs seq =
     | [] -> List.rev acc
     | a :: rest -> (
         match acc with
-        | (b, k) :: tl when b = a -> loop ((b, k + 1) :: tl) rest
+        | (b, k) :: tl when Int.equal b a -> loop ((b, k + 1) :: tl) rest
         | _ -> loop ((a, 1) :: acc) rest)
   in
   loop [] seq

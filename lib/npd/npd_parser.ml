@@ -4,9 +4,19 @@ exception Parse_error of string * position
 
 let fail pos fmt = Printf.ksprintf (fun msg -> raise (Parse_error (msg, pos))) fmt
 
+let token_equal a b =
+  match (a, b) with
+  | Ident x, Ident y | String_lit x, String_lit y -> String.equal x y
+  | Int_lit x, Int_lit y -> x = y
+  | Float_lit x, Float_lit y -> Float.equal x y
+  | Lbrace, Lbrace | Rbrace, Rbrace | Equals, Equals | Eof, Eof -> true
+  | (Ident _ | Int_lit _ | Float_lit _ | String_lit _ | Lbrace | Rbrace
+    | Equals | Eof), _ ->
+      false
+
 let expect lx expected =
   let token, pos = next lx in
-  if token <> expected then
+  if not (token_equal token expected) then
     fail pos "expected %s, found %s" (token_to_string expected)
       (token_to_string token)
 

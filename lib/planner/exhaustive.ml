@@ -2,8 +2,12 @@ let name = "Klotski w/o A*"
 
 let plan ?(config = Planner.default_config) ?(bound = `Cost_only) task =
   Search.run ~name config task @@ fun s task ->
-  let prune = bound <> `None in
-  let heuristic_bound = bound = `Heuristic in
+  let prune, heuristic_bound =
+    match bound with
+    | `None -> (false, false)
+    | `Cost_only -> (true, false)
+    | `Heuristic -> (true, true)
+  in
   let engine = Search.engine s in
   let n_types = Action.Set.cardinal task.Task.actions in
   let counts = task.Task.counts in

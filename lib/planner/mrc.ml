@@ -38,7 +38,7 @@ let plan ?(config = Planner.default_config) task =
         end
       done;
       (* A dead end: every remaining block violates a constraint. *)
-      if !best < 0 || !best_residual = neg_infinity then raise Exit;
+      if !best < 0 || Float.equal !best_residual neg_infinity then raise Exit;
       Constraint.apply_block checker !best;
       remaining.(!best) <- false;
       order := !best :: !order;

@@ -131,7 +131,7 @@ let check_connectivity (sc : Gen.scenario) topo ~label acc =
   let unreachable_ebbs =
     List.filter (fun e -> not (Kutil.Bitset.mem reachable e)) l.Gen.ebbs
   in
-  if unreachable_ebbs <> [] then
+  if not (List.is_empty unreachable_ebbs) then
     {
       severity = `Error;
       subject = label;
@@ -147,7 +147,7 @@ let check_scopes (sc : Gen.scenario) acc =
   let undrains = sc.Gen.undrain_switches in
   let overlap = List.filter (fun s -> List.mem s undrains) drains in
   let acc =
-    if overlap <> [] then
+    if not (List.is_empty overlap) then
       {
         severity = `Error;
         subject = "migration scope";
@@ -160,13 +160,16 @@ let check_scopes (sc : Gen.scenario) acc =
   in
   let empty =
     match sc.Gen.kind with
-    | Gen.Hgrid_v1_to_v2 | Gen.Ssw_forklift -> drains = [] || undrains = []
-    | Gen.Dmag -> undrains = [] || sc.Gen.drain_circuit_groups = []
-    | Gen.Ocs_rewire -> drains = [] || sc.Gen.rewire_groups = []
+    | Gen.Hgrid_v1_to_v2 | Gen.Ssw_forklift ->
+        List.is_empty drains || List.is_empty undrains
+    | Gen.Dmag ->
+        List.is_empty undrains || List.is_empty sc.Gen.drain_circuit_groups
+    | Gen.Ocs_rewire ->
+        List.is_empty drains || List.is_empty sc.Gen.rewire_groups
     | Gen.Ocs_swap ->
-        drains = []
-        || sc.Gen.drain_circuit_groups = []
-        || sc.Gen.undrain_circuit_groups = []
+        List.is_empty drains
+        || List.is_empty sc.Gen.drain_circuit_groups
+        || List.is_empty sc.Gen.undrain_circuit_groups
   in
   if empty then
     {

@@ -57,4 +57,7 @@ let pp fmt s =
   Format.fprintf fmt "%s(%s g%d dc%d)" s.name (role_to_string s.role)
     s.generation s.dc
 
-let equal (a : t) (b : t) = a = b
+let equal (a : t) (b : t) =
+  a.id = b.id && String.equal a.name b.name && a.role = b.role
+  && a.generation = b.generation && a.dc = b.dc && a.pod = b.pod
+  && a.plane = b.plane && a.index = b.index && a.max_ports = b.max_ports

@@ -388,8 +388,10 @@ let load_sources sc c ~scale =
     sc.vol.(s) <- sc.vol.(s) +. (v *. scale)
   done
 
+let is_weighted = function `Capacity_weighted -> true | `Equal -> false
+
 let evaluate ?(scale = 1.0) ?(split = `Equal) ?(aux = [||]) topo sc c ~loads =
-  let weighted = split = `Capacity_weighted in
+  let weighted = is_weighted split in
   ensure_stages sc c;
   useful_sweep topo sc c sc.useful;
   load_sources sc c ~scale;
@@ -487,7 +489,7 @@ let forward_record ~weighted ~from_ ~aux topo sc st ~loads =
 
 let evaluate_rebuild ?(scale = 1.0) ?(split = `Equal) ?(aux = [||]) topo sc st
     ~loads =
-  let weighted = split = `Capacity_weighted in
+  let weighted = is_weighted split in
   ensure_stages sc st.ic;
   useful_sweep topo sc st.ic st.usnap;
   load_sources sc st.ic ~scale;
@@ -502,7 +504,7 @@ let evaluate_patch ?(scale = 1.0) ?(split = `Equal) ?(aux = [||]) topo sc st
     ~dirty ~loads ~mark =
   if not st.valid then
     invalid_arg "Ecmp.evaluate_patch: no previous evaluation to patch";
-  let weighted = split = `Capacity_weighted in
+  let weighted = is_weighted split in
   let c = st.ic in
   let n_stages = Array.length c.stages in
   ensure_stages sc c;

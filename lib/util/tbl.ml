@@ -5,7 +5,7 @@
    polymorphic hash on boxed keys — nothing the reader of the call site
    can see.  Any float accumulation or user-visible sequence built that
    way is order-sensitive, which is exactly what the incremental
-   checker's bit-identity contract (and lint rule R3) forbids.  These
+   checker's bit-identity contract (and sentinel rule S2) forbids.  These
    helpers sort the keys first, so traversal order is a pure function
    of the table's contents.
 

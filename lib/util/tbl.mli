@@ -1,7 +1,7 @@
 (** Deterministic [Hashtbl] traversal: visit bindings in sorted-key
     order instead of hash-layout order, so outputs and float
     accumulations built from a table are a pure function of its
-    contents (lint rule R3).  Tables are expected to hold one binding
+    contents (sentinel rule S2).  Tables are expected to hold one binding
     per key ([Hashtbl.replace] discipline); with [Hashtbl.add]
     duplicates only the most recent binding per key is visited. *)
 

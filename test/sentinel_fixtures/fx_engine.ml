@@ -15,6 +15,7 @@ let suppressed_write v =
 
 let check v =
   Fx_state.total := !Fx_state.total + v;
+  Fx_state.bare := v;
   guarded_bump ();
   audited_write v;
   suppressed_write v;

@@ -7,11 +7,11 @@
 
    The working directory moves up to the build root first: source
    paths recorded in the cmts ("test/sentinel_fixtures/...") must
-   resolve on disk for suppression-comment scanning.
+   resolve on disk for suppression-comment scanning, and so must the
+   include paths R1 rebuilds each use site's typing environment from.
 
-   A separate binary from [test_main] for the same reason as
-   [test_lint]: compiler-libs' [Switch] unit clashes with the topology
-   library's. *)
+   A separate binary from [test_main]: compiler-libs' [Switch] unit
+   clashes with the topology library's. *)
 
 let () = Sys.chdir Filename.parent_dir_name
 
@@ -60,7 +60,19 @@ let fixtures =
     "fx_cache.ml";
     "fx_dead.ml";
     "fx_rewire.ml";
+    "r1_compare.ml";
+    "r2_state.ml";
+    "r3_float.ml";
+    "r4_nondet.ml";
+    "r5_print.ml";
+    "suppress_ok.ml";
+    "suppress_missing_reason.ml";
   ]
+
+let suppression_is_clean () =
+  Alcotest.(check (list string))
+    "reasoned allow directives silence every finding" []
+    (findings_for "suppress_ok.ml")
 
 (* A typo'd root would silently empty the closure; the analyzer reports
    unresolved roots as findings under a synthetic file. *)
@@ -80,11 +92,15 @@ let closure_covers_workers () =
 
 let audited_listed () =
   let r = Lazy.force report in
+  let listed name =
+    List.exists (fun (display, _, _, _) -> String.equal display name) r.Sentinel.audited
+  in
   Alcotest.(check bool)
     "audited annotation surfaces in the closure report" true
-    (List.exists
-       (fun (display, _, _, _) -> String.equal display "Fx_state.audited")
-       r.Sentinel.audited)
+    (listed "Fx_state.audited");
+  Alcotest.(check bool)
+    "an annotation without a reason audits nothing" false
+    (listed "Fx_state.bare")
 
 let suite =
   ( "sentinel",
@@ -94,6 +110,8 @@ let suite =
         Alcotest.test_case "closure covers worker modules" `Quick
           closure_covers_workers;
         Alcotest.test_case "audited state listed" `Quick audited_listed;
+        Alcotest.test_case "reasoned suppressions lint clean" `Quick
+          suppression_is_clean;
       ] )
 
 let () = Alcotest.run "klotski-sentinel" [ suite ]
