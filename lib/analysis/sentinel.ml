@@ -23,7 +23,7 @@ let default_config =
         "Cache.key_of"; "Ensemble.hash_of"; "Ensemble.id"; "Vec_key.hash";
         "Vec_key.equal"; "Vec_key.compare";
       ];
-    source_roots = [ "lib"; "bin"; "bench" ];
+    source_roots = [ "lib"; "bin"; "bench"; "perfbench" ];
   }
 
 type report = {

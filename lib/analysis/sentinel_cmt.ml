@@ -20,7 +20,7 @@ let has_suffix suf path = Filename.check_suffix path suf
 (* Deterministic recursive [.cmt] collection.  Dot-directories are
    included: dune hides object directories under [.libname.objs]
    (libraries) and [.exename.eobjs] (executables), and both are
-   analyzed — bin/ and bench/ are covered like lib/. *)
+   analyzed — bin/, bench/ and perfbench/ are covered like lib/. *)
 let rec collect acc path =
   if Sys.file_exists path && Sys.is_directory path then
     Array.to_list (Sys.readdir path)

@@ -9,7 +9,8 @@
        and the [Hashtbl.hash] family at a type the compiler does not
        specialise: the generic runtime walks the whole value, orders
        NaN and [-0.] surprisingly, and changes its answer when a type
-       gains a field.
+       gains a field.  [=]/[<>] against a constant constructor is an
+       immediate test and passes.
    R2  every module-level mutable allocation in a library unit, nested
        modules and functor arguments included, carries
        [[@@klotski.domain_safe "reason"]]: every domain shares it.
@@ -88,6 +89,17 @@ let r1_verdict (e : expression) op i =
                or give the argument a base type"
               op Printtyp.type_expr ty )
 
+(* Translprim's [has_constant_constructor] case: [=] or [<>] applied to
+   two arguments, one of them a constant constructor or an argument-less
+   polymorphic variant, compiles to an immediate [==]/[!=] whatever the
+   type.  [<], [compare] and the rest have no such case. *)
+let constant_arg (e : expression) =
+  match e.exp_desc with
+  | Texp_construct (_, { cstr_tag = Cstr_constant _; _ }, _)
+  | Texp_variant (_, None) ->
+      true
+  | _ -> false
+
 let has_any_suffix file = List.exists (fun s -> Filename.check_suffix file s)
 
 let check g (u : Sentinel_cmt.unit_info) =
@@ -145,18 +157,31 @@ let check g (u : Sentinel_cmt.unit_info) =
                     Klog or Table_fmt"
                    f))
   in
+  let comps_of (p : Path.t) =
+    match G.resolve_value g uenv scope p with
+    | G.Global gid -> Some (G.comps_of_global gid)
+    | G.Local _ | G.Unresolved -> None
+  in
+  let immediate_test (f : expression) args =
+    match (f.exp_desc, args) with
+    | Texp_ident (p, _, _), [ (_, Some a); (_, Some b) ]
+      when constant_arg a || constant_arg b -> (
+        match comps_of p with Some [ ("=" | "<>") ] -> true | _ -> false)
+    | _ -> false
+  in
   let it =
     {
       Tast_iterator.default_iterator with
       expr =
         (fun it e ->
-          (match e.exp_desc with
-          | Texp_ident (p, _, _) -> (
-              match G.resolve_value g uenv scope p with
-              | G.Global gid -> site e (G.comps_of_global gid)
-              | G.Local _ | G.Unresolved -> ())
-          | _ -> ());
-          Tast_iterator.default_iterator.expr it e);
+          match e.exp_desc with
+          | Texp_apply (f, args) when immediate_test f args ->
+              (* [f] is no site: walk the arguments only. *)
+              List.iter (fun (_, a) -> Option.iter (it.expr it) a) args
+          | Texp_ident (p, _, _) ->
+              Option.iter (site e) (comps_of p);
+              Tast_iterator.default_iterator.expr it e
+          | _ -> Tast_iterator.default_iterator.expr it e);
       module_binding =
         (fun it mb ->
           (* Aliases the call graph did not register (inside functor

@@ -1,13 +1,11 @@
-module Bitset = Kutil.Bitset
-
 (* Incremental satisfiability state.  Between adjacent topology states the
    checker patches rather than recomputes: toggled blocks are queued by
    [set_block], the task's dependency index maps them to the affected
    demand classes (with a dirty-stage mask each), and only those classes
    are delta-evaluated (Ecmp.evaluate_patch) — the rest keep their load
-   contributions verbatim.  Utilization is then rechecked only on the
-   circuits whose load or usability changed.  When the queued delta is
-   not local enough to pay off, everything falls back to a full rebuild. *)
+   contributions verbatim.  Utilization is then one θ scan over the
+   patched loads, as on the full path.  When the queued delta is not
+   local enough to pay off, everything falls back to a full rebuild. *)
 type inc = {
   classes : Ecmp.inc array;  (* per compiled class *)
   mutable total_stuck : float;
@@ -16,13 +14,6 @@ type inc = {
   mutable pending : int array;
   mutable pending_len : int;
   masks : int array;  (* per class: union dirty-stage mask, scratch *)
-  (* utilization violations, maintained incrementally *)
-  bad : Bytes.t;
-  mutable n_bad : int;
-  (* circuits whose load or usability changed in the current patch *)
-  dirty : Bitset.t;
-  mutable dirty_list : int array;
-  mutable dirty_len : int;
   (* candidate-count cost model for the fallback decision *)
   suffix_cost : float array array;  (* class -> stage -> candidates from stage on *)
   full_cost : float;
@@ -31,12 +22,11 @@ type inc = {
 
 (* Ensemble evaluation state: one auxiliary load vector per extra matrix
    (matrix 0 rides on the base loads), per-class prebuilt (loads, factor)
-   deposit arrays handed straight to Ecmp, and per-matrix stuck volume
-   and θ-violation tracking.  Flow is linear in class volume, so one
-   ECMP traversal fills every matrix's loads, and a class's stuck volume
-   under matrix m is its base stuck times the class factor.  Allocated
-   only when the task carries an ensemble with k > 1 — the k = 1 path
-   never touches any of this. *)
+   deposit arrays handed straight to Ecmp, and per-matrix stuck volume.
+   Flow is linear in class volume, so one ECMP traversal fills every
+   matrix's loads, and a class's stuck volume under matrix m is its base
+   stuck times the class factor.  Allocated only when the task carries an
+   ensemble with k > 1 — the k = 1 path never touches any of this. *)
 type ens = {
   xaux : (float array * float) array array;
       (* class -> extra matrix -> (that matrix's loads, class factor):
@@ -44,9 +34,6 @@ type ens = {
   xloads : float array array;  (* extra matrix -> per-circuit loads *)
   xstuck : float array;  (* extra matrix -> stuck volume *)
   need : int;  (* ⌈q·k⌉: matrices a state must be safe under *)
-  (* per-matrix θ violations, maintained with the shared dirty set *)
-  xbad : Bytes.t array;
-  xn_bad : int array;
 }
 
 (* Demand-evaluation state: the per-circuit loads, the ECMP scratch and
@@ -81,7 +68,7 @@ let patch_interval = 512
 
 (* Fall back to a rebuild when the estimated delta work exceeds this
    fraction of a full evaluation: near the break-even point the patch's
-   bookkeeping (load subtraction, dirty marking) eats the saving, so only
+   bookkeeping (load subtraction, recorded stages) eats the saving, so only
    clearly profitable deltas are worth taking. *)
 let fallback_fraction = 0.5
 
@@ -114,8 +101,8 @@ let cost_model (task : Task.t) =
   (suffix_cost, full_cost)
 
 (* Below this many stage candidates a full evaluation is already so cheap
-   that the delta layer's bookkeeping (pending queues, dirty marking,
-   recorded stages) costs more than it saves. *)
+   that the delta layer's bookkeeping (pending queues, recorded stages)
+   costs more than it saves. *)
 let min_full_cost = 1024.0
 
 (* Structural profitability of the delta layer for this task: the mean
@@ -150,7 +137,6 @@ let delta_profitable (task : Task.t) =
 
 let make_inc (task : Task.t) =
   let u = Task.universe task in
-  let n_circuits = Universe.n_circuits u in
   let suffix_cost, full_cost = cost_model task in
   {
     classes = Array.map (fun (c, _) -> Ecmp.make_inc u c) task.Task.compiled;
@@ -159,11 +145,6 @@ let make_inc (task : Task.t) =
     pending = Array.make 64 0;
     pending_len = 0;
     masks = Array.make (Array.length task.Task.compiled) 0;
-    bad = Bytes.make n_circuits '\000';
-    n_bad = 0;
-    dirty = Bitset.create n_circuits;
-    dirty_list = Array.make 256 0;
-    dirty_len = 0;
     suffix_cost;
     full_cost;
     patches_left = patch_interval;
@@ -185,8 +166,6 @@ let make_ens (task : Task.t) en =
     xloads;
     xstuck = Array.make kx 0.0;
     need = Ensemble.need en;
-    xbad = Array.init kx (fun _ -> Bytes.make n_circuits '\000');
-    xn_bad = Array.make kx 0;
   }
 
 let eval_state ck =
@@ -438,18 +417,8 @@ let eval_demands_full ck es =
     ck.task.Task.compiled;
   !stuck
 
-let rebuild_bad ck es st =
-  let theta = theta_bound ck in
-  st.n_bad <- Topo.theta_mark ck.topo es.loads ~theta st.bad;
-  match es.ens with
-  | None -> ()
-  | Some x ->
-      for m = 0 to Array.length x.xloads - 1 do
-        x.xn_bad.(m) <- Topo.theta_mark ck.topo x.xloads.(m) ~theta x.xbad.(m)
-      done
-
 (* Full rebuild of the incremental state: loads from zero, per-class
-   recorded stages, utilization flags. *)
+   recorded stages. *)
 let refresh ck es st =
   Array.fill es.loads 0 (Array.length es.loads) 0.0;
   (match es.ens with None -> () | Some x -> ens_clear x);
@@ -476,55 +445,7 @@ let refresh ck es st =
   st.loads_valid <- true;
   st.pending_len <- 0;
   st.patches_left <- patch_interval;
-  rebuild_bad ck es st;
   !stuck
-
-let mark_dirty st j =
-  if not (Bitset.mem st.dirty j) then begin
-    Bitset.add st.dirty j;
-    if st.dirty_len = Array.length st.dirty_list then begin
-      let grown = Array.make (2 * st.dirty_len) 0 in
-      Array.blit st.dirty_list 0 grown 0 st.dirty_len;
-      st.dirty_list <- grown
-    end;
-    st.dirty_list.(st.dirty_len) <- j;
-    st.dirty_len <- st.dirty_len + 1
-  end
-
-(* Usability may have flipped on the pending blocks' own circuits and on
-   every circuit incident to their switches: recheck those even when their
-   load did not move. *)
-let mark_block_circuits ck st =
-  for i = 0 to st.pending_len - 1 do
-    let block = ck.task.Task.blocks.(st.pending.(i)) in
-    Array.iter (fun j -> mark_dirty st j) block.Blocks.circuits;
-    Array.iter
-      (fun s -> Topo.iter_incident ck.topo s ~f:(fun j -> mark_dirty st j))
-      block.Blocks.switches
-  done
-
-let recheck_dirty ck es st =
-  let theta = theta_bound ck in
-  st.n_bad <-
-    st.n_bad
-    + Topo.theta_recheck ck.topo es.loads ~theta st.bad st.dirty_list
-        st.dirty_len;
-  (* The dirty circuit set is shared: a patch touches the same circuits
-     in every matrix, so the one dirty list maintains all the per-matrix
-     violation counts. *)
-  (match es.ens with
-  | None -> ()
-  | Some x ->
-      for m = 0 to Array.length x.xloads - 1 do
-        x.xn_bad.(m) <-
-          x.xn_bad.(m)
-          + Topo.theta_recheck ck.topo x.xloads.(m) ~theta x.xbad.(m)
-              st.dirty_list st.dirty_len
-      done);
-  for i = 0 to st.dirty_len - 1 do
-    Bitset.remove st.dirty st.dirty_list.(i)
-  done;
-  st.dirty_len <- 0
 
 let eval_incremental ck es st =
   if (not st.loads_valid) || st.patches_left <= 0 then refresh ck es st
@@ -552,7 +473,6 @@ let eval_incremental ck es st =
     if !est >= fallback_fraction *. st.full_cost then refresh ck es st
     else begin
       st.patches_left <- st.patches_left - 1;
-      mark_block_circuits ck st;
       let split = split_of ck in
       let stuck = ref st.total_stuck in
       Array.iteri
@@ -566,12 +486,10 @@ let eval_incremental ck es st =
               | None ->
                   Ecmp.evaluate_patch ~scale ~split ck.topo es.scratch cls
                     ~dirty:m ~loads:es.loads
-                    ~mark:(fun j -> mark_dirty st j)
               | Some x ->
                   let fresh =
                     Ecmp.evaluate_patch ~scale ~split ~aux:x.xaux.(d) ck.topo
                       es.scratch cls ~dirty:m ~loads:es.loads
-                      ~mark:(fun j -> mark_dirty st j)
                   in
                   ens_note_stuck x d (fresh -. old);
                   fresh
@@ -581,7 +499,6 @@ let eval_incremental ck es st =
         st.masks;
       st.total_stuck <- !stuck;
       st.pending_len <- 0;
-      recheck_dirty ck es st;
       !stuck
     end
   end
@@ -592,22 +509,7 @@ let eval_demands ck =
   | None -> eval_demands_full ck es
   | Some st -> eval_incremental ck es st
 
-let utilization_ok ck =
-  let es = eval_state ck in
-  match es.inc with
-  | Some st when st.loads_valid -> st.n_bad = 0
-  | _ -> Topo.theta_ok ck.topo es.loads ~theta:(theta_bound ck)
-
-(* θ check for one extra ensemble matrix: O(1) via the incrementally
-   maintained per-matrix violation count when the delta layer owns valid
-   loads, else a scan of the matrix's own load vector (mirroring
-   [utilization_ok]). *)
-let x_utilization_ok ck es x m =
-  match es.inc with
-  | Some st when st.loads_valid -> x.xn_bad.(m) = 0
-  | _ -> Topo.theta_ok ck.topo x.xloads.(m) ~theta:(theta_bound ck)
-
-let funneling_ok_on ck (loads : float array) ~last_block =
+let funneling_ok ck (loads : float array) ~last_block =
   let phi = ck.task.Task.funneling in
   if phi <= 0.0 then true
   else
@@ -620,10 +522,13 @@ let funneling_ok_on ck (loads : float array) ~last_block =
           Topo.funneling_ok ck.topo loads (related_circuits ck b) ~phi
             ~theta:(theta_bound ck)
 
-let funneling_ok ck ~last_block =
-  let phi = ck.task.Task.funneling in
-  if phi <= 0.0 then true
-  else funneling_ok_on ck (eval_state ck).loads ~last_block
+(* One load vector's demand verdict: nothing stuck, θ (Eq. 5) as one
+   scan over every circuit — on the full and the delta path alike — and
+   the funneling margin. *)
+let safe_under ck (loads : float array) ~stuck ~last_block =
+  stuck <= 1e-9
+  && Topo.theta_ok ck.topo loads ~theta:(theta_bound ck)
+  && funneling_ok ck loads ~last_block
 
 (* The demand-side admission predicate shared by [check] and
    [current_ok].  Single-matrix: the historical stuck/θ/funneling
@@ -635,17 +540,13 @@ let demands_ok ck ~last_block =
   let stuck = eval_demands ck in
   let es = eval_state ck in
   match es.ens with
-  | None -> stuck <= 1e-9 && utilization_ok ck && funneling_ok ck ~last_block
+  | None -> safe_under ck es.loads ~stuck ~last_block
   | Some x ->
       let safe = ref 0 in
-      if stuck <= 1e-9 && utilization_ok ck && funneling_ok ck ~last_block
-      then incr safe;
+      if safe_under ck es.loads ~stuck ~last_block then incr safe;
       for m = 0 to Array.length x.xloads - 1 do
-        if
-          x.xstuck.(m) <= 1e-9
-          && x_utilization_ok ck es x m
-          && funneling_ok_on ck x.xloads.(m) ~last_block
-        then incr safe
+        if safe_under ck x.xloads.(m) ~stuck:x.xstuck.(m) ~last_block then
+          incr safe
       done;
       !safe >= x.need
 

@@ -21,13 +21,13 @@
       utilization stays within θ — by default {e incrementally}: the
       checker queues the blocks toggled since the last evaluation, maps
       them through the task's block→demand dependency index
-      ({!Task.t.deps}), delta-evaluates only the affected classes
-      ({!Ecmp.evaluate_patch}) and rechecks θ only on circuits whose load
-      or usability changed.  Verdicts are identical to the full
-      evaluation: unaffected classes provably contribute the same loads,
-      and a periodic full rebuild (plus a rebuild whenever the estimated
-      delta work approaches a full evaluation) bounds float drift far
-      below the 1e-9 verdict slack;
+      ({!Task.t.deps}) and delta-evaluates only the affected classes
+      ({!Ecmp.evaluate_patch}); θ is then one scan over every circuit,
+      the same call the full evaluation makes.  Verdicts are identical
+      to the full evaluation: unaffected classes provably contribute the
+      same loads, and a periodic full rebuild (plus a rebuild whenever
+      the estimated delta work approaches a full evaluation) bounds
+      float drift far below the 1e-9 verdict slack;
     - optionally, the transient traffic-funneling margin of §7.2 tightens
       the bound to load·(1 + φ) ≤ θ·W on the circuits that absorb the
       traffic of the block just drained.
@@ -39,8 +39,8 @@
     deposited share, not a full check), each matrix's stuck volume, θ
     bound and funneling margin are judged independently, and the state
     is admitted when at least ⌈q·k⌉ matrices are safe.  The incremental
-    layer patches all matrices from the same dirty-stage analysis and
-    rechecks the shared dirty circuit set against every matrix.  A task
+    layer patches all matrices from the same dirty-stage analysis, and
+    each matrix's load vector gets its own θ scan.  A task
     without an ensemble — or with k = 1 — runs the historical
     single-matrix code bit-identically. *)
 

@@ -286,12 +286,6 @@ let port_violation_count t = t.port_violations
 let theta_ok t loads ~theta =
   Universe.theta_ok t.u ~usable:t.usable_set loads ~theta
 
-let theta_mark t loads ~theta bad =
-  Universe.theta_mark t.u ~usable:t.usable_set loads ~theta bad
-
-let theta_recheck t loads ~theta bad circuits len =
-  Universe.theta_recheck t.u ~usable:t.usable_set loads ~theta bad circuits len
-
 let min_residual t loads ~theta =
   Universe.min_residual t.u ~usable:t.usable_set loads ~theta
 

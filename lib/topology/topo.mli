@@ -232,9 +232,6 @@ val port_violation_count : t -> int
     circuit. *)
 
 val theta_ok : t -> float array -> theta:float -> bool
-val theta_mark : t -> float array -> theta:float -> Bytes.t -> int
-val theta_recheck :
-  t -> float array -> theta:float -> Bytes.t -> int array -> int -> int
 val min_residual : t -> float array -> theta:float -> float
 val hottest : t -> float array -> int array -> float array -> unit
 val funneling_ok :

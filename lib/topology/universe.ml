@@ -191,37 +191,6 @@ let theta_ok u ~usable (loads : float array) ~theta =
   done;
   !j >= n
 
-let[@inline] over_theta cap ~usable (loads : float array) ~theta j =
-  loads.(j) > 0.0
-  && loads.(j) /. cap.(j) > theta
-  && Kutil.Bitset.mem usable j
-
-let theta_mark u ~usable loads ~theta bad =
-  let cap = u.cap in
-  let n_bad = ref 0 in
-  for j = 0 to Array.length loads - 1 do
-    if over_theta cap ~usable loads ~theta j then begin
-      Bytes.set bad j '\001';
-      incr n_bad
-    end
-    else Bytes.set bad j '\000'
-  done;
-  !n_bad
-
-let theta_recheck u ~usable loads ~theta bad circuits len =
-  let cap = u.cap in
-  let delta = ref 0 in
-  for i = 0 to len - 1 do
-    let j = circuits.(i) in
-    let was = Bytes.get bad j = '\001' in
-    let now = over_theta cap ~usable loads ~theta j in
-    if now <> was then begin
-      Bytes.set bad j (if now then '\001' else '\000');
-      delta := !delta + if now then 1 else -1
-    end
-  done;
-  !delta
-
 let min_residual u ~usable (loads : float array) ~theta =
   let cap = u.cap in
   let worst = ref infinity in

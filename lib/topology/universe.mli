@@ -116,26 +116,6 @@ val theta_ok : t -> usable:Kutil.Bitset.t -> float array -> theta:float -> bool
 (** [theta_ok u ~usable loads ~theta] holds when every counted circuit
     has [loads.(j) /. capacity j <= theta] (Eq. 5). *)
 
-val theta_mark :
-  t -> usable:Kutil.Bitset.t -> float array -> theta:float -> Bytes.t -> int
-(** [theta_mark u ~usable loads ~theta bad] sets byte [j] of [bad] to
-    ['\001'] for every counted circuit with [loads.(j) /. capacity j >
-    theta] and to ['\000'] for every other [j < Array.length loads];
-    returns the number of ['\001'] bytes written. *)
-
-val theta_recheck :
-  t ->
-  usable:Kutil.Bitset.t ->
-  float array ->
-  theta:float ->
-  Bytes.t ->
-  int array ->
-  int ->
-  int
-(** [theta_recheck u ~usable loads ~theta bad circuits len] re-decides
-    the [bad] byte of [circuits.(0 .. len - 1)] as {!theta_mark} does and
-    returns the change in the number of ['\001'] bytes. *)
-
 val min_residual :
   t -> usable:Kutil.Bitset.t -> float array -> theta:float -> float
 (** [min_residual u ~usable loads ~theta] is the minimum over counted

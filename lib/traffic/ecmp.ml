@@ -501,7 +501,7 @@ let evaluate_rebuild ?(scale = 1.0) ?(split = `Equal) ?(aux = [||]) topo sc st
   stuck
 
 let evaluate_patch ?(scale = 1.0) ?(split = `Equal) ?(aux = [||]) topo sc st
-    ~dirty ~loads ~mark =
+    ~dirty ~loads =
   if not st.valid then
     invalid_arg "Ecmp.evaluate_patch: no previous evaluation to patch";
   let weighted = is_weighted split in
@@ -545,18 +545,8 @@ let evaluate_patch ?(scale = 1.0) ?(split = `Equal) ?(aux = [||]) topo sc st
     st.usnap.(i) <- u
   done;
   let r = max 0 (min r_dirty (!minchg - 1)) in
-  (* Stale shares come off the loads, and their circuits are marked, in
-     one pass over each re-run stage's recorded contributions; the fresh
-     contributions are marked the same way after the re-run. *)
-  let mark_contribs () =
-    for k = r to n_stages - 1 do
-      let ctr = st.recs.(k).contrib in
-      let js = ctr.Fvec.js in
-      for i = 0 to ctr.Fvec.len - 1 do
-        mark js.(i)
-      done
-    done
-  in
+  (* Stale shares come off the loads in one pass over each re-run stage's
+     recorded contributions. *)
   for k = r to n_stages - 1 do
     let ctr = st.recs.(k).contrib in
     let js = ctr.Fvec.js and vs = ctr.Fvec.vs in
@@ -566,7 +556,6 @@ let evaluate_patch ?(scale = 1.0) ?(split = `Equal) ?(aux = [||]) topo sc st
       aux_sub aux j vs.(i)
     done
   done;
-  mark_contribs ();
   let prefix_stuck = ref 0.0 in
   for k = 0 to r - 1 do
     prefix_stuck := !prefix_stuck +. st.recs.(k).srec_stuck
@@ -582,6 +571,5 @@ let evaluate_patch ?(scale = 1.0) ?(split = `Equal) ?(aux = [||]) topo sc st
     done
   end;
   let suffix_stuck = forward_record ~weighted ~from_:r ~aux topo sc st ~loads in
-  mark_contribs ();
   st.class_stuck <- !prefix_stuck +. suffix_stuck;
   st.class_stuck

@@ -202,7 +202,6 @@ val evaluate_patch :
   inc ->
   dirty:int ->
   loads:float array ->
-  mark:(int -> unit) ->
   float
 (** Delta evaluation against the state captured by the last rebuild or
     patch.  [dirty] is a stage bitmask covering {e every} stage whose
@@ -219,9 +218,6 @@ val evaluate_patch :
     Only re-derived stages are probed, once per row as in {!evaluate};
     the re-run reads their row verdicts, and records its shares without
     boxing them.  [loads] is patched in place — stale suffix shares
-    subtracted, fresh ones added — and [mark] is called on every circuit
-    whose load was touched (for the caller's utilization recheck): once
-    per recorded contribution of each re-run stage, the stale ones
-    before the re-run and the fresh ones after it, never from the row
-    loops.  A circuit may be marked more than once.  Returns the class's
+    subtracted, fresh ones added — and no list of touched circuits is
+    kept: the caller rescans the whole vector for θ.  Returns the class's
     stuck volume. *)

@@ -29,3 +29,12 @@ let compare_op a b = Int.compare (rank a) (rank b)
 let ints (xs : int list) = List.sort compare xs
 module H = Hashtbl
 let aliased_hash x = H.hash x
+
+(* Specialised whatever the type: [=]/[<>] against a constant
+   constructor or an argument-less variant compiles to an immediate
+   [==]/[!=].  [<] and [compare] have no such case and stay findings. *)
+let is_empty l = l = []
+let is_some o = o <> None
+let is_none_tag b = b = `None
+let below o = o < None
+let against_none o = compare o None

@@ -128,8 +128,8 @@ let test_k1_differential_label_a () =
   check_k1 "topology A" (Task.of_scenario (Gen.scenario_of_label "A"))
 
 let test_uniform_ensemble_inert () =
-  (* All-ones matrices at k=4: the aux deposits, per-matrix bad-circuit
-     index and quantile aggregation all run, and must change nothing —
+  (* All-ones matrices at k=4: the aux deposits, per-matrix θ scans and
+     quantile aggregation all run, and must change nothing —
      every extra matrix is the base matrix. *)
   List.iter
     (fun (label, task) ->
