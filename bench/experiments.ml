@@ -867,35 +867,47 @@ let robust opts =
   in
   List.iter
     (fun (label, task) ->
-      (* Warm-up, then keep each configuration's best-per-check run: the
-         per-check floor is the stable estimator (same methodology as the
-         `inc` experiment). *)
+      (* Warm up once, then run the k configurations round-robin and keep
+         each one's best-per-check run, as the `inc` experiment does: the
+         per-check floor is the stable estimator, and interleaving makes
+         a shift in the host's speed hit every k alike rather than
+         whichever k it happened to be timed under. *)
       ignore (Astar.plan ~config:(cfg opts) task : Planner.result);
-      let best config =
-        Gc.full_major ();
-        let pick = ref (Astar.plan ~config task) in
-        let spent = ref !pick.Planner.stats.Planner.check_seconds in
-        let reps = ref 1 in
-        while !spent < 0.6 && !reps < 200 do
-          let r = Astar.plan ~config task in
-          spent := !spent +. r.Planner.stats.Planner.check_seconds;
-          incr reps;
-          if spc r < spc !pick then pick := r
-        done;
-        !pick
-      in
-      let spc_k1 = ref 1.0 in
-      List.iter
-        (fun k ->
-          Printf.printf "  %s / k=%d...\n%!" label k;
-          let config =
+      let configs =
+        List.map
+          (fun k ->
             if k = 1 then cfg opts
-            else Planner.with_ensemble ~quantile:1.0 k (cfg opts)
-          in
-          let r = best config in
+            else Planner.with_ensemble ~quantile:1.0 k (cfg opts))
+          ks
+      in
+      Printf.printf "  %s / k=%s...\n%!" label
+        (String.concat "," (List.map string_of_int ks));
+      Gc.full_major ();
+      let picks =
+        Array.of_list (List.map (fun config -> Astar.plan ~config task) configs)
+      in
+      let spent =
+        ref
+          (Array.fold_left
+             (fun acc r -> acc +. r.Planner.stats.Planner.check_seconds)
+             0.0 picks)
+      in
+      let reps = ref 1 in
+      while !spent < 1.8 && !reps < 200 do
+        List.iteri
+          (fun i config ->
+            let r = Astar.plan ~config task in
+            spent := !spent +. r.Planner.stats.Planner.check_seconds;
+            if spc r < spc picks.(i) then picks.(i) <- r)
+          configs;
+        incr reps
+      done;
+      let spc_k1 = spc picks.(0) in
+      List.iteri
+        (fun i k ->
+          let r = picks.(i) in
           let s = spc r in
-          if k = 1 then spc_k1 := s;
-          let ratio = s /. Float.max !spc_k1 1e-12 in
+          let ratio = s /. Float.max spc_k1 1e-12 in
           let cost = Planner.cost_of r in
           let same_cost =
             if k > 1 then None

@@ -13,7 +13,7 @@
 
    Prints the S1 worker-closure report, then one
    [file:line:col [rule] message] line per finding, and exits non-zero
-   when any remain unsuppressed.  Rule catalog R1-R5 and S1-S4:
+   when any remain unsuppressed.  Rule catalog R1-R6 and S1-S4:
    DESIGN.md section 7. *)
 
 let () =

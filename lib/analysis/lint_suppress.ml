@@ -32,7 +32,8 @@ let find_sub s sub =
 (* The rule ids of klotski-sentinel's catalog (R-rules per site,
    S-rules over the call graph); its S4 audits directives that silence
    nothing. *)
-let known_rules = [ "R1"; "R2"; "R3"; "R4"; "R5"; "S1"; "S2"; "S3"; "S4" ]
+let known_rules =
+  [ "R1"; "R2"; "R3"; "R4"; "R5"; "R6"; "S1"; "S2"; "S3"; "S4" ]
 
 let drop s k = String.trim (String.sub s k (String.length s - k))
 

@@ -1,6 +1,6 @@
 (* Driver for klotski-sentinel: load [.cmt] typedtrees, build the call
    graph, solve the effect lattice over SCCs, run S1–S4 and the site
-   rules R1–R5, apply suppression comments, and audit the suppressions
+   rules R1–R6, apply suppression comments, and audit the suppressions
    themselves.  Printing is left to the caller ([bin/klotski_sentinel]):
    nothing in [lib/] writes to the console. *)
 

@@ -238,6 +238,14 @@ let classify comps =
               B_fresh
           | "get" | "unsafe_get" -> B_read
           | _ -> B_none)
+      | _ when prev_is "Kutil__Col" || prev_is "Kutil__Col_prim" -> (
+          (* The row kernels' unchecked accessors: effects as [Array]'s
+             and [Bytes]'s get and set. *)
+          match last with
+          | "set" | "set_byte" ->
+              B_write { kind = dotted; target = 0; guarded = false }
+          | "get" | "get_byte" -> B_read
+          | _ -> B_none)
       | _ when prev_is "Bytes" -> (
           match last with
           | "set" | "unsafe_set" | "fill" ->
@@ -322,13 +330,13 @@ let create () =
     uenvs = Hashtbl.create 64;
   }
 
-(* [[@@klotski.domain_safe "reason"]]: the annotation and its reason
-   string, [None] when the payload is not a non-blank string.  Only a
-   reasoned annotation vouches for anything. *)
-let domain_safe_attr attrs =
+(* [[@@klotski.<name> "reason"]]: the annotation and its reason string,
+   [None] when the payload is not a non-blank string.  Only a reasoned
+   annotation vouches for anything. *)
+let reasoned_attr name attrs =
   List.fold_left
     (fun acc (a : Parsetree.attribute) ->
-      if String.equal a.attr_name.txt "klotski.domain_safe" then
+      if String.equal a.attr_name.txt name then
         let reason =
           match a.attr_payload with
           | Parsetree.PStr
@@ -348,6 +356,11 @@ let domain_safe_attr attrs =
         Some (a.attr_loc, reason)
       else acc)
     None attrs
+
+(* [[@@klotski.domain_safe]] vouches for shared mutable state (R2, S1),
+   [[@@klotski.unchecked]] for unchecked access (R6). *)
+let domain_safe_attr = reasoned_attr "klotski.domain_safe"
+let unchecked_attr = reasoned_attr "klotski.unchecked"
 
 let reasoned = function Some (_, Some _) -> true | _ -> false
 

@@ -1,6 +1,6 @@
 (* The graph rules of klotski-sentinel, over the typed call graph
    ([Sentinel_callgraph]) and solved effect lattice ([Sentinel_effect]);
-   the site rules R1–R5 are [Sentinel_sites].
+   the site rules R1–R6 are [Sentinel_sites].
 
    S1  no unguarded write to module-level (domain-shared) mutable state
        anywhere in the closure reachable from the worker entry points
@@ -16,7 +16,8 @@
    S4  audits the audit trail itself: [[@@klotski.domain_safe]]
        annotations on bindings that hold no mutable state and are never
        written are stale and must be deleted (the driver extends this
-       to suppression comments matching no finding). *)
+       to suppression comments matching no finding, and [Sentinel_sites]
+       to [[@@klotski.unchecked]] annotations that excuse no R6 site). *)
 
 module G = Sentinel_callgraph
 module E = Sentinel_effect

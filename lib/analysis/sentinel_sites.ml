@@ -1,7 +1,7 @@
-(* The site rules of klotski-sentinel: R1–R5 need no call graph, only
+(* The site rules of klotski-sentinel: R1–R6 need no call graph, only
    each unit's typedtree, its resolved paths ([Sentinel_callgraph]'s
    per-unit alias tables) and the type at each use site.  One
-   [Tast_iterator] pass over the whole unit serves R1, R3, R4 and R5,
+   [Tast_iterator] pass over the whole unit serves R1, R3, R4, R5 and R6,
    so functor-application arguments, which the call graph does not
    register as defs, are covered too.
 
@@ -18,9 +18,18 @@
    R4  no nondeterminism source (clocks, PRNGs, domain identity)
        outside lib/util/{prng,timer}.ml.
    R5  no printing in library units outside [Klog]/[Table_fmt].
+   R6  no unchecked access ([Array.unsafe_get]/[unsafe_set],
+       [Bytes.unsafe_get]/[unsafe_set], [String.unsafe_get],
+       [Float.Array.unsafe_get]/[unsafe_set], [Char.unsafe_chr], their
+       [*Labels] twins, or an [external] bound to an unchecked
+       primitive) outside lib/util/col.ml and its [Col_prim], unless
+       the enclosing binding carries [[@@klotski.unchecked "reason"]]
+       saying what proves the indices.  [Kutil.Col] proves them once,
+       where the data is built; R6 keeps the rest of the tree checked.
 
-   A [[@@klotski.domain_safe]] without a reason string is a [lint]
-   finding wherever it appears, and vouches for nothing. *)
+   A [[@@klotski.domain_safe]] or [[@@klotski.unchecked]] without a
+   reason string is a [lint] finding wherever it appears, and vouches
+   for nothing. *)
 
 open Typedtree
 module G = Sentinel_callgraph
@@ -36,6 +45,23 @@ let r1_site = function
   | [ "Hashtbl"; f ] ->
       Option.map (fun i -> ("Hashtbl." ^ f, i)) (List.assoc_opt f hash_args)
   | _ -> None
+
+let unchecked_values =
+  [
+    "Array.unsafe_get"; "Array.unsafe_set"; "ArrayLabels.unsafe_get";
+    "ArrayLabels.unsafe_set"; "Bytes.unsafe_get"; "Bytes.unsafe_set";
+    "BytesLabels.unsafe_get"; "BytesLabels.unsafe_set"; "String.unsafe_get";
+    "StringLabels.unsafe_get"; "Float.Array.unsafe_get";
+    "Float.Array.unsafe_set"; "Float.ArrayLabels.unsafe_get";
+    "Float.ArrayLabels.unsafe_set"; "Char.unsafe_chr";
+  ]
+
+(* A primitive that skips a range check: the [unsafe] family
+   ([%array_unsafe_get], [%caml_ba_unsafe_ref_1], ...) and the
+   [u]-suffixed multi-byte accessors ([%caml_bytes_get64u], ...). *)
+let unchecked_prim p =
+  Option.is_some (Lint_suppress.find_sub p "unsafe")
+  || (G.has_prefix "%caml_" p && String.ends_with ~suffix:"u" p)
 
 let printers =
   [
@@ -113,6 +139,43 @@ let check g (u : Sentinel_cmt.unit_info) =
   let r5 =
     u.library && not (has_any_suffix u.source [ "util/klog.ml"; "util/table_fmt.ml" ])
   in
+  let r6 = not (has_any_suffix u.source [ "util/col.ml"; "util/col_prim.ml" ]) in
+  (* [vouched] is set while the walk is inside a binding with a reasoned
+     [[@@klotski.unchecked]]; [excused] counts the sites it excused. *)
+  let vouched = ref false and excused = ref 0 in
+  let r6_report ~loc what =
+    if not r6 then ()
+    else if !vouched then incr excused
+    else
+      report ~loc "R6"
+        (Printf.sprintf
+           "unchecked access (%s) outside Kutil.Col: prove the index where \
+            the data is built and go through Kutil.Col, or give the binding \
+            [@@klotski.unchecked \"reason\"]"
+           what)
+  in
+  let lint_unreasoned attrs =
+    match G.unchecked_attr attrs with
+    | Some (loc, None) ->
+        report ~loc "lint"
+          "[@@klotski.unchecked] requires a reason string; without one it \
+           vouches for nothing"
+    | _ -> ()
+  in
+  (* Walk [f] under the binding's annotation, if reasoned; one that
+     excuses no site is stale (S4, as for [[@@klotski.domain_safe]]). *)
+  let vouching attrs f =
+    match G.unchecked_attr attrs with
+    | Some (loc, Some _) ->
+        let saved = !vouched and before = !excused in
+        vouched := true;
+        Fun.protect ~finally:(fun () -> vouched := saved) f;
+        if !excused = before then
+          report ~loc "S4"
+            "[@@klotski.unchecked] on a binding with no unchecked access is \
+             stale: delete it"
+    | _ -> f ()
+  in
   (* Envaux reads the cmis on the unit's own include path. *)
   let loadpath =
     lazy
@@ -120,6 +183,8 @@ let check g (u : Sentinel_cmt.unit_info) =
        Envaux.reset_cache ())
   in
   let site (e : expression) comps =
+    (let dotted = String.concat "." comps in
+     if G.mem dotted unchecked_values then r6_report ~loc:e.exp_loc dotted);
     match r1_site comps with
     | Some (op, i) -> (
         match
@@ -196,7 +261,23 @@ let check g (u : Sentinel_cmt.unit_info) =
                 "[@@klotski.domain_safe] requires a reason string; without \
                  one it vouches for nothing"
           | _ -> ());
-          Tast_iterator.default_iterator.value_binding it vb);
+          lint_unreasoned vb.vb_attributes;
+          vouching vb.vb_attributes (fun () ->
+              Tast_iterator.default_iterator.value_binding it vb));
+      structure_item =
+        (fun it item ->
+          (match item.str_desc with
+          | Tstr_primitive vd ->
+              lint_unreasoned vd.val_attributes;
+              vouching vd.val_attributes (fun () ->
+                  List.iter
+                    (fun p ->
+                      if unchecked_prim p then
+                        r6_report ~loc:vd.val_loc
+                          (Printf.sprintf "external %s = %S" vd.val_name.txt p))
+                    vd.val_prim)
+          | _ -> ());
+          Tast_iterator.default_iterator.structure_item it item);
     }
   in
   it.structure it u.str;

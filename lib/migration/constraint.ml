@@ -565,32 +565,31 @@ let current_ok ?last_block ck =
   Topo.ports_ok ck.topo && power_ok ck && demands_ok ck ~last_block
 
 (* Residual headroom of one load vector: the minimum over loaded usable
-   circuits of (θ·W − load)/W; [neg_infinity] when volume is stuck or a
-   circuit exceeds θ. *)
-let residual_on ck (loads : float array) ~stuck =
-  if stuck > 1e-9 then neg_infinity
-  else begin
-    let worst = Topo.min_residual ck.topo loads ~theta:ck.task.Task.theta in
-    if worst < -1e-9 then neg_infinity else worst
-  end
+   circuits of (θ·W − load)/W; [neg_infinity] exactly when [safe_under]
+   rejects the vector, so the margin and the admission verdict cannot
+   disagree. *)
+let residual_on ck (loads : float array) ~stuck ~last_block =
+  if not (safe_under ck loads ~stuck ~last_block) then neg_infinity
+  else Topo.min_residual ck.topo loads ~theta:ck.task.Task.theta
 
-let current_min_residual ck =
-  if not (Topo.ports_ok ck.topo) then neg_infinity
+let current_min_residual ?last_block ck =
+  if not (Topo.ports_ok ck.topo && power_ok ck) then neg_infinity
   else begin
     ck.checks <- ck.checks + 1;
     let stuck = eval_demands ck in
     let es = eval_state ck in
     match es.ens with
-    | None -> residual_on ck es.loads ~stuck
+    | None -> residual_on ck es.loads ~stuck ~last_block
     | Some x ->
         (* The quantile residual: admission needs ⌈q·k⌉ safe matrices,
            so the MRC objective is the worst headroom among the best
            ⌈q·k⌉ — [neg_infinity] exactly when admission fails, and at
            q = 1.0 the minimum over all matrices. *)
         let kx = Array.length x.xloads in
-        let res = Array.make (kx + 1) (residual_on ck es.loads ~stuck) in
+        let res = Array.make (kx + 1) (residual_on ck es.loads ~stuck ~last_block) in
         for m = 0 to kx - 1 do
-          res.(m + 1) <- residual_on ck x.xloads.(m) ~stuck:x.xstuck.(m)
+          res.(m + 1) <-
+            residual_on ck x.xloads.(m) ~stuck:x.xstuck.(m) ~last_block
         done;
         Array.sort (fun a b -> Float.compare b a) res;
         res.(x.need - 1)

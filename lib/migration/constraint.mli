@@ -127,10 +127,14 @@ val current_ok : ?last_block:int -> t -> bool
 (** Run the full constraint check (ports, demands, funneling) on the
     current topology, whatever state it is in.  Counts as a check. *)
 
-val current_min_residual : t -> float
+val current_min_residual : ?last_block:int -> t -> float
 (** The MRC objective [37]: the minimum over loaded usable circuits of
     (θ·W − load)/W, i.e. the worst remaining headroom fraction.
-    [neg_infinity] when the current state violates any constraint. *)
+    [neg_infinity] exactly when {!current_ok} with the same
+    [last_block] rejects the state: ports, power, stuck volume, θ and
+    funneling (the ensemble quantile reads the [⌈q·k⌉]-th best
+    matrix's margin).  Counts as a check when the ports and power
+    hold. *)
 
 val check_plan :
   Task.t -> int list -> (float, string) result

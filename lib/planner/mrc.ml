@@ -29,7 +29,9 @@ let plan ?(config = Planner.default_config) task =
         if remaining.(b) then begin
           Search.generate s;
           Constraint.apply_block checker b;
-          let residual = Constraint.current_min_residual checker in
+          let residual =
+            Constraint.current_min_residual ~last_block:b checker
+          in
           Constraint.unapply_block checker b;
           if residual > !best_residual +. 1e-9 then begin
             best_residual := residual;

@@ -77,6 +77,9 @@ let add_switch t ~name ~role ?(generation = 1) ?(dc = -1) ?(pod = -1)
   Bytes.unsafe_set t.sfuture id (if future then '\001' else '\000');
   t.n_switches <- id + 1;
   id
+[@@klotski.unchecked
+  "ensure_switch_room keeps srank and sfuture as long as sws, so id = \
+   n_switches is a byte of both; a Switch.rank fits a byte"]
 
 let add_circuit t ~lo ~hi ?(future = false) ~capacity () =
   let rank s =
@@ -104,6 +107,10 @@ let add_circuit t ~lo ~hi ?(future = false) ~capacity () =
   Bytes.unsafe_set t.cfuture id (if cfuture then '\001' else '\000');
   t.n_circuits <- id + 1;
   id
+[@@klotski.unchecked
+  "rank range-checks lo and hi against n_switches before either is read \
+   from srank or sfuture, and ensure_circuit_room keeps cfuture as long \
+   as ep_lo, so id = n_circuits is a byte of it"]
 
 let connect_all t ~los ~his ?(future = false) ~capacity () =
   List.concat_map
@@ -119,6 +126,9 @@ let future_ids flags n =
     if Bytes.unsafe_get flags i = '\001' then acc := i :: !acc
   done;
   !acc
+[@@klotski.unchecked
+  "callers pass sfuture with n_switches or cfuture with n_circuits, and \
+   each buffer holds at least that many bytes"]
 
 let future_switches t = future_ids t.sfuture t.n_switches
 let future_circuits t = future_ids t.cfuture t.n_circuits

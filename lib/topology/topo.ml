@@ -173,6 +173,7 @@ let sweep_rows t ~circuits ~alt_hi ~nexts ~prevs ~useful ~into live =
     Bitset.sweep_rows ~usable:t.usable_set ~useful ~into ~circuits ~nexts
       ~prevs live
   else begin
+    let circuits = circuits.Kutil.Col.ids in
     if not rewired then begin
       for i = 0 to Array.length circuits - 1 do
         Bytes.set live i (if alt_hi.(i) < 0 then '\001' else '\000')
@@ -187,8 +188,8 @@ let sweep_rows t ~circuits ~alt_hi ~nexts ~prevs ~useful ~into live =
           (if usable_wired t circuits.(i) alt then '\001' else '\000')
       done
     end;
-    Bitset.mem_rows useful nexts live;
-    Bitset.add_rows into prevs live
+    Bitset.mem_rows useful nexts.Kutil.Col.ids live;
+    Bitset.add_rows into prevs.Kutil.Col.ids live
   end
 
 (* Adjust the usable degree of [s] by [delta], keeping the violation count

@@ -181,29 +181,31 @@ val usable_wired : t -> int -> int -> bool
 
 val sweep_rows :
   t ->
-  circuits:int array ->
+  circuits:Kutil.Col.t ->
   alt_hi:int array ->
-  nexts:int array ->
-  prevs:int array ->
+  nexts:Kutil.Col.t ->
+  prevs:Kutil.Col.t ->
   useful:Kutil.Bitset.t ->
   into:Kutil.Bitset.t ->
   Bytes.t ->
   unit
 (** [sweep_rows t ~circuits ~alt_hi ~nexts ~prevs ~useful ~into live] is
     one step of the ECMP backward sweep over a stage's rows, one call per
-    stage.  Row [i] is live when [usable_wired t circuits.(i) alt] holds
-    and [useful] holds [nexts.(i)], where [alt] is [alt_hi.(i)], or [-1]
-    (the as-built wiring) for every row when [alt_hi] is empty.  Byte [i]
-    of [live] is set to ['\001'] for a live row and ['\000'] otherwise,
-    and a live row adds [prevs.(i)] to [into].  While nothing is rewired
-    this makes no call per row: with [alt_hi] empty it is one fused pass
+    stage.  Row [i] is live when [usable_wired t circuits.ids.(i) alt]
+    holds and [useful] holds [nexts.ids.(i)], where [alt] is
+    [alt_hi.(i)], or [-1] (the as-built wiring) for every row when
+    [alt_hi] is empty.  Byte [i] of [live] is set to ['\001'] for a live
+    row and ['\000'] otherwise, and a live row adds [prevs.ids.(i)] to
+    [into].  While nothing is rewired this makes no call per row: with
+    [alt_hi] empty it is one fused, unchecked pass
     ({!Kutil.Bitset.sweep_rows}), otherwise one pass over [alt_hi] (an
     alternative row is never live) and bulk probes
     ({!Kutil.Bitset.mem_rows}, {!Kutil.Bitset.add_rows}).  Once a circuit
     is rewired every row is probed with {!usable_wired}.  The columns
     are a stage's parallel rows and must be as long as [circuits] (or
-    [alt_hi] empty), as must [live]; raises [Invalid_argument] when a
-    probed row is out of range. *)
+    [alt_hi] empty), as must [live]; raises [Invalid_argument] when
+    they are not, or when a column's bound exceeds the set it probes
+    ([circuits] the usable set, [nexts] [useful], [prevs] [into]). *)
 
 val active_switch_count : t -> int
 val active_circuit_count : t -> int

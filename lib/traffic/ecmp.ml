@@ -1,4 +1,5 @@
 module Bitset = Kutil.Bitset
+module Col = Kutil.Col
 
 type hop = {
   dir : [ `Up | `Down ];
@@ -8,26 +9,40 @@ type hop = {
 
 let hop ?(skip = fun _ -> false) dir accept = { dir; accept; skip }
 
+type rows = {
+  circuits : int array;
+  alt_hi : int array;
+  prevs : int array;
+  nexts : int array;
+  skips : int array;
+}
+
 (* Candidate circuits for one stage, with their traversal endpoints
-   flattened into parallel arrays so the hot loops touch no records.
+   flattened into parallel columns so the hot loops touch no records.
    A circuit that can be rewired (OCS) compiles into several rows — one
    per wiring it may take; [alt_hi.(i)] records which wiring row [i]
    stands for (-1 = as-built), and evaluation admits a row only when the
    overlay's current wiring matches ([Topo.usable_wired]), so exactly
    one row per circuit is ever live.  A stage without alternative rows
-   (every stage of a drain/undrain task) carries an empty [alt_hi]. *)
+   (every stage of a drain/undrain task) carries an empty [alt_hi].
+   [stage_of_rows] checks every id against the universe and gives the
+   columns one entry per row, which is what lets the kernels below
+   index without a range check. *)
 type cstage = {
-  circuits : int array;
+  circuits : Col.t;  (* bound: the universe's circuit count *)
   alt_hi : int array;  (* -1 = as-built; else the rewired hi endpoint *)
-  prevs : int array;  (* upstream endpoint of circuits.(i) at this stage *)
-  nexts : int array;  (* downstream endpoint *)
-  skip_switches : int array;
+  prevs : Col.t;  (* upstream endpoint of circuits.(i) at this stage *)
+  nexts : Col.t;  (* downstream endpoint *)
+  skip_switches : Col.t;
 }
 
 type compiled = {
-  sources : (int * float) array;
+  sources : Col.t;  (* switches injecting positive volume *)
+  source_vols : float array;  (* their volumes, in the same order *)
   stages : cstage array;
   volume : float;
+  n_switches : int;  (* the universe's counts: every column's bound *)
+  n_circuits : int;
 }
 
 (* Growable scratch vector of switch or circuit ids. *)
@@ -41,9 +56,11 @@ module Ivec = struct
     Array.blit v.data 0 data 0 v.len;
     v.data <- data
 
+  (* [data] is never empty, so [len < Array.length data] once [grow]
+     has run: the store needs no range check. *)
   let[@inline] push v x =
     if v.len = Array.length v.data then grow v;
-    v.data.(v.len) <- x;
+    Col.set v.data v.len x;
     v.len <- v.len + 1
 
   let clear v = v.len <- 0
@@ -53,20 +70,60 @@ module Ivec = struct
     let a = Array.sub v.data 0 v.len in
     v.len <- 0;
     a
+
+  (* [take] for an [alt_hi] column: empty, and nothing allocated, when
+     no row is an alternative. *)
+  let take_alts v =
+    let any = ref false in
+    for i = 0 to v.len - 1 do
+      if v.data.(i) >= 0 then any := true
+    done;
+    if !any then take v
+    else begin
+      v.len <- 0;
+      [||]
+    end
 end
 
 (* A stage's [alt_hi] column, empty when no row is an alternative. *)
 let alt_column a = if Array.for_all (fun h -> h < 0) a then [||] else a
 
-let of_stages ~sources stages =
+(* The one place a stage's columns are made: every id is checked against
+   the universe once, here, and the columns must be equally long. *)
+let stage_of_rows c ~circuits ~alt_hi ~prevs ~nexts ~skips =
+  let n_rows = Array.length circuits in
+  if
+    Array.length prevs <> n_rows
+    || Array.length nexts <> n_rows
+    || (Array.length alt_hi <> n_rows && Array.length alt_hi <> 0)
+  then invalid_arg "Ecmp: a stage's columns differ in length";
+  let n = c.n_switches in
   {
-    sources = Array.of_list (List.filter (fun (_, v) -> v > 0.0) sources);
-    stages;
+    circuits = Col.make ~what:"Ecmp: circuit" ~bound:c.n_circuits circuits;
+    alt_hi = alt_column alt_hi;
+    prevs = Col.make ~what:"Ecmp: prev switch" ~bound:n prevs;
+    nexts = Col.make ~what:"Ecmp: next switch" ~bound:n nexts;
+    skip_switches = Col.make ~what:"Ecmp: skip switch" ~bound:n skips;
+  }
+
+(* A class with no stages yet, its sources validated. *)
+let of_sources u ~sources =
+  let n_switches = Universe.n_switches u in
+  let injecting = Array.of_list (List.filter (fun (_, v) -> v > 0.0) sources) in
+  {
+    sources =
+      Col.make ~what:"Ecmp: source switch" ~bound:n_switches
+        (Array.map fst injecting);
+    source_vols = Array.map snd injecting;
+    stages = [||];
     volume = List.fold_left (fun acc (_, v) -> acc +. v) 0.0 sources;
+    n_switches;
+    n_circuits = Universe.n_circuits u;
   }
 
 let compile ?(alts = []) u ~sources ~hops =
   let n = Universe.n_switches u in
+  let c = of_sources u ~sources in
   let alt_tbl = Hashtbl.create ((2 * List.length alts) + 1) in
   List.iter
     (fun (j, h) ->
@@ -76,7 +133,7 @@ let compile ?(alts = []) u ~sources ~hops =
       if not (List.mem h prev) then Hashtbl.replace alt_tbl j (prev @ [ h ]))
     alts;
   let potential = Bitset.create n and next_potential = Bitset.create n in
-  List.iter (fun (s, v) -> if v > 0.0 then Bitset.add potential s) sources;
+  Array.iter (Bitset.add potential) c.sources.ids;
   (* Scratch reused by every hop: the candidate-circuit marks and the
      stage's rows as flat columns. *)
   let marked = Bitset.create (Universe.n_circuits u) in
@@ -126,51 +183,48 @@ let compile ?(alts = []) u ~sources ~hops =
         end)
       potential;
     let stage =
-      {
-        circuits = Ivec.take circuits;
-        alt_hi = alt_column (Ivec.take alt_hi);
-        prevs = Ivec.take prevs;
-        nexts = Ivec.take nexts;
-        skip_switches = Ivec.take skips;
-      }
+      stage_of_rows c ~circuits:(Ivec.take circuits)
+        ~alt_hi:(Ivec.take_alts alt_hi) ~prevs:(Ivec.take prevs)
+        ~nexts:(Ivec.take nexts) ~skips:(Ivec.take skips)
     in
     Bitset.blit ~src:next_potential ~dst:potential;
     Bitset.clear next_potential;
     stage
   in
-  of_stages ~sources (Array.of_list (List.map compile_hop hops))
+  { c with stages = Array.of_list (List.map compile_hop hops) }
 
-let assemble ~sources ~stages =
-  of_stages ~sources
-    (Array.map
-       (fun (rows, skips) ->
-         {
-           circuits = Array.map (fun (j, _, _, _) -> j) rows;
-           alt_hi = alt_column (Array.map (fun (_, a, _, _) -> a) rows);
-           prevs = Array.map (fun (_, _, p, _) -> p) rows;
-           nexts = Array.map (fun (_, _, _, n) -> n) rows;
-           skip_switches = Array.copy skips;
-         })
-       stages)
+let assemble u ~sources ~stages =
+  let c = of_sources u ~sources in
+  let stage (r : rows) =
+    stage_of_rows c ~circuits:(Array.copy r.circuits)
+      ~alt_hi:(Array.copy r.alt_hi) ~prevs:(Array.copy r.prevs)
+      ~nexts:(Array.copy r.nexts) ~skips:(Array.copy r.skips)
+  in
+  { c with stages = Array.map stage stages }
 
 let source_volume c = c.volume
 
+let n_rows stage = Array.length stage.circuits.ids
+
 let stage_circuit_count c =
-  Array.fold_left (fun acc s -> acc + Array.length s.circuits) 0 c.stages
+  Array.fold_left (fun acc s -> acc + n_rows s) 0 c.stages
 
 let n_stages c = Array.length c.stages
 
-let stage_sizes c = Array.map (fun s -> Array.length s.circuits) c.stages
+let stage_sizes c = Array.map n_rows c.stages
 
 let iter_candidates c ~f =
   Array.iteri
     (fun k stage ->
-      for i = 0 to Array.length stage.circuits - 1 do
-        f ~stage:k ~circuit:stage.circuits.(i) ~prev:stage.prevs.(i)
-          ~next:stage.nexts.(i)
+      for i = 0 to n_rows stage - 1 do
+        f ~stage:k ~circuit:stage.circuits.ids.(i) ~prev:stage.prevs.ids.(i)
+          ~next:stage.nexts.ids.(i)
       done)
     c.stages
 
+(* [vol], [nvol], [cand] and [candw] have one entry per switch of the
+   universe [make_scratch] was given; the entry checks compare the first
+   with a class's switch count and stand for all four. *)
 type scratch = {
   vol : float array;  (* per switch, zero outside [touched] *)
   nvol : float array;
@@ -214,10 +268,11 @@ module Fvec = struct
     f.js <- js;
     f.vs <- vs
 
+  (* [js] and [vs] are equally long and never empty: as in [Ivec.push]. *)
   let[@inline] push f j v =
     if f.len = Array.length f.js then grow f;
-    f.js.(f.len) <- j;
-    f.vs.(f.len) <- v;
+    Col.set f.js f.len j;
+    Col.set f.vs f.len v;
     f.len <- f.len + 1
 end
 
@@ -229,8 +284,8 @@ end
    untouched.  Inlined, so [share] is not boxed to pass it. *)
 let[@inline] aux_add (aux : (float array * float) array) j share =
   for x = 0 to Array.length aux - 1 do
-    let l, f = aux.(x) in
-    l.(j) <- l.(j) +. (share *. f)
+    let l, f = Col.get aux x in
+    Col.set l j (Col.get l j +. (share *. f))
   done
 
 (* Subtracting [share *. f] recomputes the very product [aux_add]
@@ -238,8 +293,26 @@ let[@inline] aux_add (aux : (float array * float) array) j share =
    exactly as it does on the base loads. *)
 let[@inline] aux_sub (aux : (float array * float) array) j share =
   for x = 0 to Array.length aux - 1 do
-    let l, f = aux.(x) in
-    l.(j) <- l.(j) -. (share *. f)
+    let l, f = Col.get aux x in
+    Col.set l j (Col.get l j -. (share *. f))
+  done
+
+(* The entry check of every evaluation, O(|aux|) and allocation-free:
+   the kernels below index the overlay's sets, [sc]'s per-switch
+   vectors, [loads] and every [aux] vector with ids from [c]'s columns
+   and make no range check, so each must have been sized for [c]'s
+   universe. *)
+let check_sizes topo sc c ~loads aux =
+  if Topo.n_switches topo <> c.n_switches || Topo.n_circuits topo <> c.n_circuits
+  then invalid_arg "Ecmp: the overlay is sized for another universe";
+  if Array.length sc.vol <> c.n_switches then
+    invalid_arg "Ecmp: the scratch is sized for another universe";
+  if Array.length loads <> c.n_circuits then
+    invalid_arg "Ecmp: loads is sized for another universe";
+  for x = 0 to Array.length aux - 1 do
+    let l, _ = aux.(x) in
+    if Array.length l <> c.n_circuits then
+      invalid_arg "Ecmp: an aux vector is sized for another universe"
   done
 
 (* Size the per-stage buffers for [c].  They only grow, so a checker
@@ -253,7 +326,7 @@ let ensure_stages sc c =
   end;
   if Array.length sc.live < n_stages then sc.live <- Array.make n_stages Bytes.empty;
   for k = 0 to n_stages - 1 do
-    let m = Array.length c.stages.(k).circuits in
+    let m = n_rows c.stages.(k) in
     if Bytes.length sc.live.(k) < m then sc.live.(k) <- Bytes.create m
   done
 
@@ -270,8 +343,9 @@ let sweep_stage topo stage live ~u ~u' =
   Bitset.clear u;
   Topo.sweep_rows topo ~circuits:stage.circuits ~alt_hi:stage.alt_hi
     ~nexts:stage.nexts ~prevs:stage.prevs ~useful:u' ~into:u live;
-  for x = 0 to Array.length stage.skip_switches - 1 do
-    let s = stage.skip_switches.(x) in
+  let skips = stage.skip_switches.ids in
+  for x = 0 to Array.length skips - 1 do
+    let s = skips.(x) in
     if Bitset.mem u' s then Bitset.add u s
   done
 
@@ -288,7 +362,15 @@ let useful_sweep topo sc c dst =
    call per row: under [-opaque] a call would also box every float it
    passes.  The weighted split alone reads each qualifying row's
    capacity through [Topo.capacity]; [aux_add] is inlined, and over an
-   empty [aux] it deposits nothing. *)
+   empty [aux] it deposits nothing.
+
+   Nor do they range-check: every index is a row below the stage's row
+   count (its columns' length, at most [Bytes.length live] after
+   [ensure_stages]), a column entry (below the universe's counts since
+   [stage_of_rows]), or a switch in [touched]/[ntouched] (pushed only
+   from column entries and recorded entries).  The evaluation's entry
+   check ([check_sizes]) matched [sc], [loads] and [aux] to those
+   counts. *)
 
 (* Forward stage, before the deposits: mark the loaded carriers (a
    carrier neither splits nor counts as stuck), then count the
@@ -297,19 +379,20 @@ let useful_sweep topo sc c dst =
 let count_stage ~weighted topo sc stage live u' =
   Ivec.clear sc.ntouched;
   let vol = sc.vol and cand = sc.cand and candw = sc.candw in
-  let skips = stage.skip_switches in
+  let skips = stage.skip_switches.ids in
   for x = 0 to Array.length skips - 1 do
-    let s = skips.(x) in
-    if vol.(s) > 0.0 && Bitset.mem u' s then cand.(s) <- -1
+    let s = Col.get skips x in
+    if Col.get vol s > 0.0 && Bitset.mem u' s then Col.set cand s (-1)
   done;
-  let circuits = stage.circuits and prevs = stage.prevs in
+  let circuits = stage.circuits.ids and prevs = stage.prevs.ids in
   for i = 0 to Array.length circuits - 1 do
-    if Bytes.get live i <> '\000' then begin
-      let prev = prevs.(i) in
-      if vol.(prev) > 0.0 && cand.(prev) >= 0 then begin
-        cand.(prev) <- cand.(prev) + 1;
+    if Col.get_byte live i <> '\000' then begin
+      let prev = Col.get prevs i in
+      if Col.get vol prev > 0.0 && Col.get cand prev >= 0 then begin
+        Col.set cand prev (Col.get cand prev + 1);
         if weighted then
-          candw.(prev) <- candw.(prev) +. Topo.capacity topo circuits.(i)
+          Col.set candw prev
+            (Col.get candw prev +. Topo.capacity topo (Col.get circuits i))
       end
     end
   done
@@ -322,24 +405,24 @@ let count_stage ~weighted topo sc stage live u' =
 let deposit_stage ~weighted ~aux topo sc stage live ~loads ~record =
   let vol = sc.vol and nvol = sc.nvol and cand = sc.cand in
   let candw = sc.candw and ntouched = sc.ntouched in
-  let circuits = stage.circuits in
-  let prevs = stage.prevs and nexts = stage.nexts in
+  let circuits = stage.circuits.ids in
+  let prevs = stage.prevs.ids and nexts = stage.nexts.ids in
   for i = 0 to Array.length circuits - 1 do
-    if Bytes.get live i <> '\000' then begin
-      let prev = prevs.(i) in
-      let v = vol.(prev) in
-      if v > 0.0 && cand.(prev) > 0 then begin
-        let next = nexts.(i) in
-        let j = circuits.(i) in
+    if Col.get_byte live i <> '\000' then begin
+      let prev = Col.get prevs i in
+      let v = Col.get vol prev in
+      if v > 0.0 && Col.get cand prev > 0 then begin
+        let next = Col.get nexts i in
+        let j = Col.get circuits i in
         let share =
-          if weighted then v *. Topo.capacity topo j /. candw.(prev)
-          else v /. float_of_int cand.(prev)
+          if weighted then v *. Topo.capacity topo j /. Col.get candw prev
+          else v /. float_of_int (Col.get cand prev)
         in
-        loads.(j) <- loads.(j) +. share;
+        Col.set loads j (Col.get loads j +. share);
         aux_add aux j share;
         (match record with Some r -> Fvec.push r j share | None -> ());
-        if Float.equal nvol.(next) 0.0 then Ivec.push ntouched next;
-        nvol.(next) <- nvol.(next) +. share
+        if Float.equal (Col.get nvol next) 0.0 then Ivec.push ntouched next;
+        Col.set nvol next (Col.get nvol next +. share)
       end
     end
   done
@@ -353,44 +436,47 @@ let finish_stage sc stage stuck =
   let vol = sc.vol and nvol = sc.nvol and cand = sc.cand in
   let candw = sc.candw in
   let touched = sc.touched and ntouched = sc.ntouched in
-  let skips = stage.skip_switches in
+  let skips = stage.skip_switches.ids in
   for x = 0 to Array.length skips - 1 do
-    let s = skips.(x) in
-    if cand.(s) = -1 && vol.(s) > 0.0 then begin
-      if Float.equal nvol.(s) 0.0 then Ivec.push ntouched s;
-      nvol.(s) <- nvol.(s) +. vol.(s)
+    let s = Col.get skips x in
+    if Col.get cand s = -1 && Col.get vol s > 0.0 then begin
+      if Float.equal (Col.get nvol s) 0.0 then Ivec.push ntouched s;
+      Col.set nvol s (Col.get nvol s +. Col.get vol s)
     end
   done;
   let stuck = ref stuck in
   let data = touched.Ivec.data in
   for i = 0 to touched.Ivec.len - 1 do
-    let s = data.(i) in
-    if vol.(s) > 0.0 && cand.(s) = 0 then stuck := !stuck +. vol.(s);
-    vol.(s) <- 0.0;
-    cand.(s) <- 0;
-    candw.(s) <- 0.0
+    let s = Col.get data i in
+    if Col.get vol s > 0.0 && Col.get cand s = 0 then
+      stuck := !stuck +. Col.get vol s;
+    Col.set vol s 0.0;
+    Col.set cand s 0;
+    Col.set candw s 0.0
   done;
   Ivec.clear touched;
   let data = ntouched.Ivec.data in
   for i = 0 to ntouched.Ivec.len - 1 do
-    let s = data.(i) in
-    vol.(s) <- nvol.(s);
-    nvol.(s) <- 0.0;
+    let s = Col.get data i in
+    Col.set vol s (Col.get nvol s);
+    Col.set nvol s 0.0;
     Ivec.push touched s
   done;
   !stuck
 
 let load_sources sc c ~scale =
   Ivec.clear sc.touched;
-  for x = 0 to Array.length c.sources - 1 do
-    let s, v = c.sources.(x) in
-    if Float.equal sc.vol.(s) 0.0 then Ivec.push sc.touched s;
-    sc.vol.(s) <- sc.vol.(s) +. (v *. scale)
+  let sources = c.sources.ids and vol = sc.vol in
+  for x = 0 to Array.length sources - 1 do
+    let s = Col.get sources x in
+    if Float.equal (Col.get vol s) 0.0 then Ivec.push sc.touched s;
+    Col.set vol s (Col.get vol s +. (c.source_vols.(x) *. scale))
   done
 
 let is_weighted = function `Capacity_weighted -> true | `Equal -> false
 
 let evaluate ?(scale = 1.0) ?(split = `Equal) ?(aux = [||]) topo sc c ~loads =
+  check_sizes topo sc c ~loads aux;
   let weighted = is_weighted split in
   ensure_stages sc c;
   useful_sweep topo sc c sc.useful;
@@ -404,9 +490,9 @@ let evaluate ?(scale = 1.0) ?(split = `Equal) ?(aux = [||]) topo sc c ~loads =
   done;
   let delivered = ref 0.0 in
   for i = 0 to sc.touched.Ivec.len - 1 do
-    let s = sc.touched.Ivec.data.(i) in
-    delivered := !delivered +. sc.vol.(s);
-    sc.vol.(s) <- 0.0
+    let s = Col.get sc.touched.Ivec.data i in
+    delivered := !delivered +. Col.get sc.vol s;
+    Col.set sc.vol s 0.0
   done;
   Ivec.clear sc.touched;
   { delivered = !delivered; stuck = !stuck }
@@ -442,6 +528,8 @@ type inc = {
 
 let make_inc u c =
   let n = Universe.n_switches u in
+  if n <> c.n_switches || Universe.n_circuits u <> c.n_circuits then
+    invalid_arg "Ecmp.make_inc: the class was compiled for another universe";
   {
     ic = c;
     recs =
@@ -469,8 +557,8 @@ let forward_record ~weighted ~from_ ~aux topo sc st ~loads =
     let touched = sc.touched.Ivec.data in
     Fvec.clear entry;
     for i = 0 to sc.touched.Ivec.len - 1 do
-      let s = touched.(i) in
-      Fvec.push entry s vol.(s)
+      let s = Col.get touched i in
+      Fvec.push entry s (Col.get vol s)
     done;
     Fvec.clear sr.contrib;
     let stage = c.stages.(k) and live = sc.live.(k) in
@@ -482,13 +570,14 @@ let forward_record ~weighted ~from_ ~aux topo sc st ~loads =
     suffix_stuck := !suffix_stuck +. stage_stuck
   done;
   for i = 0 to sc.touched.Ivec.len - 1 do
-    sc.vol.(sc.touched.Ivec.data.(i)) <- 0.0
+    Col.set sc.vol (Col.get sc.touched.Ivec.data i) 0.0
   done;
   Ivec.clear sc.touched;
   !suffix_stuck
 
 let evaluate_rebuild ?(scale = 1.0) ?(split = `Equal) ?(aux = [||]) topo sc st
     ~loads =
+  check_sizes topo sc st.ic ~loads aux;
   let weighted = is_weighted split in
   ensure_stages sc st.ic;
   useful_sweep topo sc st.ic st.usnap;
@@ -504,8 +593,9 @@ let evaluate_patch ?(scale = 1.0) ?(split = `Equal) ?(aux = [||]) topo sc st
     ~dirty ~loads =
   if not st.valid then
     invalid_arg "Ecmp.evaluate_patch: no previous evaluation to patch";
-  let weighted = is_weighted split in
   let c = st.ic in
+  check_sizes topo sc c ~loads aux;
+  let weighted = is_weighted split in
   let n_stages = Array.length c.stages in
   ensure_stages sc c;
   let r_dirty =
@@ -551,9 +641,9 @@ let evaluate_patch ?(scale = 1.0) ?(split = `Equal) ?(aux = [||]) topo sc st
     let ctr = st.recs.(k).contrib in
     let js = ctr.Fvec.js and vs = ctr.Fvec.vs in
     for i = 0 to ctr.Fvec.len - 1 do
-      let j = js.(i) in
-      loads.(j) <- loads.(j) -. vs.(i);
-      aux_sub aux j vs.(i)
+      let j = Col.get js i in
+      Col.set loads j (Col.get loads j -. Col.get vs i);
+      aux_sub aux j (Col.get vs i)
     done
   done;
   let prefix_stuck = ref 0.0 in
@@ -565,8 +655,8 @@ let evaluate_patch ?(scale = 1.0) ?(split = `Equal) ?(aux = [||]) topo sc st
     Ivec.clear sc.touched;
     let e = st.recs.(r).entry in
     for i = 0 to e.Fvec.len - 1 do
-      let s = e.Fvec.js.(i) in
-      sc.vol.(s) <- e.Fvec.vs.(i);
+      let s = Col.get e.Fvec.js i in
+      Col.set sc.vol s (Col.get e.Fvec.vs i);
       Ivec.push sc.touched s
     done
   end;

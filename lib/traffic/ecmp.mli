@@ -57,18 +57,35 @@ val compile :
     candidates come from the CSR adjacency of the switches the previous
     hop reached and are walked through a reused circuit-id bitset, so
     rows come out in increasing circuit id (per circuit: the as-built
-    row, then its alternatives in [alts] order). *)
+    row, then its alternatives in [alts] order).
 
-val assemble :
-  sources:(int * float) list ->
-  stages:((int * int * int * int) array * int array) array ->
-  compiled
-(** [assemble ~sources ~stages] is a compiled class with the given
-    stages, each a row array of [(circuit, alt_hi, prev, next)] — [alt_hi]
-    is [-1] for the as-built wiring, else the alternative hi endpoint the
-    row stands for — and its skip switches.  Rows keep the order given.
+    Every id a stage holds is checked against [u] once, here, and the
+    class records [u]'s switch and circuit counts; that is what lets
+    evaluation index without a range check per row.  Raises
+    [Invalid_argument] when a source with positive volume is not a
+    switch of [u]. *)
+
+type rows = {
+  circuits : int array;  (** Row [i]'s circuit. *)
+  alt_hi : int array;
+      (** [-1] when row [i] stands for the as-built wiring, else the
+          alternative hi endpoint it stands for; one entry per row, or
+          empty when no row is an alternative. *)
+  prevs : int array;  (** Row [i]'s upstream switch at this stage. *)
+  nexts : int array;  (** Row [i]'s downstream switch. *)
+  skips : int array;  (** The stage's skip switches. *)
+}
+(** One stage as parallel columns, for {!assemble}. *)
+
+val assemble : Universe.t -> sources:(int * float) list -> stages:rows array -> compiled
+(** [assemble u ~sources ~stages] is a compiled class over [u] with the
+    given stages; rows keep the order given, and the columns are copied.
     {!compile} derives the rows from a universe; this is for reference
-    compilers and hand-built fixtures. *)
+    compilers and hand-built fixtures.  As in {!compile} every id is
+    checked once: raises [Invalid_argument] when a circuit is not one of
+    [u]'s, a prev, next, skip or source (with positive volume) is not
+    one of [u]'s switches, or a stage's [circuits], [prevs], [nexts] and
+    non-empty [alt_hi] differ in length. *)
 
 val source_volume : compiled -> float
 (** Total volume injected by the compiled class. *)
@@ -158,7 +175,14 @@ val evaluate :
     no call per row.  So a call makes one usability probe and one usefulness probe
     per row, and allocates O(stages) words, [aux] deposits included;
     the weighted split alone boxes each qualifying row's capacity, which
-    it reads through {!Topo.capacity}. *)
+    it reads through {!Topo.capacity}.
+
+    The per-row loops make no range check: the ids come from the
+    class's validated columns ({!compile}), and the call first compares
+    the class's universe counts with [topo], [scratch], [loads] and
+    every [aux] vector, once and without allocating.  Raises
+    [Invalid_argument] when one of them was sized for another universe
+    (a scratch made for a C-tier universe, say, with a D-tier class). *)
 
 (** {1 Incremental evaluation}
 
@@ -174,6 +198,9 @@ type inc
     checker: never share an [inc] across concurrent evaluators. *)
 
 val make_inc : Universe.t -> compiled -> inc
+(** [make_inc u c] is a fresh incremental state for [c].  Raises
+    [Invalid_argument] when [c] was compiled for a universe with other
+    switch or circuit counts than [u]. *)
 
 val class_stuck : inc -> float
 (** Stuck volume of the last {!evaluate_rebuild}/{!evaluate_patch}. *)
@@ -190,8 +217,9 @@ val evaluate_rebuild :
 (** Full evaluation that (re)captures the incremental state and adds the
     class's shares into [loads] (which the caller has zeroed or otherwise
     cleared of this class's contributions).  Same arithmetic as
-    {!evaluate}, including the ensemble [aux] deposits; returns the stuck
-    volume. *)
+    {!evaluate}, including the ensemble [aux] deposits and the entry
+    check (raises [Invalid_argument] as {!evaluate} does); returns the
+    stuck volume. *)
 
 val evaluate_patch :
   ?scale:float ->
@@ -219,5 +247,6 @@ val evaluate_patch :
     the re-run reads their row verdicts, and records its shares without
     boxing them.  [loads] is patched in place — stale suffix shares
     subtracted, fresh ones added — and no list of touched circuits is
-    kept: the caller rescans the whole vector for θ.  Returns the class's
-    stuck volume. *)
+    kept: the caller rescans the whole vector for θ.  Makes the entry
+    check of {!evaluate} and raises [Invalid_argument] as it does, or
+    when nothing was evaluated yet.  Returns the class's stuck volume. *)

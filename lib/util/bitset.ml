@@ -1,7 +1,8 @@
 type t = { words : Bytes.t; n : int }
 
-(* We pack 8 bits per byte.  Bytes gives us bounds-checked, GC-friendly
-   storage without unsafe primitives. *)
+(* We pack 8 bits per byte in GC-friendly [Bytes].  Every access is
+   bounds-checked except in [sweep_rows], which proves its indices once
+   per call (see there). *)
 
 let create n =
   if n < 0 then invalid_arg "Bitset.create: negative capacity";
@@ -12,8 +13,7 @@ let capacity t = t.n
 (* Every range check raises this one preallocated exception. *)
 let out_of_range = Invalid_argument "Bitset: index out of range"
 
-let[@inline] check_index n i = if i < 0 || i >= n then raise out_of_range
-let[@inline] check t i = check_index t.n i
+let[@inline] check t i = if i < 0 || i >= t.n then raise out_of_range
 
 let[@inline] bit words i =
   Char.code (Bytes.get words (i lsr 3)) land (1 lsl (i land 7)) <> 0
@@ -21,6 +21,14 @@ let[@inline] bit words i =
 let[@inline] set_bit words i =
   let b = Char.code (Bytes.get words (i lsr 3)) in
   Bytes.set words (i lsr 3) (Char.chr (b lor (1 lsl (i land 7))))
+
+(* [bit] and [set_bit] without the range check, for [sweep_rows]. *)
+let[@inline] bit_unchecked words i =
+  Char.code (Col.get_byte words (i lsr 3)) land (1 lsl (i land 7)) <> 0
+
+let[@inline] set_bit_unchecked words i =
+  let b = Char.code (Col.get_byte words (i lsr 3)) in
+  Col.set_byte words (i lsr 3) (Char.chr (b lor (1 lsl (i land 7))))
 
 let[@inline] mem t i =
   check t i;
@@ -54,27 +62,30 @@ let add_rows t rows mask =
 
 (* A usable-set probe, [mem_rows] and [add_rows] fused into one pass:
    the same probes on the same rows in the same order, one loop instead
-   of three.  The sets' fields are read once, outside the loop. *)
-let sweep_rows ~usable ~useful ~into ~circuits ~nexts ~prevs live =
-  let uw = usable.words and un = usable.n in
-  let fw = useful.words and fn = useful.n in
-  let iw = into.words and inn = into.n in
-  for i = 0 to Array.length circuits - 1 do
-    let c = circuits.(i) in
-    check_index un c;
-    if
-      bit uw c
-      &&
-      let next = nexts.(i) in
-      check_index fn next;
-      bit fw next
+   of three.  The row loop runs unchecked: each column's entries lie
+   below its bound (proved when the column was built), the bounds and
+   lengths are compared with the sets' capacities and [live] once here,
+   and a set of capacity [n] holds [(n + 7) / 8] bytes. *)
+let sweep_rows ~usable ~useful ~into ~(circuits : Col.t) ~(nexts : Col.t)
+    ~(prevs : Col.t) live =
+  let rows = Array.length circuits.ids in
+  if
+    circuits.bound > usable.n || nexts.bound > useful.n || prevs.bound > into.n
+  then invalid_arg "Bitset.sweep_rows: a column's bound exceeds its set";
+  if
+    Array.length nexts.ids < rows
+    || Array.length prevs.ids < rows
+    || Bytes.length live < rows
+  then invalid_arg "Bitset.sweep_rows: a column or [live] is shorter than the rows";
+  let uw = usable.words and fw = useful.words and iw = into.words in
+  let cs = circuits.ids and ns = nexts.ids and ps = prevs.ids in
+  for i = 0 to rows - 1 do
+    if bit_unchecked uw (Col.get cs i) && bit_unchecked fw (Col.get ns i)
     then begin
-      let prev = prevs.(i) in
-      check_index inn prev;
-      Bytes.set live i '\001';
-      set_bit iw prev
+      Col.set_byte live i '\001';
+      set_bit_unchecked iw (Col.get ps i)
     end
-    else Bytes.set live i '\000'
+    else Col.set_byte live i '\000'
   done
 
 let popcount_byte =

@@ -44,22 +44,28 @@ val sweep_rows :
   usable:t ->
   useful:t ->
   into:t ->
-  circuits:int array ->
-  nexts:int array ->
-  prevs:int array ->
+  circuits:Col.t ->
+  nexts:Col.t ->
+  prevs:Col.t ->
   Bytes.t ->
   unit
 (** [sweep_rows ~usable ~useful ~into ~circuits ~nexts ~prevs live] is
     one backward-sweep step over a stage's rows in a single pass: row
-    [i] is live when [usable] holds [circuits.(i)] and [useful] holds
-    [nexts.(i)]; byte [i] of [live] is set to ['\001'] for a live row and
-    to ['\000'] otherwise, and a live row adds [prevs.(i)] to [into].
-    Same probes as filling [live] from [usable] and then running
-    {!mem_rows} on [useful] and {!add_rows} on [into]: [nexts.(i)] is
-    probed only when the circuit is a member and [prevs.(i)] only for a
-    live row.  Raises [Invalid_argument] when a probed row is out of
-    range, when [live] is shorter than [circuits], or when [nexts] or
-    [prevs] has no entry for a row that reads it. *)
+    [i] is live when [usable] holds [circuits.ids.(i)] and [useful]
+    holds [nexts.ids.(i)]; byte [i] of [live] is set to ['\001'] for a
+    live row and to ['\000'] otherwise, and a live row adds
+    [prevs.ids.(i)] to [into].  Same probes as filling [live] from
+    [usable] and then running {!mem_rows} on [useful] and {!add_rows} on
+    [into]: [nexts] is read only when the circuit is a member and
+    [prevs] only for a live row.
+
+    The columns' entries were proved in range when they were built
+    ({!Col.make}), so the row loop makes no range check.  It checks once
+    per call instead, and raises [Invalid_argument] before touching any
+    row, when a column's bound exceeds its set's capacity ([circuits]
+    against [usable], [nexts] against [useful], [prevs] against
+    [into]), or when [nexts], [prevs] or [live] is shorter than
+    [circuits]. *)
 
 val cardinal : t -> int
 (** Number of elements currently present (O(n/8) byte popcount). *)

@@ -2,6 +2,7 @@
    integer-set implementation. *)
 
 module Bitset = Kutil.Bitset
+module Col = Kutil.Col
 module Iset = Set.Make (Int)
 
 let test_basic () =
@@ -41,24 +42,69 @@ let test_bounds () =
   Alcotest.(check (list int)) "unmasked row skipped" [ 3 ] (Bitset.to_list b);
   let usable = Bitset.create 8 and useful = Bitset.create_full 8 in
   Bitset.add usable 3;
-  let sweep circuits nexts prevs =
-    Bitset.sweep_rows ~usable ~useful ~into:b ~circuits ~nexts ~prevs
-      (Bytes.make 2 '\000')
+  let col ?(bound = 8) ids = Col.make ~what:"row" ~bound ids in
+  let sweep ?(live = Bytes.make 2 '\000') circuits nexts prevs =
+    Bitset.sweep_rows ~usable ~useful ~into:b ~circuits ~nexts ~prevs live
   in
+  (* [sweep_rows] probes without a range check, so an out-of-range row
+     never reaches it: the column refuses the row when it is built. *)
   Alcotest.check_raises "sweep_rows circuit row out of range"
-    (Invalid_argument "Bitset: index out of range") (fun () ->
-      sweep [| 3; 8 |] [| 1; 1 |] [| 2; 2 |]);
+    (Invalid_argument "row 8 out of range [0, 8)") (fun () ->
+      ignore (col [| 3; 8 |]));
   Alcotest.check_raises "sweep_rows next row out of range"
-    (Invalid_argument "Bitset: index out of range") (fun () ->
-      sweep [| 3; 3 |] [| 1; -1 |] [| 2; 2 |]);
+    (Invalid_argument "row -1 out of range [0, 8)") (fun () ->
+      ignore (col [| 1; -1 |]));
   Alcotest.check_raises "sweep_rows prev row out of range"
-    (Invalid_argument "Bitset: index out of range") (fun () ->
-      sweep [| 3; 3 |] [| 1; 1 |] [| 2; 9 |]);
-  (* A row whose circuit is not usable probes neither its next nor its
-     prev; a row whose next is not useful does not probe its prev. *)
+    (Invalid_argument "row 9 out of range [0, 8)") (fun () ->
+      ignore (col [| 2; 9 |]));
+  (* A column proved against a larger bound than its set holds, or a
+     column or [live] shorter than the rows, is refused once per call,
+     before any row is touched. *)
+  let too_big = Invalid_argument "Bitset.sweep_rows: a column's bound exceeds its set" in
+  Alcotest.check_raises "sweep_rows circuit bound past usable" too_big
+    (fun () -> sweep (col ~bound:9 [| 3; 3 |]) (col [| 1; 1 |]) (col [| 2; 2 |]));
+  Alcotest.check_raises "sweep_rows next bound past useful" too_big (fun () ->
+      sweep (col [| 3; 3 |]) (col ~bound:9 [| 1; 1 |]) (col [| 2; 2 |]));
+  Alcotest.check_raises "sweep_rows prev bound past into" too_big (fun () ->
+      sweep (col [| 3; 3 |]) (col [| 1; 1 |]) (col ~bound:9 [| 2; 2 |]));
+  let too_short =
+    Invalid_argument
+      "Bitset.sweep_rows: a column or [live] is shorter than the rows"
+  in
+  Alcotest.check_raises "sweep_rows nexts shorter than circuits" too_short
+    (fun () -> sweep (col [| 3; 3 |]) (col [| 1 |]) (col [| 2; 2 |]));
+  Alcotest.check_raises "sweep_rows prevs shorter than circuits" too_short
+    (fun () -> sweep (col [| 3; 3 |]) (col [| 1; 1 |]) (col [| 2 |]));
+  Alcotest.check_raises "sweep_rows live shorter than circuits" too_short
+    (fun () ->
+      sweep ~live:(Bytes.make 1 '\000') (col [| 3; 3 |]) (col [| 1; 1 |])
+        (col [| 2; 2 |]));
+  Alcotest.(check (list int)) "refused sweeps added nothing" [ 3 ]
+    (Bitset.to_list b);
+  (* A row whose circuit is not usable, or whose next is not useful,
+     adds nothing; a live row adds its prev. *)
   Bitset.remove useful 1;
-  sweep [| 4; 3 |] [| 9; 1 |] [| 9; 9 |];
-  Alcotest.(check (list int)) "dead rows add nothing" [ 2; 3 ] (Bitset.to_list b)
+  let live = Bytes.make 3 '\007' in
+  sweep ~live (col [| 4; 3; 3 |]) (col [| 7; 1; 0 |]) (col [| 6; 6; 2 |]);
+  Alcotest.(check (list int)) "dead rows add nothing" [ 2; 3 ] (Bitset.to_list b);
+  Alcotest.(check string) "row verdicts" "\000\000\001" (Bytes.to_string live)
+
+(* [Col.make] checks every entry once, against [0, bound). *)
+let test_col_make () =
+  let c = Col.make ~what:"id" ~bound:5 [| 0; 4; 2 |] in
+  Alcotest.(check int) "bound" 5 c.Col.bound;
+  Alcotest.(check (array int)) "ids kept" [| 0; 4; 2 |] c.Col.ids;
+  Alcotest.(check int) "an empty column at bound 0" 0
+    (Array.length (Col.make ~what:"id" ~bound:0 [||]).Col.ids);
+  Alcotest.check_raises "an entry at the bound"
+    (Invalid_argument "id 5 out of range [0, 5)") (fun () ->
+      ignore (Col.make ~what:"id" ~bound:5 [| 0; 5 |]));
+  Alcotest.check_raises "any entry at bound 0"
+    (Invalid_argument "id 0 out of range [0, 0)") (fun () ->
+      ignore (Col.make ~what:"id" ~bound:0 [| 0 |]));
+  Alcotest.check_raises "the first bad entry is named"
+    (Invalid_argument "id -3 out of range [0, 5)") (fun () ->
+      ignore (Col.make ~what:"id" ~bound:5 [| 1; -3; 7 |]))
 
 let test_full_clear () =
   let b = Bitset.create_full 17 in
@@ -242,8 +288,9 @@ let prop_bulk_ops_any_capacity =
                       reference := Iset.add prevs.(r) !reference
                     end)
                   circuits;
-                Bitset.sweep_rows ~usable ~useful ~into:!b ~circuits ~nexts
-                  ~prevs live;
+                let col = Col.make ~what:"row" ~bound:n in
+                Bitset.sweep_rows ~usable ~useful ~into:!b ~circuits:(col circuits)
+                  ~nexts:(col nexts) ~prevs:(col prevs) live;
                 Bitset.equal !b expected && Bytes.equal live expected_live
             | _ -> true
           in
@@ -255,6 +302,7 @@ let suite =
     [
       Alcotest.test_case "basic membership" `Quick test_basic;
       Alcotest.test_case "bounds checking" `Quick test_bounds;
+      Alcotest.test_case "validated columns" `Quick test_col_make;
       Alcotest.test_case "full and clear" `Quick test_full_clear;
       Alcotest.test_case "copy independence" `Quick test_copy;
       Alcotest.test_case "iter and to_list" `Quick test_iter_to_list;

@@ -194,6 +194,25 @@ let test_power_constrains_plans () =
       () (* acceptable: too tight a budget proves infeasible *)
   | _ -> Alcotest.fail "planning failed"
 
+(* MRC ranks candidate states by [Constraint.current_min_residual], so
+   that margin must reject every state the audit rejects.  Before it
+   tested power, MRC returned plans under this budget (cost 6 on A, 9 on
+   B) that [Plan.validate] refused. *)
+let test_mrc_respects_power () =
+  List.iter
+    (fun label ->
+      let sc = Gen.scenario_of_label label in
+      let power = Power.hall_model sc ~headroom:0.1 in
+      let task = Task.of_scenario ~theta:0.95 ~power sc in
+      match (Mrc.plan task).Planner.outcome with
+      | Planner.Found p -> (
+          match Plan.validate task p with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "%s: MRC's plan fails the audit: %s" label e)
+      | Planner.Infeasible -> ()
+      | _ -> Alcotest.failf "%s: MRC neither planned nor proved infeasibility" label)
+    [ "A"; "B" ]
+
 let test_power_optimality () =
   let sc = Gen.scenario_of_label "A" in
   let power = Power.hall_model sc ~headroom:0.4 in
@@ -348,6 +367,7 @@ let suite =
         test_power_load_tracks_activity;
       Alcotest.test_case "power constrains plans" `Quick
         test_power_constrains_plans;
+      Alcotest.test_case "MRC plans respect power" `Quick test_mrc_respects_power;
       Alcotest.test_case "power optimality" `Quick test_power_optimality;
       Alcotest.test_case "simulator: clean run" `Quick test_simulate_no_failures;
       Alcotest.test_case "simulator: survives failures" `Quick

@@ -218,6 +218,51 @@ let test_ensemble_walk_verdicts () =
         false );
     ]
 
+(* MRC's margin and the admission verdict are one verdict:
+   [current_min_residual > neg_infinity] exactly when [current_ok] holds,
+   on the full and the delta path, with a power budget and funneling on.
+   The SSW walk breaks the budget whenever it energizes new spines
+   before the old ones go; the DMAG budget never binds, and a funneling
+   margin of 1.0 rejects some of its walked states. *)
+let test_residual_matches_verdict () =
+  List.iter
+    (fun (label, sc, walk_seed, funneling) ->
+      let power = Power.hall_model sc ~headroom:0.1 in
+      let task = Task.of_scenario ~funneling ~power sc in
+      let checkers =
+        [ Constraint.create ~incremental:false task; Constraint.create task ]
+      in
+      let n = Array.length task.Task.blocks in
+      let applied = Array.make n false in
+      let g = Kutil.Prng.create ~seed:walk_seed in
+      let admitted = ref 0 and rejected = ref 0 in
+      for step = 1 to 8 * n do
+        let b = Kutil.Prng.int g n in
+        List.iter
+          (fun ck ->
+            if applied.(b) then Constraint.unapply_block ck b
+            else Constraint.apply_block ck b)
+          checkers;
+        applied.(b) <- not applied.(b);
+        let last_block = if applied.(b) then Some b else None in
+        List.iter
+          (fun ck ->
+            let ok = Constraint.current_ok ?last_block ck in
+            let residual = Constraint.current_min_residual ?last_block ck in
+            if ok then incr admitted else incr rejected;
+            Alcotest.(check bool)
+              (Printf.sprintf "%s step %d: margin agrees with the verdict" label step)
+              ok
+              (residual > neg_infinity))
+          checkers
+      done;
+      Alcotest.(check bool) (label ^ ": the walk meets both verdicts") true
+        (!admitted > 0 && !rejected > 0))
+    [
+      ("C-SSW", Gen.build Gen.Ssw_forklift (Gen.params_c ()), 5, 0.3);
+      ("C-DMAG", Gen.build Gen.Dmag (Gen.params_c ()), 6, 1.0);
+    ]
+
 (* Soundness of the dependency index: any class whose loads change when a
    block toggles must be listed in deps for that block.  Checked
    exhaustively, per block and per class, on a small scenario. *)
@@ -282,6 +327,8 @@ let suite =
         test_random_walk_verdicts;
       Alcotest.test_case "ensemble random walk verdicts" `Quick
         test_ensemble_walk_verdicts;
+      Alcotest.test_case "residual agrees with verdict" `Quick
+        test_residual_matches_verdict;
       Alcotest.test_case "dependency index sound" `Quick test_deps_index_sound;
       Alcotest.test_case "escape hatch" `Quick test_escape_hatch;
     ] )

@@ -107,6 +107,109 @@ let test_ecmp_usefulness_avoids_dead_end () =
   Alcotest.check feq "nothing stuck" 0.0 result.Ecmp.stuck;
   Alcotest.check feq "dead branch unused" 0.0 loads.(List.nth rf 0)
 
+(* Every id is checked once, where a class is built, and every
+   evaluation compares the class's universe counts with what it indexes
+   once, on entry: the per-row loops make no range check of their own,
+   so these are the checks that stand between a mis-sized argument and
+   a stray memory access. *)
+let test_ecmp_moved_checks () =
+  let topo, (r0, _, f0, f1, _), rf, _ = ecmp_fixture () in
+  let u = Topo.universe topo in
+  let n = Universe.n_switches u and m = Universe.n_circuits u in
+  let range what x bound =
+    Invalid_argument (Printf.sprintf "Ecmp: %s %d out of range [0, %d)" what x bound)
+  in
+  Alcotest.check_raises "compile: a source past the switches"
+    (range "source switch" n n) (fun () ->
+      ignore (two_hop_compiled topo [ (r0, 1.0); (n, 1.0) ]));
+  Alcotest.check_raises "compile: a negative source"
+    (range "source switch" (-1) n) (fun () ->
+      ignore (two_hop_compiled topo [ (-1, 1.0) ]));
+  (* One stage of the fixture's first hop, column by column. *)
+  let stage ?(circuits = [| List.hd rf |]) ?(alt_hi = [||]) ?(prevs = [| r0 |])
+      ?(nexts = [| f0 |]) ?(skips = [||]) () =
+    { Ecmp.circuits; alt_hi; prevs; nexts; skips }
+  in
+  let assemble ?(sources = [ (r0, 1.0) ]) st =
+    ignore (Ecmp.assemble u ~sources ~stages:[| st |])
+  in
+  assemble (stage ());
+  Alcotest.check_raises "assemble: a circuit past the circuits"
+    (range "circuit" m m) (fun () -> assemble (stage ~circuits:[| m |] ()));
+  Alcotest.check_raises "assemble: a prev past the switches"
+    (range "prev switch" n n) (fun () -> assemble (stage ~prevs:[| n |] ()));
+  Alcotest.check_raises "assemble: a negative next"
+    (range "next switch" (-1) n) (fun () -> assemble (stage ~nexts:[| -1 |] ()));
+  Alcotest.check_raises "assemble: a skip past the switches"
+    (range "skip switch" (n + 3) n) (fun () -> assemble (stage ~skips:[| n + 3 |] ()));
+  Alcotest.check_raises "assemble: a source past the switches"
+    (range "source switch" n n) (fun () ->
+      assemble ~sources:[ (n, 1.0) ] (stage ()));
+  let unequal = Invalid_argument "Ecmp: a stage's columns differ in length" in
+  Alcotest.check_raises "assemble: prevs shorter than circuits" unequal (fun () ->
+      assemble (stage ~prevs:[||] ()));
+  Alcotest.check_raises "assemble: nexts longer than circuits" unequal (fun () ->
+      assemble (stage ~nexts:[| f0; f1 |] ()));
+  Alcotest.check_raises "assemble: alt_hi neither empty nor one per row" unequal
+    (fun () -> assemble (stage ~alt_hi:[| -1; -1 |] ()));
+  (* The entry checks, against the universe of A (42 switches, 87
+     circuits): a scratch, overlay, loads or aux vector sized for the
+     other universe is refused before any row is read. *)
+  let a = Task.of_scenario (Gen.scenario_of_label "A") in
+  let a_topo = a.Task.topo in
+  let a_u = Topo.universe a_topo in
+  let a_class = fst a.Task.compiled.(0) in
+  let a_m = Universe.n_circuits a_u in
+  let c = two_hop_compiled topo [ (r0, 4.0) ] in
+  let scratch = Ecmp.make_scratch u and a_scratch = Ecmp.make_scratch a_u in
+  let loads () = Array.make m 0.0 in
+  let sized what = Invalid_argument ("Ecmp: " ^ what ^ " sized for another universe") in
+  let evaluate ?aux topo sc c ~loads = ignore (Ecmp.evaluate ?aux topo sc c ~loads) in
+  Alcotest.check_raises "evaluate: a larger universe's scratch"
+    (sized "the scratch is") (fun () -> evaluate topo a_scratch c ~loads:(loads ()));
+  Alcotest.check_raises "evaluate: a smaller universe's scratch"
+    (sized "the scratch is") (fun () ->
+      evaluate a_topo scratch a_class ~loads:(Array.make a_m 0.0));
+  Alcotest.check_raises "evaluate: another universe's overlay"
+    (sized "the overlay is") (fun () -> evaluate a_topo scratch c ~loads:(loads ()));
+  Alcotest.check_raises "evaluate: loads too short" (sized "loads is") (fun () ->
+      evaluate topo scratch c ~loads:(Array.make (m - 1) 0.0));
+  Alcotest.check_raises "evaluate: loads too long" (sized "loads is") (fun () ->
+      evaluate topo scratch c ~loads:(Array.make a_m 0.0));
+  Alcotest.check_raises "evaluate: an aux vector too short"
+    (sized "an aux vector is") (fun () ->
+      evaluate
+        ~aux:[| (Array.make m 0.0, 2.0); (Array.make (m - 1) 0.0, 2.0) |]
+        topo scratch c ~loads:(loads ()));
+  Alcotest.check_raises "make_inc: a class of another universe"
+    (Invalid_argument "Ecmp.make_inc: the class was compiled for another universe")
+    (fun () -> ignore (Ecmp.make_inc a_u c));
+  let st = Ecmp.make_inc u c in
+  Alcotest.check_raises "evaluate_rebuild: a larger universe's scratch"
+    (sized "the scratch is") (fun () ->
+      ignore (Ecmp.evaluate_rebuild topo a_scratch st ~loads:(loads ())));
+  Alcotest.check_raises "evaluate_rebuild: an aux vector too long"
+    (sized "an aux vector is") (fun () ->
+      ignore
+        (Ecmp.evaluate_rebuild ~aux:[| (Array.make a_m 0.0, 2.0) |] topo scratch st
+           ~loads:(loads ())));
+  let l = loads () in
+  Alcotest.check feq "a rebuild on matching sizes" 0.0
+    (Ecmp.evaluate_rebuild topo scratch st ~loads:l);
+  Alcotest.check_raises "evaluate_patch: loads too short" (sized "loads is")
+    (fun () ->
+      ignore
+        (Ecmp.evaluate_patch topo scratch st ~dirty:1 ~loads:(Array.make (m - 1) 0.0)));
+  Alcotest.check_raises "evaluate_patch: another universe's overlay"
+    (sized "the overlay is") (fun () ->
+      ignore (Ecmp.evaluate_patch a_topo scratch st ~dirty:1 ~loads:l));
+  (* The refused calls left the scratch and the record as they were. *)
+  Alcotest.check feq "a patch after the refusals" 0.0
+    (Ecmp.evaluate_patch topo scratch st ~dirty:1 ~loads:l);
+  let r = Ecmp.evaluate topo scratch c ~loads:(loads ()) in
+  Alcotest.check feq "delivered after the refusals" 4.0 r.Ecmp.delivered;
+  Alcotest.check feq "loads after the refusals" 8.0 (Array.fold_left ( +. ) 0.0 l)
+
 let test_ecmp_stuck_when_cut () =
   let topo, (r0, _, f0, f1, _), _, _ = ecmp_fixture () in
   Topo.set_switch_active topo f0 false;
@@ -334,8 +437,20 @@ let reference_rows ?(alts = []) u ~sources ~hops =
   in
   Array.of_list (List.map stage hops)
 
+(* Explicit rows as the columns [Ecmp.assemble] takes. *)
+let columns (rows, skips) =
+  let col f = Array.map f rows in
+  {
+    Ecmp.circuits = col (fun (j, _, _, _) -> j);
+    alt_hi = col (fun (_, a, _, _) -> a);
+    prevs = col (fun (_, _, p, _) -> p);
+    nexts = col (fun (_, _, _, n) -> n);
+    skips;
+  }
+
 let reference_compile ?alts u ~sources ~hops =
-  Ecmp.assemble ~sources ~stages:(reference_rows ?alts u ~sources ~hops)
+  Ecmp.assemble u ~sources
+    ~stages:(Array.map columns (reference_rows ?alts u ~sources ~hops))
 
 (* Reference evaluator, the oracle for [Ecmp.evaluate] and
    [Ecmp.evaluate_rebuild], over explicit rows: every visit of a row
@@ -834,6 +949,8 @@ let suite =
       Alcotest.test_case "ECMP avoids dead ends" `Quick
         test_ecmp_usefulness_avoids_dead_end;
       Alcotest.test_case "ECMP detects cuts" `Quick test_ecmp_stuck_when_cut;
+      Alcotest.test_case "ECMP ids checked where rows are built" `Quick
+        test_ecmp_moved_checks;
       Alcotest.test_case "ECMP scale linearity" `Quick test_ecmp_scale_linearity;
       Alcotest.test_case "ECMP skip carries volume" `Quick test_ecmp_skip_carries;
       Alcotest.test_case "ECMP capacity-weighted split" `Quick

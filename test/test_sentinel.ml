@@ -65,6 +65,7 @@ let fixtures =
     "r3_float.ml";
     "r4_nondet.ml";
     "r5_print.ml";
+    "r6_unchecked.ml";
     "suppress_ok.ml";
     "suppress_missing_reason.ml";
   ]
