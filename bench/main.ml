@@ -4,14 +4,13 @@
      dune exec bench/main.exe                 run every experiment
      dune exec bench/main.exe -- fig8 fig12   run a subset
      dune exec bench/main.exe -- --quick all  downsized instances (A-C)
-     dune exec bench/main.exe -- bechamel     the Bechamel micro-suite
 
    Optional flags: --quick, --budget SECONDS. *)
 
 let usage () =
   prerr_endline
     "usage: main.exe [--quick] [--budget S] \
-     [table1|table3|fig8|fig9|fig10|fig11|fig12|fig13|par|inc|robust|ext|scale|bechamel|all]...";
+     [table1|table3|fig8|fig9|fig10|fig11|fig12|fig13|par|inc|robust|ext|scale|all]...";
   exit 2
 
 let () =
@@ -48,10 +47,7 @@ let () =
     | Some f -> f opts
     | None -> (
         match name with
-        | "bechamel" -> Bechamel_suite.run ()
-        | "everything" ->
-            List.iter (fun (_, f) -> f opts) Experiments.all;
-            Bechamel_suite.run ()
+        | "everything" -> List.iter (fun (_, f) -> f opts) Experiments.all
         | other ->
             Printf.eprintf "unknown experiment %S\n" other;
             usage ())

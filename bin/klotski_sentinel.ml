@@ -34,7 +34,7 @@ let () =
   let report = Sentinel.analyze ~config ~cmt_roots () in
   List.iter print_endline (Sentinel.render_summary report);
   List.iter
-    (fun f -> print_endline (Lint_finding.to_string f))
+    (fun f -> print_endline (Sentinel_finding.to_string f))
     report.Sentinel.findings;
   match report.Sentinel.findings with
   | [] ->

@@ -27,7 +27,7 @@ let default_config =
   }
 
 type report = {
-  findings : Lint_finding.t list;  (* post-suppression, stable order *)
+  findings : Sentinel_finding.t list;  (* post-suppression, stable order *)
   unit_count : int;
   def_count : int;
   closure_roots : string list;
@@ -88,18 +88,18 @@ let analyze ?(config = default_config) ~cmt_roots () =
   let files =
     List.fold_left collect_sources [] config.source_roots
     @ List.filter_map
-        (fun (f : Lint_finding.t) ->
-          if Sys.file_exists f.Lint_finding.file then
-            Some f.Lint_finding.file
+        (fun (f : Sentinel_finding.t) ->
+          if Sys.file_exists f.Sentinel_finding.file then
+            Some f.Sentinel_finding.file
           else None)
         raw
     |> List.sort_uniq String.compare
   in
   let sups =
-    List.map (fun file -> (file, Lint_suppress.scan ~file (read_file file))) files
+    List.map (fun file -> (file, Sentinel_suppress.scan ~file (read_file file))) files
   in
-  let covered_by file (d : Lint_suppress.directive) (f : Lint_finding.t) =
-    String.equal file f.Lint_finding.file && Lint_suppress.covers d f
+  let covered_by file (d : Sentinel_suppress.directive) (f : Sentinel_finding.t) =
+    String.equal file f.Sentinel_finding.file && Sentinel_suppress.covers d f
   in
   let kept =
     List.filter
@@ -107,7 +107,7 @@ let analyze ?(config = default_config) ~cmt_roots () =
         not
           (List.exists
              (fun (file, sup) ->
-               List.exists (fun d -> covered_by file d f) sup.Lint_suppress.directives)
+               List.exists (fun d -> covered_by file d f) sup.Sentinel_suppress.directives)
              sups))
       raw
   in
@@ -117,22 +117,22 @@ let analyze ?(config = default_config) ~cmt_roots () =
     List.concat_map
       (fun (file, sup) ->
         List.filter_map
-          (fun (d : Lint_suppress.directive) ->
+          (fun (d : Sentinel_suppress.directive) ->
             if List.exists (covered_by file d) raw then None
             else
               Some
-                (Lint_finding.v ~file ~line:d.Lint_suppress.line
-                   ~col:d.Lint_suppress.col ~rule:"S4"
+                (Sentinel_finding.v ~file ~line:d.Sentinel_suppress.line
+                   ~col:d.Sentinel_suppress.col ~rule:"S4"
                    (Printf.sprintf
                       "stale suppression (allow %s): no finding on this or \
                        the next line — delete it"
-                      (String.concat " " d.Lint_suppress.rules))))
-          sup.Lint_suppress.directives)
+                      (String.concat " " d.Sentinel_suppress.rules))))
+          sup.Sentinel_suppress.directives)
       sups
   in
-  let malformed = List.concat_map (fun (_, sup) -> sup.Lint_suppress.problems) sups in
+  let malformed = List.concat_map (fun (_, sup) -> sup.Sentinel_suppress.problems) sups in
   {
-    findings = List.sort Lint_finding.order (problems @ kept @ stale @ malformed);
+    findings = List.sort Sentinel_finding.order (problems @ kept @ stale @ malformed);
     unit_count = List.length units;
     def_count = List.length vis;
     closure_roots = config.s1_roots;

@@ -55,7 +55,7 @@ let load_file path =
   | _ -> Ok None  (* interface or partial cmt: nothing to analyze *)
   | exception exn ->
       Error
-        (Lint_finding.v ~file:path ~line:1 ~col:0 ~rule:"sentinel"
+        (Sentinel_finding.v ~file:path ~line:1 ~col:0 ~rule:"sentinel"
            (Printf.sprintf "failed to load cmt: %s" (Printexc.to_string exn)))
 
 (* [load ~roots] returns every implementation typedtree under the roots,

@@ -62,7 +62,7 @@ let match_roots g roots =
     roots
 
 let missing_root ~rule r =
-  Lint_finding.v ~file:"(sentinel-config)" ~line:0 ~col:0 ~rule
+  Sentinel_finding.v ~file:"(sentinel-config)" ~line:0 ~col:0 ~rule
     (Printf.sprintf "configured root %S matches no analyzed definition" r)
 
 (* ---------------------------------------------------------------- *)
@@ -109,7 +109,7 @@ let s1 g entries =
                 if audited then None
                 else
                   Some
-                    (Lint_finding.make ~file:d.G.source ~loc ~rule:"S1"
+                    (Sentinel_finding.make ~file:d.G.source ~loc ~rule:"S1"
                        (Printf.sprintf
                           "unguarded write (%s) to shared %s, worker-reachable \
                            via %s — guard with Mutex/Atomic or annotate the \
@@ -172,7 +172,7 @@ let s2 g effects =
               in
               Option.map
                 (fun why ->
-                  Lint_finding.make ~file:d.G.source ~loc ~rule:"S2"
+                  Sentinel_finding.make ~file:d.G.source ~loc ~rule:"S2"
                     (Printf.sprintf
                        "float accumulation inside hash-order %s (%s) — \
                         traversal order is nondeterministic; sort keys first \
@@ -197,7 +197,7 @@ let s3 g effects ~roots =
               match Hashtbl.find_opt effects (G.gid_key d.G.gid) with
               | Some e when not (E.deterministic e) ->
                   Some
-                    (Lint_finding.make ~file:d.G.source ~loc:d.G.def_loc
+                    (Sentinel_finding.make ~file:d.G.source ~loc:d.G.def_loc
                        ~rule:"S3"
                        (Printf.sprintf
                           "%s feeds cache/ensemble keys but is outside the \
@@ -242,7 +242,7 @@ let s4_annotations g =
           if live then None
           else
             Some
-              (Lint_finding.make ~file:d.G.source ~loc:aloc ~rule:"S4"
+              (Sentinel_finding.make ~file:d.G.source ~loc:aloc ~rule:"S4"
                  (Printf.sprintf
                     "stale [@@klotski.domain_safe] on %s: the binding holds \
                      no module-level mutable state and is never written — \

@@ -60,7 +60,7 @@ let unchecked_values =
    ([%array_unsafe_get], [%caml_ba_unsafe_ref_1], ...) and the
    [u]-suffixed multi-byte accessors ([%caml_bytes_get64u], ...). *)
 let unchecked_prim p =
-  Option.is_some (Lint_suppress.find_sub p "unsafe")
+  Option.is_some (Sentinel_suppress.find_sub p "unsafe")
   || (G.has_prefix "%caml_" p && String.ends_with ~suffix:"u" p)
 
 let printers =
@@ -133,7 +133,7 @@ let check g (u : Sentinel_cmt.unit_info) =
   let scope = Hashtbl.create 1 in
   let findings = ref [] in
   let report ~loc rule msg =
-    findings := Lint_finding.make ~file:u.source ~loc ~rule msg :: !findings
+    findings := Sentinel_finding.make ~file:u.source ~loc ~rule msg :: !findings
   in
   let r4 = not (has_any_suffix u.source [ "util/prng.ml"; "util/timer.ml" ]) in
   let r5 =

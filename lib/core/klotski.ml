@@ -88,49 +88,20 @@ let remainder_task (task : Task.t) ~executed =
             block.Blocks.circuits)
     executed;
   (* Re-index the remaining blocks, preserving canonical per-type order. *)
-  let mapping = ref [] in
-  let remaining = ref [] in
-  let next_id = ref 0 in
-  Array.iter
-    (fun type_blocks ->
-      Array.iter
-        (fun b ->
-          if not done_flags.(b) then begin
-            let old_block = task.Task.blocks.(b) in
-            remaining := { old_block with Blocks.id = !next_id } :: !remaining;
-            mapping := b :: !mapping;
-            incr next_id
-          end)
-        type_blocks)
-    task.Task.blocks_by_type;
-  let blocks = Array.of_list (List.rev !remaining) in
-  let mapping = Array.of_list (List.rev !mapping) in
-  let actions =
-    Action.Set.of_list
-      (Array.to_list (Array.map (fun (b : Blocks.t) -> b.Blocks.action) blocks))
+  let mapping =
+    Array.of_list
+      (List.filter
+         (fun b -> not done_flags.(b))
+         (Array.to_list (Array.concat (Array.to_list task.Task.blocks_by_type))))
   in
-  let n_types = Action.Set.cardinal actions in
-  let per_type = Array.make n_types [] in
-  Array.iter
-    (fun (b : Blocks.t) ->
-      let a = Action.Set.index actions b.Blocks.action in
-      per_type.(a) <- b.Blocks.id :: per_type.(a))
-    blocks;
-  let blocks_by_type = Array.map (fun l -> Array.of_list (List.rev l)) per_type in
-  let task' =
-    (* [relower] recomputes the block-id-keyed indexes (dependency index,
-       compact-state lowering) for the re-indexed blocks. *)
-    Task.relower
-      {
-        task with
-        Task.topo;
-        blocks;
-        actions;
-        blocks_by_type;
-        counts = Array.map Array.length blocks_by_type;
-      }
+  let blocks =
+    Array.mapi (fun i b -> { task.Task.blocks.(b) with Blocks.id = i }) mapping
   in
-  (task', mapping)
+  (* Each kept block carries its dependency row: the row depends on the
+     block's elements and the compiled classes, neither of which the
+     re-indexing or the reached state changes. *)
+  let deps = Array.map (fun b -> task.Task.deps.(b)) mapping in
+  ({ (Task.with_blocks task blocks ~deps) with Task.topo }, mapping)
 
 let replan ?planner ?config (task : Task.t) ~executed ~demand_scales =
   let task' = Task.scale_demands task demand_scales in

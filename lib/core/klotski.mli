@@ -53,7 +53,9 @@ val remainder_task : Task.t -> executed:int list -> Task.t * int array
     blocks have been performed: the topology advanced to the reached
     state, the remaining blocks re-indexed (canonical order preserved).
     Returns the new task and the mapping from new block ids to the
-    original ids. *)
+    original ids.  Each remaining block carries its dependency row from
+    [task] ({!Task.with_blocks}) rather than having the index rebuilt
+    ({!Task.relower}): the rows equal a rebuild's. *)
 
 val replan :
   ?planner:planner_kind ->

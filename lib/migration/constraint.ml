@@ -7,7 +7,10 @@
    patched loads, as on the full path.  When the queued delta is not
    local enough to pay off, everything falls back to a full rebuild. *)
 type inc = {
-  classes : Ecmp.inc array;  (* per compiled class *)
+  classes : Ecmp.inc option array;
+      (* per compiled class; [None] for a class no block's dependency row
+         names, whose loads no toggle can change: a rebuild re-evaluates
+         it with the plain [Ecmp.evaluate] and nothing ever patches it *)
   mutable total_stuck : float;
   mutable loads_valid : bool;
   (* blocks toggled since the last demand evaluation *)
@@ -138,8 +141,13 @@ let delta_profitable (task : Task.t) =
 let make_inc (task : Task.t) =
   let u = Task.universe task in
   let suffix_cost, full_cost = cost_model task in
+  let touched = Array.make (Array.length task.Task.compiled) false in
+  Array.iter (Array.iter (fun (d, _) -> touched.(d) <- true)) task.Task.deps;
   {
-    classes = Array.map (fun (c, _) -> Ecmp.make_inc u c) task.Task.compiled;
+    classes =
+      Array.mapi
+        (fun d (c, _) -> if touched.(d) then Some (Ecmp.make_inc u c) else None)
+        task.Task.compiled;
     total_stuck = 0.0;
     loads_valid = false;
     pending = Array.make 64 0;
@@ -389,6 +397,13 @@ let ens_note_stuck x d stuck =
     x.xstuck.(m) <- x.xstuck.(m) +. (stuck *. f)
   done
 
+(* Class [d]'s ensemble deposits, as Ecmp's optional [aux]: [None]
+   without an ensemble, so that call allocates no option. *)
+let aux_of es d = match es.ens with None -> None | Some x -> Some x.xaux.(d)
+
+let note_stuck es d stuck =
+  match es.ens with None -> () | Some x -> ens_note_stuck x d stuck
+
 (* The original full evaluation: zero the loads, replay every class.
    Used when the incremental layer is disabled.  With an ensemble, the
    same traversal also fills every extra matrix's loads (Ecmp aux
@@ -401,44 +416,36 @@ let eval_demands_full ck es =
   Array.iteri
     (fun d (compiled, scale) ->
       let r =
-        match es.ens with
-        | None ->
-            Ecmp.evaluate ~scale ~split ck.topo es.scratch compiled
-              ~loads:es.loads
-        | Some x ->
-            let r =
-              Ecmp.evaluate ~scale ~split ~aux:x.xaux.(d) ck.topo es.scratch
-                compiled ~loads:es.loads
-            in
-            ens_note_stuck x d r.Ecmp.stuck;
-            r
+        Ecmp.evaluate ~scale ~split ?aux:(aux_of es d) ck.topo es.scratch
+          compiled ~loads:es.loads
       in
+      note_stuck es d r.Ecmp.stuck;
       stuck := !stuck +. r.Ecmp.stuck)
     ck.task.Task.compiled;
   !stuck
 
 (* Full rebuild of the incremental state: loads from zero, per-class
-   recorded stages. *)
+   recorded stages for the classes a block can touch, the plain
+   evaluation (same arithmetic, same class order) for the rest. *)
 let refresh ck es st =
   Array.fill es.loads 0 (Array.length es.loads) 0.0;
   (match es.ens with None -> () | Some x -> ens_clear x);
   let split = split_of ck in
   let stuck = ref 0.0 in
   Array.iteri
-    (fun d (_, scale) ->
+    (fun d (compiled, scale) ->
+      let aux = aux_of es d in
       let class_stuck =
-        match es.ens with
+        match st.classes.(d) with
+        | Some cls ->
+            Ecmp.evaluate_rebuild ~scale ~split ?aux ck.topo es.scratch cls
+              ~loads:es.loads
         | None ->
-            Ecmp.evaluate_rebuild ~scale ~split ck.topo es.scratch
-              st.classes.(d) ~loads:es.loads
-        | Some x ->
-            let s =
-              Ecmp.evaluate_rebuild ~scale ~split ~aux:x.xaux.(d) ck.topo
-                es.scratch st.classes.(d) ~loads:es.loads
-            in
-            ens_note_stuck x d s;
-            s
+            (Ecmp.evaluate ~scale ~split ?aux ck.topo es.scratch compiled
+               ~loads:es.loads)
+              .Ecmp.stuck
       in
+      note_stuck es d class_stuck;
       stuck := !stuck +. class_stuck)
     ck.task.Task.compiled;
   st.total_stuck <- !stuck;
@@ -475,27 +482,23 @@ let eval_incremental ck es st =
       st.patches_left <- st.patches_left - 1;
       let split = split_of ck in
       let stuck = ref st.total_stuck in
+      (* A class with a dirty mask is named in a dependency row, so it
+         has an incremental state. *)
       Array.iteri
         (fun d m ->
-          if m <> 0 then begin
-            let cls = st.classes.(d) in
-            let old = Ecmp.class_stuck cls in
-            let _, scale = ck.task.Task.compiled.(d) in
-            let fresh =
-              match es.ens with
-              | None ->
-                  Ecmp.evaluate_patch ~scale ~split ck.topo es.scratch cls
-                    ~dirty:m ~loads:es.loads
-              | Some x ->
-                  let fresh =
-                    Ecmp.evaluate_patch ~scale ~split ~aux:x.xaux.(d) ck.topo
-                      es.scratch cls ~dirty:m ~loads:es.loads
-                  in
-                  ens_note_stuck x d (fresh -. old);
-                  fresh
-            in
-            stuck := !stuck -. old +. fresh
-          end)
+          match st.classes.(d) with
+          | Some cls when m <> 0 ->
+              let old = Ecmp.class_stuck cls in
+              let _, scale = ck.task.Task.compiled.(d) in
+              let fresh =
+                Ecmp.evaluate_patch ~scale ~split ?aux:(aux_of es d) ck.topo
+                  es.scratch cls ~dirty:m ~loads:es.loads
+              in
+              (match es.ens with
+              | None -> ()
+              | Some x -> ens_note_stuck x d (fresh -. old));
+              stuck := !stuck -. old +. fresh
+          | _ -> ())
         st.masks;
       st.total_stuck <- !stuck;
       st.pending_len <- 0;

@@ -105,7 +105,6 @@ let checks_performed e =
 
 let cache_hits e = Cache.hits e.cache
 let cache_misses e = Cache.misses e.cache
-let cache_size e = Cache.size e.cache
 let check_seconds e = e.check_seconds
 
 let shutdown e = Kutil.Domain_pool.shutdown e.pool

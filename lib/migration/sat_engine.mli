@@ -64,8 +64,6 @@ val cache_hits : t -> int
 
 val cache_misses : t -> int
 
-val cache_size : t -> int
-
 val check_seconds : t -> float
 (** Wall-clock seconds spent inside {!check}/{!check_batch}. *)
 

@@ -171,20 +171,26 @@ let of_scenario ?(theta = 0.75) ?(alpha = 0.0) ?(funneling = 0.0)
     block_prefix;
   }
 
-(* Recompute every index derived from the topology/block structure.  Use
-   after rebuilding [blocks]/[blocks_by_type] (e.g. for a remainder task):
-   both the dependency index and the block-mask lowering are keyed by
-   block id, which re-indexing invalidates. *)
-let relower t =
+(* A block's dependency row depends only on its own switches and circuits
+   and on the compiled classes, so re-indexed blocks keep their rows. *)
+let with_blocks t blocks ~deps =
+  let actions, blocks_by_type, counts = index_blocks (Array.to_list blocks) in
   let state_word_count, block_prefix =
-    lower_blocks t.blocks_by_type ~n_blocks:(Array.length t.blocks)
+    lower_blocks blocks_by_type ~n_blocks:(Array.length blocks)
   in
   {
     t with
-    deps = build_deps t.topo t.blocks t.compiled;
+    blocks;
+    actions;
+    blocks_by_type;
+    counts;
+    deps;
     state_word_count;
     block_prefix;
   }
+
+let relower t =
+  with_blocks t t.blocks ~deps:(build_deps t.topo t.blocks t.compiled)
 
 let universe t = Topo.universe t.topo
 
@@ -224,6 +230,8 @@ let with_ensemble ensemble t =
   | _ -> ());
   { t with ensemble }
 
+(* Replace the per-class volume scales with absolute values (the scale
+   includes the calibration factor). *)
 let with_demand_scales t scales =
   if Array.length scales <> Array.length t.compiled then
     invalid_arg "Task.with_demand_scales: class count mismatch";

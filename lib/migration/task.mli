@@ -99,23 +99,23 @@ val with_ensemble : Ensemble.t option -> t -> t
     the task's current calibrated volumes; its class count must match.
     Carried through remainder tasks and demand rescaling unchanged. *)
 
-val with_demand_scales : t -> float array -> t
-(** Replace the per-class volume scales with absolute values (the scale
-    includes the calibration factor).  The array must match the number of
-    classes. *)
-
 val scale_demands : t -> float array -> t
 (** Multiply every class's current volume by a factor — the natural form
     for demand forecasts (§7.1): a factor of 1.0 keeps the class as
     calibrated, 1.1 grows it by 10%. *)
 
+val with_blocks : t -> Blocks.t array -> deps:(int * int) array array -> t
+(** [with_blocks t blocks ~deps] is [t] with [blocks] (block [i] has id
+    [i]) grouped by action type in their given order and lowered again
+    ([state_word_count]/[block_prefix]), and [deps.(i)] as block [i]'s
+    dependency row.  A block's row depends only on its own switches and
+    circuits and on [t]'s compiled classes, so a remainder task passes
+    each kept block's row from its parent ([Klotski.remainder_task]) and
+    builds no index. *)
+
 val relower : t -> t
-(** Recompute the indexes derived from the block structure — the
-    block→demand dependency index and the compact-state lowering
-    ([state_word_count]/[block_prefix]) — after [blocks],
-    [blocks_by_type] or [topo] have been rebuilt (remainder tasks).
-    Both are keyed by block id, so re-indexing the blocks without
-    relowering would leave them pointing at the wrong blocks. *)
+(** [with_blocks t t.blocks] with every dependency row rebuilt from the
+    compiled classes: the indexes keyed by block id, derived afresh. *)
 
 val universe : t -> Universe.t
 (** The immutable structure shared by every checker of this task. *)

@@ -117,9 +117,6 @@ let connect_all t ~los ~his ?(future = false) ~capacity () =
     (fun lo -> List.map (fun hi -> add_circuit t ~lo ~hi ~future ~capacity ()) his)
     los
 
-let switch_count t = t.n_switches
-let circuit_count t = t.n_circuits
-
 let future_ids flags n =
   let acc = ref [] in
   for i = n - 1 downto 0 do

@@ -41,9 +41,6 @@ val connect_all :
   t -> los:int list -> his:int list -> ?future:bool -> capacity:float -> unit -> int list
 (** Full bipartite meshing: one circuit for every (lo, hi) pair. *)
 
-val switch_count : t -> int
-val circuit_count : t -> int
-
 val future_switches : t -> int list
 (** Ids of switches declared future, in increasing order. *)
 

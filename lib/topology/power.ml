@@ -27,8 +27,6 @@ let make ~n_switches ~domains ~assign =
     assign;
   { names; caps; domain_of; draw }
 
-let domain_count p = Array.length p.caps
-
 let load p topo =
   let acc = Array.make (Array.length p.caps) 0.0 in
   Array.iteri

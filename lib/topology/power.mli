@@ -25,8 +25,6 @@ val make :
     Raises [Invalid_argument] on out-of-range ids, duplicate assignment,
     or non-positive capacity/draw. *)
 
-val domain_count : t -> int
-
 val load : t -> Topo.t -> float array
 (** Active draw per domain in the topology's current state. *)
 

@@ -169,15 +169,12 @@ val circuit_rewired : t -> int -> bool
 val rewired_count : t -> int
 (** Number of currently rewired circuits (O(1)). *)
 
-val wiring_matches : t -> int -> int -> bool
-(** [wiring_matches t j alt] is whether [j]'s current wiring matches a
-    routing candidate compiled for alternative endpoint [alt]:
-    [alt = -1] means the as-built wiring, any other value the rewired
-    endpoint [alt].  One bitset probe on never-rewired circuits. *)
-
 val usable_wired : t -> int -> int -> bool
-(** [usable_wired t j alt] is [usable t j && wiring_matches t j alt] —
-    the ECMP predicate for one candidate row. *)
+(** [usable_wired t j alt] is whether [j] is usable and its current
+    wiring matches a routing candidate compiled for alternative endpoint
+    [alt] ([alt = -1]: the as-built wiring, any other value the rewired
+    endpoint [alt]) — the ECMP predicate for one candidate row.  One
+    bitset probe on never-rewired circuits. *)
 
 val sweep_rows :
   t ->

@@ -245,7 +245,6 @@ let find_switch u name =
   | Some i -> Some u.switches.(i)
   | None -> None
 
-let full_degree u s = u.full_deg.(s)
 let full_degrees u = Array.copy u.full_deg
 let full_port_violations u = u.full_port_violations
 

@@ -156,12 +156,10 @@ val down_circuits : t -> int -> int array
 val find_switch : t -> string -> Switch.t option
 (** Name lookup through the eagerly built index: O(1), never mutates. *)
 
-val full_degree : t -> int -> int
-(** Incident-circuit count of a switch — the usable degree when every
-    switch and circuit is active. *)
-
 val full_degrees : t -> int array
-(** A fresh copy of the full-degree array; mutating it has no effect. *)
+(** Incident-circuit count per switch — the usable degrees when every
+    switch and circuit is active — as a fresh copy; mutating it has no
+    effect. *)
 
 val full_port_violations : t -> int
 (** Port-constraint violations of the everything-active state. *)

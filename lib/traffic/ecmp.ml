@@ -258,7 +258,11 @@ type result = { delivered : float; stuck : float }
 module Fvec = struct
   type t = { mutable js : int array; mutable vs : float array; mutable len : int }
 
-  let create () = { js = Array.make 16 0; vs = Array.make 16 0.0; len = 0 }
+  (* Room for [n] pushes (at least one) before the first [grow]. *)
+  let create n =
+    let n = max 1 n in
+    { js = Array.make n 0; vs = Array.make n 0.0; len = 0 }
+
   let clear f = f.len <- 0
 
   let grow f =
@@ -526,6 +530,9 @@ type inc = {
   mutable valid : bool;
 }
 
+(* A stage deposits at most one share per row, so a contribution record
+   sized to the stage's row count never grows.  Entry records start
+   small and grow to the most switches a stage has seen enter it. *)
 let make_inc u c =
   let n = Universe.n_switches u in
   if n <> c.n_switches || Universe.n_circuits u <> c.n_circuits then
@@ -533,8 +540,14 @@ let make_inc u c =
   {
     ic = c;
     recs =
-      Array.init (Array.length c.stages) (fun _ ->
-          { entry = Fvec.create (); contrib = Fvec.create (); srec_stuck = 0.0 });
+      Array.map
+        (fun stage ->
+          {
+            entry = Fvec.create 16;
+            contrib = Fvec.create (n_rows stage);
+            srec_stuck = 0.0;
+          })
+        c.stages;
     usnap = Array.init (Array.length c.stages + 1) (fun _ -> Bitset.create n);
     class_stuck = 0.0;
     valid = false;

@@ -198,7 +198,10 @@ type inc
     checker: never share an [inc] across concurrent evaluators. *)
 
 val make_inc : Universe.t -> compiled -> inc
-(** [make_inc u c] is a fresh incremental state for [c].  Raises
+(** [make_inc u c] is a fresh incremental state for [c].  Each stage's
+    contribution record is sized once, to the stage's row count — the
+    most shares an evaluation can record there — so no evaluation grows
+    it; the entering-volume records start small and grow.  Raises
     [Invalid_argument] when [c] was compiled for a universe with other
     switch or circuit counts than [u]. *)
 

@@ -55,6 +55,8 @@ let generate ~prng ~dcs ?(east_west_total = 600.0) ?(egress_total = 300.0)
   in
   east_west @ egress @ ingress
 
+(* Evaluate every (compiled, scale) pair into [loads] (zeroed first):
+   (max over usable circuits of load/capacity, stuck volume). *)
 let max_utilization topo scratch classes ~loads =
   Array.fill loads 0 (Array.length loads) 0.0;
   let stuck = ref 0.0 in

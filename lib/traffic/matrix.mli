@@ -28,14 +28,6 @@ val generate :
     [`Per_pair] emits one class per ordered DC pair — finer-grained
     asymmetry at O(dcs²) evaluation cost. *)
 
-val max_utilization :
-  Topo.t -> Ecmp.scratch -> (Ecmp.compiled * float) list -> loads:float array ->
-  float * float
-(** [max_utilization topo scratch classes ~loads] evaluates every
-    [(compiled, scale)] pair, accumulating into [loads] (zeroed first),
-    and returns [(max_util, stuck_volume)] where [max_util] is
-    max over usable circuits of load/capacity. *)
-
 val calibration_factor :
   Topo.t -> (Ecmp.compiled * float) list -> target_util:float -> float
 (** The factor by which every volume must be multiplied so the hottest

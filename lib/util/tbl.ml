@@ -19,8 +19,3 @@ let sorted_keys ~compare:cmp tbl =
 
 let sorted_iter ~compare f tbl =
   List.iter (fun k -> f k (Hashtbl.find tbl k)) (sorted_keys ~compare tbl)
-
-let sorted_fold ~compare f tbl init =
-  List.fold_left
-    (fun acc k -> f k (Hashtbl.find tbl k) acc)
-    init (sorted_keys ~compare tbl)

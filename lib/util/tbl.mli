@@ -12,12 +12,3 @@ val sorted_iter :
   compare:('k -> 'k -> int) -> ('k -> 'v -> unit) -> ('k, 'v) Hashtbl.t -> unit
 (** [sorted_iter ~compare f tbl] applies [f] to each binding in
     ascending key order. *)
-
-val sorted_fold :
-  compare:('k -> 'k -> int) ->
-  ('k -> 'v -> 'acc -> 'acc) ->
-  ('k, 'v) Hashtbl.t ->
-  'acc ->
-  'acc
-(** [sorted_fold ~compare f tbl init] folds over the bindings in
-    ascending key order. *)

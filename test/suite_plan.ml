@@ -123,6 +123,42 @@ let test_remainder_rejects_bad_input () =
     (Invalid_argument "Klotski.remainder_task: bad block id") (fun () ->
       ignore (Klotski.remainder_task task ~executed:[ -3 ]))
 
+(* A remainder task carries its parent's dependency rows through the
+   block re-indexing.  At every prefix of A*'s plan they, and the
+   lowering, must equal what [Task.relower] rebuilds for the same
+   remainder, and both remainders must replan alike.  OCS-LITE is the
+   rewire case: its executed prefixes move circuit endpoints. *)
+let test_remainder_carries_index () =
+  List.iter
+    (fun (label, task) ->
+      let p = planned task in
+      for k = 0 to Plan.length p do
+        let what part = Printf.sprintf "%s, prefix %d: %s" label k part in
+        let executed = List.filteri (fun i _ -> i < k) p.Plan.blocks in
+        let carried, _ = Klotski.remainder_task task ~executed in
+        let rebuilt = Task.relower carried in
+        Alcotest.(check bool) (what "deps") true
+          (carried.Task.deps = rebuilt.Task.deps);
+        Alcotest.(check int) (what "state words") rebuilt.Task.state_word_count
+          carried.Task.state_word_count;
+        Alcotest.(check bool) (what "block prefixes") true
+          (carried.Task.block_prefix = rebuilt.Task.block_prefix);
+        if k < Plan.length p then begin
+          let pc = planned carried and pr = planned rebuilt in
+          Alcotest.check (Alcotest.float 0.0) (what "replanned cost")
+            pr.Plan.cost pc.Plan.cost;
+          Alcotest.(check (list int)) (what "replanned blocks") pr.Plan.blocks
+            pc.Plan.blocks
+        end
+      done)
+    [
+      ("C-SSW", Task.of_scenario (Gen.build Gen.Ssw_forklift (Gen.params_c ())));
+      ( "C-DMAG",
+        Task.of_scenario
+          (Gen.build Gen.Dmag { (Gen.params_c ()) with Gen.mas = 6 }) );
+      ("OCS-LITE", Task.of_scenario (Gen.scenario_of_label "OCS-LITE"));
+    ]
+
 let test_replan_roundtrip () =
   let task = task_a () in
   let p = planned task in
@@ -181,6 +217,8 @@ let suite =
       Alcotest.test_case "remainder task" `Quick test_remainder_task;
       Alcotest.test_case "remainder input validation" `Quick
         test_remainder_rejects_bad_input;
+      Alcotest.test_case "remainder carries the dependency index" `Quick
+        test_remainder_carries_index;
       Alcotest.test_case "replan round trip" `Quick test_replan_roundtrip;
       Alcotest.test_case "planner dispatch" `Slow test_planner_dispatch;
     ]

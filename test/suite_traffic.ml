@@ -870,6 +870,89 @@ let test_check_allocation () =
   run false;
   run true
 
+(* A fresh delta-layer checker sizes its contribution records once.  Its
+   first check allocates the loads, the scratch, the useful sets and the
+   entry records, which grow to the switches entering a stage (a fixed
+   multiple of the circuit and switch counts), and, for each class some
+   block's dependency row names, a contribution record of two words per
+   row.  No later check here grows a record: neither the jump through every
+   block nor a walk of single toggles longer than the checker's drift
+   interval, whose periodic full rebuild re-records every class.  (No
+   jump on these tasks passes the fallback fraction: every block
+   together dirties under half of the rows.)  Record arrays over 256
+   words skip the minor heap, so the first check counts minor plus
+   direct major words, read after a full major cycle has folded every
+   allocation into the counters; the later checks must each stay within
+   a per-stage bound in minor words and together allocate nothing on
+   the major heap directly. *)
+let test_checker_records_allocated_once () =
+  let counters () =
+    Gc.full_major ();
+    let s = Gc.quick_stat () in
+    (Gc.minor_words (), s.Gc.major_words -. s.Gc.promoted_words)
+  in
+  List.iter
+    (fun (label, task) ->
+      Alcotest.(check bool) (label ^ " checks on the delta layer") true
+        (Constraint.delta_profitable task);
+      let u = Task.universe task in
+      let touched = Array.make (Array.length task.Task.compiled) false in
+      Array.iter
+        (Array.iter (fun (d, _) -> touched.(d) <- true))
+        task.Task.deps;
+      let rows = ref 0 and stages = ref 0 in
+      Array.iteri
+        (fun d (c, _) ->
+          stages := !stages + Ecmp.n_stages c;
+          if touched.(d) then rows := !rows + Ecmp.stage_circuit_count c)
+        task.Task.compiled;
+      let ck = Constraint.create task in
+      let minor0, major0 = counters () in
+      ignore (Constraint.current_ok ck);
+      let minor1, major1 = counters () in
+      let first = minor1 -. minor0 +. (major1 -. major0) in
+      let bound =
+        float_of_int
+          ((2 * !rows) + (2 * Universe.n_circuits u) + (24 * Universe.n_switches u))
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf
+           "%s: first check %.0f words, bound %.0f (%d rows of touched classes)"
+           label first bound !rows)
+        true (first <= bound);
+      let cap = float_of_int (16 * !stages) in
+      let later what =
+        let before = Gc.minor_words () in
+        ignore (Constraint.current_ok ck);
+        let w = Gc.minor_words () -. before in
+        if w > cap then
+          Alcotest.failf "%s: %s %.0f minor words over %d stages (bound %.0f)"
+            label what w !stages cap
+      in
+      let n = Array.length task.Task.blocks in
+      let _, major0 = counters () in
+      Array.iteri (fun b _ -> Constraint.apply_block ck b) task.Task.blocks;
+      later "the check after every block";
+      let applied = Array.make n true in
+      let g = Kutil.Prng.create ~seed:3 in
+      for step = 1 to 520 do
+        let b = Kutil.Prng.int g n in
+        if applied.(b) then Constraint.unapply_block ck b
+        else Constraint.apply_block ck b;
+        applied.(b) <- not applied.(b);
+        later (Printf.sprintf "walk check %d" step)
+      done;
+      let _, major1 = counters () in
+      Alcotest.(check (float 0.0))
+        (label ^ ": later checks allocate nothing on the major heap")
+        0.0 (major1 -. major0))
+    [
+      ("C-SSW", Task.of_scenario (Gen.build Gen.Ssw_forklift (Gen.params_c ())));
+      ( "C-DMAG",
+        Task.of_scenario
+          (Gen.build Gen.Dmag { (Gen.params_c ()) with Gen.mas = 6 }) );
+    ]
+
 (* ---------------------------------------------------------------- *)
 (* Matrix *)
 
@@ -972,6 +1055,8 @@ let suite =
         test_evaluate_allocation;
       Alcotest.test_case "a check allocates per stage, not per circuit" `Quick
         test_check_allocation;
+      Alcotest.test_case "a fresh checker allocates its records once" `Quick
+        test_checker_records_allocated_once;
       Alcotest.test_case "matrix generation" `Quick test_matrix_generate;
       Alcotest.test_case "matrix determinism" `Quick test_matrix_determinism;
       Alcotest.test_case "calibration fixpoint" `Quick test_calibration_fixpoint;

@@ -28,11 +28,11 @@ let report = lazy (Sentinel.analyze ~config ~cmt_roots:[ fixture_dir ] ())
 
 let findings_for base =
   (Lazy.force report).Sentinel.findings
-  |> List.filter (fun (f : Lint_finding.t) ->
-         String.equal (Filename.basename f.Lint_finding.file) base)
-  |> List.map (fun (f : Lint_finding.t) ->
-         Lint_finding.to_string
-           { f with Lint_finding.file = Filename.basename f.Lint_finding.file })
+  |> List.filter (fun (f : Sentinel_finding.t) ->
+         String.equal (Filename.basename f.Sentinel_finding.file) base)
+  |> List.map (fun (f : Sentinel_finding.t) ->
+         Sentinel_finding.to_string
+           { f with Sentinel_finding.file = Filename.basename f.Sentinel_finding.file })
 
 let read_expected name =
   let ic = open_in (Filename.concat fixture_dir name) in
