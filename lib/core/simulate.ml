@@ -90,14 +90,14 @@ let week_factors config ~prng ~forecast ~emit ~surprises (task : Task.t)
       task.Task.demands;
   factors
 
-(* Audit: is performing [block] next, from the executed prefix, safe under
-   this week's demand?  Audits judge the {e realized} single matrix —
+(* Audit: the verdict on performing [block] next, from the executed
+   prefix, under this week's demand.  Audits judge the {e realized} single matrix —
    any planning ensemble on the task is stripped. *)
 let audit (task : Task.t) ~executed ~block =
   let ck = Constraint.create (Task.with_ensemble None task) in
   List.iter (Constraint.apply_block ck) executed;
   Constraint.apply_block ck block;
-  Constraint.current_ok ~last_block:block ck
+  Constraint.verdict ~last_block:block ck
 
 let run ?(config = default_config) ~prng ~forecast (task : Task.t)
     (plan : Plan.t) =
@@ -125,15 +125,17 @@ let run ?(config = default_config) ~prng ~forecast (task : Task.t)
       | [] -> finished := true
       | block :: tail ->
           let label = task.Task.blocks.(block).Blocks.label in
-          if not (audit week_task ~executed:!executed ~block) then begin
+          let verdict = audit week_task ~executed:!executed ~block in
+          if verdict <> Constraint.Admitted then begin
             emit
               (Audit_failed
                  {
                    week = !week;
                    block;
                    reason =
-                     Printf.sprintf "%s is unsafe under week-%d demand" label
-                       !week;
+                     Printf.sprintf "%s is unsafe under week-%d demand: %s"
+                       label !week
+                       (Constraint.verdict_name verdict);
                  });
             (* Replan the remainder under the realized demand — robustly
                when the config asks for an ensemble. *)

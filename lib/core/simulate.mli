@@ -47,7 +47,9 @@ type event =
   | Step_failed of { week : int; block : int; label : string }
       (** The push pipeline failed; the step will be retried. *)
   | Audit_failed of { week : int; block : int; reason : string }
-      (** The next step is no longer safe under current demand. *)
+      (** The next step is no longer safe under current demand; [reason]
+          ends with the {!Constraint.verdict_name} of the constraint it
+          breaks. *)
   | Demand_surprise of { week : int; cls : string; factor : float }
       (** A class's realized demand exceeded its forecast this week. *)
   | Replanned of { week : int; cost : float; steps : int }

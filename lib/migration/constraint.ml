@@ -1,28 +1,3 @@
-(* Incremental satisfiability state.  Between adjacent topology states the
-   checker patches rather than recomputes: toggled blocks are queued by
-   [set_block], the task's dependency index maps them to the affected
-   demand classes (with a dirty-stage mask each), and only those classes
-   are delta-evaluated (Ecmp.evaluate_patch) — the rest keep their load
-   contributions verbatim.  Utilization is then one θ scan over the
-   patched loads, as on the full path.  When the queued delta is not
-   local enough to pay off, everything falls back to a full rebuild. *)
-type inc = {
-  classes : Ecmp.inc option array;
-      (* per compiled class; [None] for a class no block's dependency row
-         names, whose loads no toggle can change: a rebuild re-evaluates
-         it with the plain [Ecmp.evaluate] and nothing ever patches it *)
-  mutable total_stuck : float;
-  mutable loads_valid : bool;
-  (* blocks toggled since the last demand evaluation *)
-  mutable pending : int array;
-  mutable pending_len : int;
-  masks : int array;  (* per class: union dirty-stage mask, scratch *)
-  (* candidate-count cost model for the fallback decision *)
-  suffix_cost : float array array;  (* class -> stage -> candidates from stage on *)
-  full_cost : float;
-  mutable patches_left : int;
-}
-
 (* Ensemble evaluation state: one auxiliary load vector per extra matrix
    (matrix 0 rides on the base loads), per-class prebuilt (loads, factor)
    deposit arrays handed straight to Ecmp, and per-matrix stuck volume.
@@ -36,17 +11,34 @@ type ens = {
          exactly the [aux] argument Ecmp takes, prebuilt once *)
   xloads : float array array;  (* extra matrix -> per-circuit loads *)
   xstuck : float array;  (* extra matrix -> stuck volume *)
+  safe : bool array;  (* matrix -> the last verdict found it safe *)
   need : int;  (* ⌈q·k⌉: matrices a state must be safe under *)
 }
 
 (* Demand-evaluation state: the per-circuit loads, the ECMP scratch and
-   the optional incremental layer.  Allocated lazily on the first demand
-   evaluation — checker creation itself touches only the overlay words,
-   which is what makes per-worker (and future per-fork) checkers cheap. *)
+   the delta layer.  Allocated lazily on the first demand evaluation —
+   checker creation itself touches only the overlay words, which is what
+   makes per-worker (and future per-fork) checkers cheap.
+
+   Between adjacent topology states the delta layer patches rather than
+   recomputes: [set_block] ORs a toggled block's dependency row (the
+   demand classes it affects, with a dirty-stage mask each) into
+   [masks], and the next evaluation delta-evaluates only the dirty
+   classes (Ecmp.evaluate_patch) — the rest keep their load
+   contributions verbatim.  Utilization is then one θ scan over the
+   patched loads, as after a rebuild. *)
 type eval_state = {
   loads : float array;
   scratch : Ecmp.scratch;
-  inc : inc option;
+  classes : Ecmp.inc option array;
+      (* per compiled class: its recorded stages when the delta layer is
+         on and some block's dependency row names the class; [None]
+         otherwise — a rebuild evaluates it with the plain
+         [Ecmp.evaluate] and nothing ever patches it *)
+  delta : bool;  (* the delta layer is on: toggles dirty [masks] *)
+  masks : int array;  (* per class: stages dirtied since the last evaluation *)
+  mutable stuck : float;  (* total stuck volume of the current loads *)
+  mutable patches_left : int;  (* patches before a rebuild; 0 rebuilds next *)
   ens : ens option;
 }
 
@@ -64,26 +56,47 @@ type t = {
   incremental : bool;  (* delta demand evaluation requested *)
 }
 
-(* Refresh every so many patches: bounds the float drift the subtract/add
-   load patching can accumulate (each refresh recomputes loads from
+(* Rebuild every so many patches: bounds the float drift the subtract/add
+   load patching can accumulate (each rebuild recomputes loads from
    zero). *)
 let patch_interval = 512
 
-(* Fall back to a rebuild when the estimated delta work exceeds this
-   fraction of a full evaluation: near the break-even point the patch's
-   bookkeeping (load subtraction, recorded stages) eats the saving, so only
-   clearly profitable deltas are worth taking. *)
-let fallback_fraction = 0.5
-
 let lowest_bit m =
-  let rec go k = if m land (1 lsl k) <> 0 || k >= 62 then k else go (k + 1) in
-  go 0
+  let k = ref 0 in
+  while m land (1 lsl !k) = 0 && !k < 62 do
+    incr k
+  done;
+  !k
 
-(* Candidate-count cost model shared by the per-patch fallback decision
-   and the per-task profitability guard: a full evaluation visits every
-   stage candidate of every class ([full_cost]); a patched class re-runs
-   the candidates from its lowest dirty stage on ([suffix_cost]). *)
-let cost_model (task : Task.t) =
+(* Below this many stage candidates a full evaluation is already so cheap
+   that the delta layer's bookkeeping (dirty masks, recorded stages)
+   costs more than it saves. *)
+let min_full_cost = 1024.0
+
+(* Structural profitability of the delta layer for this task, from a
+   candidate-count cost model: a full evaluation visits every stage
+   candidate of every class, and a patched class re-runs the candidates
+   from its lowest dirty stage on.  Planners toggle one block per step,
+   so the mean one-block estimate over all blocks is the typical patch;
+   when it reaches half a full evaluation, the patch's bookkeeping (load
+   subtraction, recorded stages) eats the saving — measurably slower
+   than the plain full path (HGRID A/B/C regress to 0.85–0.96x).  Such
+   tasks skip the delta layer entirely.  The margin is wide in practice:
+   one-block ratios are 0.76–0.92 on HGRID A/B/C versus 0.33–0.44 on the
+   SSW-forklift and DMAG migrations, where the delta layer wins
+   1.8–2.5x. *)
+let delta_profitable (task : Task.t) =
+  let full_cost =
+    Array.fold_left
+      (fun acc (c, _) -> acc +. float_of_int (Ecmp.stage_circuit_count c))
+      0.0 task.Task.compiled
+  in
+  full_cost >= min_full_cost
+  &&
+  let n_blocks = Array.length task.Task.blocks in
+  n_blocks > 0
+  &&
+  (* class -> stage -> candidates from that stage on *)
   let suffix_cost =
     Array.map
       (fun (c, _) ->
@@ -96,67 +109,16 @@ let cost_model (task : Task.t) =
         suffix)
       task.Task.compiled
   in
-  let full_cost =
-    Array.fold_left
-      (fun acc (c, _) -> acc +. float_of_int (Ecmp.stage_circuit_count c))
-      0.0 task.Task.compiled
-  in
-  (suffix_cost, full_cost)
-
-(* Below this many stage candidates a full evaluation is already so cheap
-   that the delta layer's bookkeeping (pending queues, recorded stages)
-   costs more than it saves. *)
-let min_full_cost = 1024.0
-
-(* Structural profitability of the delta layer for this task: the mean
-   one-block delta estimate over all blocks, against the full-evaluation
-   cost.  Planners toggle one block per step, so this is the estimate the
-   per-patch fallback test will typically see; when it already exceeds
-   the fallback threshold, the "incremental" checker would fall back to
-   full rebuilds on most steps while still paying the delta bookkeeping —
-   measurably slower than the plain full path (HGRID A/B/C regress to
-   0.85–0.96x).  Such tasks skip the delta layer entirely.  The margin is
-   wide in practice: one-block ratios are 0.76–0.92 on HGRID A/B/C
-   versus 0.33–0.44 on the SSW-forklift and DMAG migrations, where the
-   delta layer wins 1.8–2.5x. *)
-let delta_profitable (task : Task.t) =
-  let suffix_cost, full_cost = cost_model task in
-  full_cost >= min_full_cost
-  &&
-  let n_blocks = Array.length task.Task.blocks in
-  n_blocks > 0
-  &&
   let total = ref 0.0 in
-  Array.iter
-    (fun dep ->
-      Array.iter
-        (fun (d, m) ->
-          let suffix = suffix_cost.(d) in
-          let r = min (lowest_bit m) (Array.length suffix - 1) in
-          total := !total +. suffix.(r))
-        dep)
-    task.Task.deps;
-  !total /. float_of_int n_blocks < fallback_fraction *. full_cost
-
-let make_inc (task : Task.t) =
-  let u = Task.universe task in
-  let suffix_cost, full_cost = cost_model task in
-  let touched = Array.make (Array.length task.Task.compiled) false in
-  Array.iter (Array.iter (fun (d, _) -> touched.(d) <- true)) task.Task.deps;
-  {
-    classes =
-      Array.mapi
-        (fun d (c, _) -> if touched.(d) then Some (Ecmp.make_inc u c) else None)
-        task.Task.compiled;
-    total_stuck = 0.0;
-    loads_valid = false;
-    pending = Array.make 64 0;
-    pending_len = 0;
-    masks = Array.make (Array.length task.Task.compiled) 0;
-    suffix_cost;
-    full_cost;
-    patches_left = patch_interval;
-  }
+  for b = 0 to n_blocks - 1 do
+    let dep = task.Task.deps.(b) in
+    for i = 0 to Array.length dep - 1 do
+      let d, m = dep.(i) in
+      let suffix = suffix_cost.(d) in
+      total := !total +. suffix.(min (lowest_bit m) (Array.length suffix - 1))
+    done
+  done;
+  !total /. float_of_int n_blocks < 0.5 *. full_cost
 
 let make_ens (task : Task.t) en =
   let n_circuits = Universe.n_circuits (Task.universe task) in
@@ -173,6 +135,7 @@ let make_ens (task : Task.t) en =
     xaux;
     xloads;
     xstuck = Array.make kx 0.0;
+    safe = Array.make (kx + 1) false;
     need = Ensemble.need en;
   }
 
@@ -180,17 +143,31 @@ let eval_state ck =
   match ck.eval with
   | Some es -> es
   | None ->
+      let task = ck.task in
+      let u = Topo.universe ck.topo in
+      let n_classes = Array.length task.Task.compiled in
+      let delta = ck.incremental && delta_profitable task in
+      let touched = Array.make n_classes false in
+      if delta then
+        Array.iter
+          (Array.iter (fun (d, _) -> touched.(d) <- true))
+          task.Task.deps;
       let es =
         {
           loads = Array.make (Topo.n_circuits ck.topo) 0.0;
-          scratch = Ecmp.make_scratch (Topo.universe ck.topo);
-          inc =
-            (if ck.incremental && delta_profitable ck.task then
-               Some (make_inc ck.task)
-             else None);
+          scratch = Ecmp.make_scratch u;
+          classes =
+            Array.mapi
+              (fun d (c, _) ->
+                if touched.(d) then Some (Ecmp.make_inc u c) else None)
+              task.Task.compiled;
+          delta;
+          masks = Array.make n_classes 0;
+          stuck = 0.0;
+          patches_left = 0;
           ens =
-            (match ck.task.Task.ensemble with
-            | Some en when Ensemble.k en > 1 -> Some (make_ens ck.task en)
+            (match task.Task.ensemble with
+            | Some en when Ensemble.k en > 1 -> Some (make_ens task en)
             | _ -> None);
         }
       in
@@ -251,15 +228,6 @@ let bump_power ck s ~became_active =
           ck.power_violations <- ck.power_violations - 1
       end
 
-let note_pending st b =
-  if st.pending_len = Array.length st.pending then begin
-    let grown = Array.make (2 * st.pending_len) 0 in
-    Array.blit st.pending 0 grown 0 st.pending_len;
-    st.pending <- grown
-  end;
-  st.pending.(st.pending_len) <- b;
-  st.pending_len <- st.pending_len + 1
-
 let set_block ck (b : Blocks.t) ~applied =
   let effect =
     if applied then Action.applies b.Blocks.action
@@ -287,10 +255,13 @@ let set_block ck (b : Blocks.t) ~applied =
   ck.applied.(w) <-
     (if applied then ck.applied.(w) lor bit else ck.applied.(w) land lnot bit);
   match ck.eval with
-  | Some { inc = Some st; _ } -> note_pending st b.Blocks.id
+  | Some es when es.delta ->
+      let dep = ck.task.Task.deps.(b.Blocks.id) in
+      for i = 0 to Array.length dep - 1 do
+        let d, m = dep.(i) in
+        es.masks.(d) <- es.masks.(d) lor m
+      done
   | _ -> ()
-
-let power_ok ck = ck.power_violations = 0
 
 let words_equal (a : int array) (b : int array) =
   let n = Array.length a in
@@ -404,30 +375,12 @@ let aux_of es d = match es.ens with None -> None | Some x -> Some x.xaux.(d)
 let note_stuck es d stuck =
   match es.ens with None -> () | Some x -> ens_note_stuck x d stuck
 
-(* The original full evaluation: zero the loads, replay every class.
-   Used when the incremental layer is disabled.  With an ensemble, the
-   same traversal also fills every extra matrix's loads (Ecmp aux
-   deposits) and stuck volumes. *)
-let eval_demands_full ck es =
-  Array.fill es.loads 0 (Array.length es.loads) 0.0;
-  (match es.ens with None -> () | Some x -> ens_clear x);
-  let stuck = ref 0.0 in
-  let split = split_of ck in
-  Array.iteri
-    (fun d (compiled, scale) ->
-      let r =
-        Ecmp.evaluate ~scale ~split ?aux:(aux_of es d) ck.topo es.scratch
-          compiled ~loads:es.loads
-      in
-      note_stuck es d r.Ecmp.stuck;
-      stuck := !stuck +. r.Ecmp.stuck)
-    ck.task.Task.compiled;
-  !stuck
-
-(* Full rebuild of the incremental state: loads from zero, per-class
-   recorded stages for the classes a block can touch, the plain
-   evaluation (same arithmetic, same class order) for the rest. *)
-let refresh ck es st =
+(* Evaluate every class from zero: the loads, the stuck volumes and the
+   recorded stages of each class the delta layer keeps, the plain
+   evaluation (same arithmetic, same class order) for the rest.  With an
+   ensemble, the same traversal also fills every extra matrix's loads
+   (Ecmp aux deposits) and stuck volumes. *)
+let rebuild ck es =
   Array.fill es.loads 0 (Array.length es.loads) 0.0;
   (match es.ens with None -> () | Some x -> ens_clear x);
   let split = split_of ck in
@@ -436,7 +389,7 @@ let refresh ck es st =
     (fun d (compiled, scale) ->
       let aux = aux_of es d in
       let class_stuck =
-        match st.classes.(d) with
+        match es.classes.(d) with
         | Some cls ->
             Ecmp.evaluate_rebuild ~scale ~split ?aux ck.topo es.scratch cls
               ~loads:es.loads
@@ -448,69 +401,40 @@ let refresh ck es st =
       note_stuck es d class_stuck;
       stuck := !stuck +. class_stuck)
     ck.task.Task.compiled;
-  st.total_stuck <- !stuck;
-  st.loads_valid <- true;
-  st.pending_len <- 0;
-  st.patches_left <- patch_interval;
-  !stuck
+  Array.fill es.masks 0 (Array.length es.masks) 0;
+  es.stuck <- !stuck;
+  es.patches_left <- (if es.delta then patch_interval else 0)
 
-let eval_incremental ck es st =
-  if (not st.loads_valid) || st.patches_left <= 0 then refresh ck es st
-  else if st.pending_len = 0 then st.total_stuck
-  else begin
-    Array.fill st.masks 0 (Array.length st.masks) 0;
-    for i = 0 to st.pending_len - 1 do
-      Array.iter
-        (fun (d, m) -> st.masks.(d) <- st.masks.(d) lor m)
-        ck.task.Task.deps.(st.pending.(i))
-    done;
-    (* Estimated delta work: a patched class re-runs its dirty suffix —
-       backward sweep (with early cutoff) plus the two forward passes —
-       so roughly the suffix candidate count, in the same units as
-       [full_cost] (a full evaluation visits every candidate). *)
-    let est = ref 0.0 in
-    Array.iteri
-      (fun d m ->
-        if m <> 0 then begin
-          let suffix = st.suffix_cost.(d) in
-          let r = min (lowest_bit m) (Array.length suffix - 1) in
-          est := !est +. suffix.(r)
-        end)
-      st.masks;
-    if !est >= fallback_fraction *. st.full_cost then refresh ck es st
-    else begin
-      st.patches_left <- st.patches_left - 1;
-      let split = split_of ck in
-      let stuck = ref st.total_stuck in
-      (* A class with a dirty mask is named in a dependency row, so it
-         has an incremental state. *)
-      Array.iteri
-        (fun d m ->
-          match st.classes.(d) with
-          | Some cls when m <> 0 ->
-              let old = Ecmp.class_stuck cls in
-              let _, scale = ck.task.Task.compiled.(d) in
-              let fresh =
-                Ecmp.evaluate_patch ~scale ~split ?aux:(aux_of es d) ck.topo
-                  es.scratch cls ~dirty:m ~loads:es.loads
-              in
-              (match es.ens with
-              | None -> ()
-              | Some x -> ens_note_stuck x d (fresh -. old));
-              stuck := !stuck -. old +. fresh
-          | _ -> ())
-        st.masks;
-      st.total_stuck <- !stuck;
-      st.pending_len <- 0;
-      !stuck
-    end
-  end
+(* Delta-evaluate the classes toggles dirtied since the last evaluation.
+   A dirty class is named in a dependency row, so it has recorded
+   stages. *)
+let patch ck es =
+  let split = split_of ck in
+  let patched = ref false in
+  for d = 0 to Array.length es.masks - 1 do
+    let m = es.masks.(d) in
+    match es.classes.(d) with
+    | Some cls when m <> 0 ->
+        let old = Ecmp.class_stuck cls in
+        let _, scale = ck.task.Task.compiled.(d) in
+        let fresh =
+          Ecmp.evaluate_patch ~scale ~split ?aux:(aux_of es d) ck.topo
+            es.scratch cls ~dirty:m ~loads:es.loads
+        in
+        (match es.ens with
+        | None -> ()
+        | Some x -> ens_note_stuck x d (fresh -. old));
+        es.stuck <- es.stuck -. old +. fresh;
+        es.masks.(d) <- 0;
+        patched := true
+    | _ -> ()
+  done;
+  if !patched then es.patches_left <- es.patches_left - 1
 
 let eval_demands ck =
   let es = eval_state ck in
-  match es.inc with
-  | None -> eval_demands_full ck es
-  | Some st -> eval_incremental ck es st
+  if es.patches_left = 0 then rebuild ck es else patch ck es;
+  es
 
 let funneling_ok ck (loads : float array) ~last_block =
   let phi = ck.task.Task.funneling in
@@ -525,78 +449,105 @@ let funneling_ok ck (loads : float array) ~last_block =
           Topo.funneling_ok ck.topo loads (related_circuits ck b) ~phi
             ~theta:(theta_bound ck)
 
-(* One load vector's demand verdict: nothing stuck, θ (Eq. 5) as one
-   scan over every circuit — on the full and the delta path alike — and
-   the funneling margin. *)
-let safe_under ck (loads : float array) ~stuck ~last_block =
-  stuck <= 1e-9
-  && Topo.theta_ok ck.topo loads ~theta:(theta_bound ck)
-  && funneling_ok ck loads ~last_block
+type verdict = Admitted | Ports | Power | Stuck | Theta | Funneling | Quantile
 
-(* The demand-side admission predicate shared by [check] and
-   [current_ok].  Single-matrix: the historical stuck/θ/funneling
-   conjunction, verbatim.  Ensemble: one evaluation fills every matrix's
-   loads; matrix 0 rides on the base machinery, the extras read their
-   own vectors, and the state is admitted when at least ⌈q·k⌉ matrices
-   are individually safe. *)
-let demands_ok ck ~last_block =
-  let stuck = eval_demands ck in
-  let es = eval_state ck in
-  match es.ens with
-  | None -> safe_under ck es.loads ~stuck ~last_block
-  | Some x ->
-      let safe = ref 0 in
-      if safe_under ck es.loads ~stuck ~last_block then incr safe;
-      for m = 0 to Array.length x.xloads - 1 do
-        if safe_under ck x.xloads.(m) ~stuck:x.xstuck.(m) ~last_block then
-          incr safe
-      done;
-      !safe >= x.need
+let verdict_name = function
+  | Admitted -> "admitted"
+  | Ports -> "port bound"
+  | Power -> "power"
+  | Stuck -> "stuck volume"
+  | Theta -> "theta"
+  | Funneling -> "funneling"
+  | Quantile -> "ensemble quantile"
+
+(* One load vector's demand verdict: nothing stuck, θ (Eq. 5) as one
+   scan over every circuit — after a rebuild and a patch alike — and the
+   funneling margin. *)
+let demand_verdict ck (loads : float array) ~stuck ~last_block =
+  if not (stuck <= 1e-9) then Stuck
+  else if not (Topo.theta_ok ck.topo loads ~theta:(theta_bound ck)) then Theta
+  else if not (funneling_ok ck loads ~last_block) then Funneling
+  else Admitted
+
+(* Record whether ensemble matrix [m] is safe under its loads. *)
+let matrix_safe ck x m (loads : float array) ~stuck ~last_block =
+  let ok =
+    match demand_verdict ck loads ~stuck ~last_block with
+    | Admitted -> true
+    | _ -> false
+  in
+  x.safe.(m) <- ok;
+  ok
+
+(* The one admission decision.  Ports and power are counters the
+   overlay keeps; demands evaluate once.  Ensemble: one evaluation fills
+   every matrix's loads; matrix 0 rides on the base loads, the extras
+   read their own vectors, and the state is admitted when at least
+   ⌈q·k⌉ matrices are individually safe. *)
+let verdict ?last_block ck =
+  if not (Topo.ports_ok ck.topo) then Ports
+  else if ck.power_violations <> 0 then Power
+  else
+    let es = eval_demands ck in
+    match es.ens with
+    | None -> demand_verdict ck es.loads ~stuck:es.stuck ~last_block
+    | Some x ->
+        let safe =
+          ref
+            (Bool.to_int
+               (matrix_safe ck x 0 es.loads ~stuck:es.stuck ~last_block))
+        in
+        for m = 1 to Array.length x.safe - 1 do
+          if
+            matrix_safe ck x m x.xloads.(m - 1) ~stuck:x.xstuck.(m - 1)
+              ~last_block
+          then incr safe
+        done;
+        if !safe >= x.need then Admitted else Quantile
+
+let checks_performed ck = ck.checks
+
+let current_ok ?last_block ck =
+  ck.checks <- ck.checks + 1;
+  match verdict ?last_block ck with Admitted -> true | _ -> false
 
 let check ?last_block ck v =
   move_to ck v;
-  ck.checks <- ck.checks + 1;
-  Topo.ports_ok ck.topo && power_ok ck && demands_ok ck ~last_block
-
-let checks_performed ck = ck.checks
+  current_ok ?last_block ck
 
 let apply_block ck b = set_block ck ck.task.Task.blocks.(b) ~applied:true
 let unapply_block ck b = set_block ck ck.task.Task.blocks.(b) ~applied:false
 
-let current_ok ?last_block ck =
-  ck.checks <- ck.checks + 1;
-  Topo.ports_ok ck.topo && power_ok ck && demands_ok ck ~last_block
-
-(* Residual headroom of one load vector: the minimum over loaded usable
-   circuits of (θ·W − load)/W; [neg_infinity] exactly when [safe_under]
-   rejects the vector, so the margin and the admission verdict cannot
-   disagree. *)
-let residual_on ck (loads : float array) ~stuck ~last_block =
-  if not (safe_under ck loads ~stuck ~last_block) then neg_infinity
-  else Topo.min_residual ck.topo loads ~theta:ck.task.Task.theta
-
+(* The verdict's margin: the minimum over loaded usable circuits of
+   (θ·W − load)/W when admitted, [neg_infinity] otherwise.  Under an
+   ensemble, the worst headroom among the best ⌈q·k⌉ matrices, an unsafe
+   matrix reading [neg_infinity]: at q = 1.0 the minimum over all
+   matrices. *)
 let current_min_residual ?last_block ck =
-  if not (Topo.ports_ok ck.topo && power_ok ck) then neg_infinity
-  else begin
-    ck.checks <- ck.checks + 1;
-    let stuck = eval_demands ck in
-    let es = eval_state ck in
-    match es.ens with
-    | None -> residual_on ck es.loads ~stuck ~last_block
-    | Some x ->
-        (* The quantile residual: admission needs ⌈q·k⌉ safe matrices,
-           so the MRC objective is the worst headroom among the best
-           ⌈q·k⌉ — [neg_infinity] exactly when admission fails, and at
-           q = 1.0 the minimum over all matrices. *)
-        let kx = Array.length x.xloads in
-        let res = Array.make (kx + 1) (residual_on ck es.loads ~stuck ~last_block) in
-        for m = 0 to kx - 1 do
-          res.(m + 1) <-
-            residual_on ck x.xloads.(m) ~stuck:x.xstuck.(m) ~last_block
-        done;
-        Array.sort (fun a b -> Float.compare b a) res;
-        res.(x.need - 1)
-  end
+  match verdict ?last_block ck with
+  | Ports | Power -> neg_infinity
+  | Stuck | Theta | Funneling | Quantile ->
+      ck.checks <- ck.checks + 1;
+      neg_infinity
+  | Admitted -> (
+      ck.checks <- ck.checks + 1;
+      let es = eval_state ck in
+      let theta = ck.task.Task.theta in
+      match es.ens with
+      | None -> Topo.min_residual ck.topo es.loads ~theta
+      | Some x ->
+          let res =
+            Array.mapi
+              (fun m ok ->
+                if not ok then neg_infinity
+                else
+                  Topo.min_residual ck.topo
+                    (if m = 0 then es.loads else x.xloads.(m - 1))
+                    ~theta)
+              x.safe
+          in
+          Array.sort (fun a b -> Float.compare b a) res;
+          res.(x.need - 1))
 
 let check_plan (task : Task.t) blocks =
   let ck = create task in
@@ -622,11 +573,13 @@ let check_plan (task : Task.t) blocks =
                ~last:!last a;
         last := Some a;
         apply_block ck b;
-        if not (current_ok ~last_block:b ck) then
-          raise
-            (Bad
-               (Printf.sprintf "constraints violated after block %d (%s)" b
-                  task.Task.blocks.(b).Blocks.label)))
+        match verdict ~last_block:b ck with
+        | Admitted -> ()
+        | v ->
+            raise
+              (Bad
+                 (Printf.sprintf "constraints violated after block %d (%s): %s"
+                    b task.Task.blocks.(b).Blocks.label (verdict_name v))))
       blocks;
     Ok !cost
   with Bad msg -> Error msg
@@ -639,8 +592,7 @@ type summary = {
 }
 
 let evaluate_current ck =
-  let stuck = eval_demands ck in
-  let es = eval_state ck in
+  let es = eval_demands ck in
   (* Bounded top-5 scan: one pass, no list of all loaded circuits, and
      the same usability gate as the θ checks. *)
   let top_j = Array.make 5 (-1) in
@@ -652,7 +604,7 @@ let evaluate_current ck =
   done;
   {
     max_util = (if top_j.(0) >= 0 then top_u.(0) else 0.0);
-    stuck;
+    stuck = es.stuck;
     port_violations = Topo.port_violation_count ck.topo;
     hottest = !hottest;
   }

@@ -18,16 +18,15 @@
       {!Power.t} model, are likewise maintained incrementally (O(1));
     - demand constraints run every compiled ECMP class over the usable
       circuits and verify no volume is stuck and every circuit's
-      utilization stays within θ — by default {e incrementally}: the
-      checker queues the blocks toggled since the last evaluation, maps
-      them through the task's block→demand dependency index
-      ({!Task.t.deps}) and delta-evaluates only the affected classes
+      utilization stays within θ — by default {e incrementally}: each
+      toggled block marks the classes and stages its row of the task's
+      block→demand dependency index ({!Task.t.deps}) names as dirty, and
+      the next evaluation delta-evaluates only the dirty classes
       ({!Ecmp.evaluate_patch}); θ is then one scan over every circuit,
       the same call the full evaluation makes.  Verdicts are identical
       to the full evaluation: unaffected classes provably contribute the
-      same loads, and a periodic full rebuild (plus a rebuild whenever
-      the estimated delta work approaches a full evaluation) bounds
-      float drift far below the 1e-9 verdict slack;
+      same loads, and a full rebuild every 512 patches bounds float
+      drift far below the 1e-9 verdict slack;
     - optionally, the transient traffic-funneling margin of §7.2 tightens
       the bound to load·(1 + φ) ≤ θ·W on the circuits that absorb the
       traffic of the block just drained.
@@ -53,10 +52,9 @@ val create : ?incremental:bool -> Task.t -> t
     physically.  [incremental] (default [true]) enables the delta demand
     evaluation.  Even when enabled, the delta layer is only instantiated
     for tasks where it can pay off: when the cost model says a typical
-    one-block delta already approaches a full evaluation (so patches
-    would mostly fall back to rebuilds while still paying the delta
-    bookkeeping), the checker silently uses the plain full evaluation,
-    which is never slower. *)
+    one-block delta already costs half a full evaluation (so the delta
+    bookkeeping would eat the saving), the checker silently uses the
+    plain full evaluation, which is never slower. *)
 
 val incremental_active : t -> bool
 (** Whether delta demand evaluation was requested for this checker (its
@@ -75,11 +73,36 @@ val delta_profitable : Task.t -> bool
 val move_to : t -> Compact.t -> unit
 (** Reconfigure the private topology to the given compact state. *)
 
+(** The admission verdict on a state: admitted, or the first constraint
+    it breaks, tested in this order. *)
+type verdict =
+  | Admitted
+  | Ports  (** a switch uses more ports than it has (Eq. 6) *)
+  | Power  (** a power domain draws over its capacity (§7.2) *)
+  | Stuck  (** some demand volume has no usable path (Eq. 4) *)
+  | Theta  (** a circuit's utilization exceeds θ (Eq. 5) *)
+  | Funneling
+      (** a circuit absorbing the last drained block's traffic exceeds θ
+          under the funneling margin (§7.2) *)
+  | Quantile
+      (** fewer than ⌈q·k⌉ of the ensemble's matrices are safe, each
+          judged on stuck volume, θ and funneling *)
+
+val verdict_name : verdict -> string
+(** ["admitted"], ["port bound"], ["power"], ["stuck volume"],
+    ["theta"], ["funneling"] or ["ensemble quantile"]. *)
+
+val verdict : ?last_block:int -> t -> verdict
+(** The verdict on the checker's current state: the one admission
+    decision, which {!check}, {!current_ok} and {!current_min_residual}
+    project.  [last_block] identifies the most recently operated block
+    for the funneling margin; it only matters when the task's
+    [funneling] is positive and the block is a drain.  Does not count
+    as a check. *)
+
 val check : ?last_block:int -> t -> Compact.t -> bool
-(** [check ?last_block ck v] is [true] iff the topology at state [v]
-    satisfies every constraint.  [last_block] identifies the most recently
-    operated block for the funneling margin; it only matters when the
-    task's [funneling] is positive and the block is a drain. *)
+(** [check ?last_block ck v] moves to state [v] and is [true] iff its
+    {!verdict} admits it.  Counts as a check. *)
 
 val checks_performed : t -> int
 (** Number of full (uncached) satisfiability checks run so far. *)
@@ -124,20 +147,21 @@ val unapply_block : t -> int -> unit
 (** Revert block [b]. *)
 
 val current_ok : ?last_block:int -> t -> bool
-(** Run the full constraint check (ports, demands, funneling) on the
-    current topology, whatever state it is in.  Counts as a check. *)
+(** Whether the {!verdict} admits the current topology, whatever state
+    it is in.  Counts as a check. *)
 
 val current_min_residual : ?last_block:int -> t -> float
-(** The MRC objective [37]: the minimum over loaded usable circuits of
-    (θ·W − load)/W, i.e. the worst remaining headroom fraction.
-    [neg_infinity] exactly when {!current_ok} with the same
-    [last_block] rejects the state: ports, power, stuck volume, θ and
-    funneling (the ensemble quantile reads the [⌈q·k⌉]-th best
-    matrix's margin).  Counts as a check when the ports and power
-    hold. *)
+(** The MRC objective [37], the {!verdict}'s margin: the minimum over
+    loaded usable circuits of (θ·W − load)/W, i.e. the worst remaining
+    headroom fraction, and [neg_infinity] exactly when the verdict
+    rejects the state.  Under an ensemble it reads the [⌈q·k⌉]-th best
+    matrix's margin.  Counts as a check unless the ports or the power
+    fail. *)
 
 val check_plan :
   Task.t -> int list -> (float, string) result
 (** Replay a block sequence from the original state on a fresh checker,
     verifying availability (each block exactly once), every prefix's
-    constraints, and returning the plan cost.  Used by [Plan.validate]. *)
+    constraints, and returning the plan cost.  An unsafe prefix's error
+    ends with the {!verdict_name} of the constraint it breaks.  Used by
+    [Plan.validate]. *)

@@ -5,9 +5,6 @@
     per key ([Hashtbl.replace] discipline); with [Hashtbl.add]
     duplicates only the most recent binding per key is visited. *)
 
-val sorted_keys : compare:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> 'k list
-(** The table's keys, sorted by [compare], deduplicated. *)
-
 val sorted_iter :
   compare:('k -> 'k -> int) -> ('k -> 'v -> unit) -> ('k, 'v) Hashtbl.t -> unit
 (** [sorted_iter ~compare f tbl] applies [f] to each binding in

@@ -2,12 +2,22 @@
 
 let task_a () = Task.of_scenario (Gen.scenario_of_label "A")
 
+(* The name of the constraint the checker's current state breaks. *)
+let broken ?last_block ck =
+  Constraint.verdict_name (Constraint.verdict ?last_block ck)
+
 let test_origin_satisfiable () =
   let task = task_a () in
   let ck = Constraint.create task in
   let n = Action.Set.cardinal task.Task.actions in
   Alcotest.(check bool) "origin ok" true (Constraint.check ck (Kutil.Vec_key.zeros n));
-  Alcotest.(check int) "one check" 1 (Constraint.checks_performed ck)
+  Alcotest.(check int) "one check" 1 (Constraint.checks_performed ck);
+  Alcotest.(check string) "origin admitted" "admitted" (broken ck);
+  Alcotest.(check int) "a verdict is not a check" 1
+    (Constraint.checks_performed ck);
+  (* The hottest circuit runs at 0.52. *)
+  let tight = Constraint.create (Task.with_params ~theta:0.5 task) in
+  Alcotest.(check string) "origin at theta 0.5" "theta" (broken tight)
 
 let test_move_to_matches_fresh () =
   (* Jumping around the lattice must land on the same topology state a
@@ -64,7 +74,18 @@ let test_port_violation_detected () =
       if action.Action.op = Action.Undrain then v.(a) <- count)
     task.Task.counts;
   Alcotest.(check bool) "all-undrain state violates ports" false
-    (Constraint.check ck v)
+    (Constraint.check ck v);
+  Alcotest.(check string) "the port bound breaks" "port bound" (broken ck);
+  (* Every drain done and nothing undrained: the old fabric is gone and
+     the new one is dark. *)
+  Array.iteri
+    (fun a count ->
+      let action = Action.Set.get task.Task.actions a in
+      v.(a) <- (if action.Action.op = Action.Drain then count else 0))
+    task.Task.counts;
+  Alcotest.(check bool) "all-drain state strands volume" false
+    (Constraint.check ck v);
+  Alcotest.(check string) "stuck volume" "stuck volume" (broken ck)
 
 let test_funneling_tightens () =
   let sc = Gen.scenario_of_label "A" in
@@ -93,7 +114,9 @@ let test_funneling_tightens () =
   let ok_funneled = Constraint.check ~last_block:block ck_fun v in
   Alcotest.(check bool) "plain accepts the single drain" true ok_plain;
   Alcotest.(check bool) "funneling margin can only reject more" true
-    ((not ok_funneled) || ok_plain)
+    ((not ok_funneled) || ok_plain);
+  Alcotest.(check string) "the funneled checker names the margin" "funneling"
+    (broken ~last_block:block ck_fun)
 
 let test_check_plan_errors () =
   let task = task_a () in
@@ -107,9 +130,28 @@ let test_check_plan_errors () =
   (match Constraint.check_plan task dup with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "duplicate blocks accepted");
-  match Constraint.check_plan task [ -1 ] with
+  (match Constraint.check_plan task [ -1 ] with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "bad id accepted"
+  | Ok _ -> Alcotest.fail "bad id accepted");
+  (* Drains first: one drained grid already loads the rest to about
+     0.78, over the default θ of 0.75. *)
+  let drains_first =
+    List.stable_sort
+      (fun a b ->
+        let undrain b =
+          (Action.Set.get task.Task.actions (Task.block_type task b)).Action.op
+          = Action.Undrain
+        in
+        Bool.compare (undrain a) (undrain b))
+      (List.init n Fun.id)
+  in
+  match Constraint.check_plan task drains_first with
+  | Error msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%S names the constraint" msg)
+        true
+        (String.ends_with ~suffix:": theta" msg)
+  | Ok _ -> Alcotest.fail "drains-first plan accepted"
 
 let test_check_plan_cost () =
   let task = task_a () in

@@ -189,7 +189,23 @@ let test_power_constrains_plans () =
         (p1.Plan.cost >= p0.Plan.cost -. 1e-9);
       (match Plan.validate constrained p1 with
       | Ok () -> ()
-      | Error e -> Alcotest.fail e)
+      | Error e -> Alcotest.fail e);
+      (* Undraining before draining energizes both fabrics at once:
+         some prefix breaks the budget. *)
+      let undrains_first =
+        let drain b =
+          (Action.Set.get constrained.Task.actions (Task.block_type constrained b))
+            .Action.op = Action.Drain
+        in
+        List.stable_sort
+          (fun a b -> Bool.compare (drain a) (drain b))
+          (List.init (Task.total_blocks constrained) Fun.id)
+      in
+      (match Constraint.check_plan constrained undrains_first with
+      | Error e ->
+          Alcotest.(check bool) (Printf.sprintf "%S names power" e) true
+            (String.ends_with ~suffix:": power" e)
+      | Ok _ -> Alcotest.fail "undraining first fits the budget")
   | _, Planner.Infeasible ->
       () (* acceptable: too tight a budget proves infeasible *)
   | _ -> Alcotest.fail "planning failed"

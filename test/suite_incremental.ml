@@ -79,6 +79,10 @@ let test_differential_other_migrations () =
       check_task (Gen.kind_to_string kind) task)
     [ Gen.Ssw_forklift; Gen.Dmag ]
 
+(* [Gen.params_c] has no MA layer, so its DMAG task strands volume once
+   every block is done and has no plan; six MAs make it plannable. *)
+let dmag_six_mas () = { (Gen.params_c ()) with Gen.mas = 6 }
+
 (* Raw apply/unapply random walk: verdicts and diagnostics of an
    incremental checker must track a full checker step by step, including
    non-monotone (undrain-then-redrain) trajectories the planners never
@@ -127,6 +131,10 @@ let test_random_walk_verdicts () =
         true,
         5 );
       ("C-DMAG", Task.of_scenario (Gen.build Gen.Dmag (Gen.params_c ())), true, 6);
+      ( "C-DMAG, six MAs",
+        Task.of_scenario (Gen.build Gen.Dmag (dmag_six_mas ())),
+        true,
+        6 );
       ("OCS", Task.of_scenario (Gen.scenario_of_label "OCS"), true, 7);
     ]
 
@@ -223,12 +231,24 @@ let test_ensemble_walk_verdicts () =
    on the full and the delta path, with a power budget and funneling on.
    The SSW walk breaks the budget whenever it energizes new spines
    before the old ones go; the DMAG budget never binds, and a funneling
-   margin of 1.0 rejects some of its walked states. *)
+   margin of 1.0 rejects some of its walked states.  The OCS walk
+   rewires circuits, and the last row holds the quantile margin to the
+   verdict: a k = 4 ensemble of per-class factors from [0.6, 1.6] at
+   q = 0.5. *)
 let test_residual_matches_verdict () =
+  let per_class (task : Task.t) =
+    let n_classes = Array.length task.Task.compiled in
+    let g = Kutil.Prng.create ~seed:6 in
+    Ensemble.create ~quantile:0.5
+      (Array.init 4 (fun m ->
+           Array.init n_classes (fun _ ->
+               if m = 0 then 1.0 else 0.6 +. Kutil.Prng.float g 1.0)))
+  in
   List.iter
-    (fun (label, sc, walk_seed, funneling) ->
+    (fun (label, sc, walk_seed, funneling, ensemble) ->
       let power = Power.hall_model sc ~headroom:0.1 in
       let task = Task.of_scenario ~funneling ~power sc in
+      let task = Task.with_ensemble (Option.map (fun f -> f task) ensemble) task in
       let checkers =
         [ Constraint.create ~incremental:false task; Constraint.create task ]
       in
@@ -259,8 +279,15 @@ let test_residual_matches_verdict () =
       Alcotest.(check bool) (label ^ ": the walk meets both verdicts") true
         (!admitted > 0 && !rejected > 0))
     [
-      ("C-SSW", Gen.build Gen.Ssw_forklift (Gen.params_c ()), 5, 0.3);
-      ("C-DMAG", Gen.build Gen.Dmag (Gen.params_c ()), 6, 1.0);
+      ("C-SSW", Gen.build Gen.Ssw_forklift (Gen.params_c ()), 5, 0.3, None);
+      ("C-DMAG", Gen.build Gen.Dmag (Gen.params_c ()), 6, 1.0, None);
+      ("OCS", Gen.scenario_of_label "OCS", 7, 0.3, None);
+      ("C-DMAG, six MAs", Gen.build Gen.Dmag (dmag_six_mas ()), 6, 1.0, None);
+      ( "C-DMAG, k = 4 at q = 0.5",
+        Gen.build Gen.Dmag (Gen.params_c ()),
+        6,
+        1.0,
+        Some per_class );
     ]
 
 (* Soundness of the dependency index: any class whose loads change when a

@@ -201,9 +201,17 @@ let test_subset_monotone () =
         (random_states task ~seed:(seed * 7) ~n:12))
     [ 1; 4 ]
 
+(* The name of the constraint state [v] breaks under [ensemble]. *)
+let broken task ensemble v =
+  let ck = Constraint.create (Task.with_ensemble ensemble task) in
+  ignore (Constraint.check ck v);
+  Constraint.verdict_name (Constraint.verdict ck)
+
 let test_quantile_bounds () =
   (* q = 1.0 is the conjunction, q -> 0 the disjunction, of the per-matrix
-     single-task checks (each matrix applied via Task.scale_demands). *)
+     single-task checks (each matrix applied via Task.scale_demands).  A
+     rejection the port bound does not explain names the quantile. *)
+  let quantile_rejections = ref 0 in
   List.iter
     (fun seed ->
       let task = random_task seed in
@@ -234,9 +242,25 @@ let test_quantile_bounds () =
           Alcotest.(check bool)
             (Printf.sprintf "seed %d: q->0 = any matrix" seed)
             !disj
-            (checked task (Some e_any) v))
+            (checked task (Some e_any) v);
+          let ports = String.equal (broken task None v) "port bound" in
+          List.iter
+            (fun (e, ok) ->
+              let expected =
+                if ports then "port bound"
+                else if ok then "admitted"
+                else "ensemble quantile"
+              in
+              if String.equal expected "ensemble quantile" then
+                incr quantile_rejections;
+              Alcotest.(check string)
+                (Printf.sprintf "seed %d: the verdict names" seed)
+                expected (broken task (Some e) v))
+            [ (e_all, !conj); (e_any, !disj) ])
         (random_states task ~seed:(seed * 11) ~n:8))
-    [ 2; 5 ]
+    [ 2; 5 ];
+  Alcotest.(check bool) "some state breaks the quantile" true
+    (!quantile_rejections > 0)
 
 let test_need_edges () =
   let e k q = random_ensemble ~quantile:q ~seed:42 ~k (random_task 1) in

@@ -877,14 +877,12 @@ let test_check_allocation () =
    block's dependency row names, a contribution record of two words per
    row.  No later check here grows a record: neither the jump through every
    block nor a walk of single toggles longer than the checker's drift
-   interval, whose periodic full rebuild re-records every class.  (No
-   jump on these tasks passes the fallback fraction: every block
-   together dirties under half of the rows.)  Record arrays over 256
-   words skip the minor heap, so the first check counts minor plus
-   direct major words, read after a full major cycle has folded every
-   allocation into the counters; the later checks must each stay within
-   a per-stage bound in minor words and together allocate nothing on
-   the major heap directly. *)
+   interval, whose periodic full rebuild re-records every class.  Record
+   arrays over 256 words skip the minor heap, so the first check counts
+   minor plus direct major words, read after a full major cycle has
+   folded every allocation into the counters; the later checks must
+   each stay within a per-stage bound in minor words and together
+   allocate nothing on the major heap directly. *)
 let test_checker_records_allocated_once () =
   let counters () =
     Gc.full_major ();
