@@ -25,34 +25,42 @@ type t = {
    block [b] can affect class [d] only where b's switches or circuits meet
    d's candidates.  [deps.(b)] lists each such class with a bitmask of the
    stages involved (bit k = stage k; stages beyond the mask width collapse
-   into the top bit, conservatively). *)
+   into the top bit, conservatively).
+
+   Blocks are disjoint ([Blocks.validate]), so each switch and circuit has
+   at most one owning block, recorded once in an owner array; one
+   [Ecmp.owner_masks] call per class then ORs every row's stage bit into
+   its owners' accumulators.  Classes walk d = n_classes-1 downto 0
+   prepending, so each block's pair list comes out in increasing d
+   order. *)
 let build_deps topo blocks compiled =
-  let n_sw = Topo.n_switches topo and n_ci = Topo.n_circuits topo in
-  let n_classes = Array.length compiled in
-  (* One reusable mask buffer per dimension, refilled class by class:
-     O(n_sw + n_ci) scratch instead of per-class matrices, which at the F
-     tier (~1M circuits x dozens of classes) would dominate peak RSS.
-     Classes walk d = n_classes-1 downto 0 prepending, so each block's
-     pair list comes out in increasing d order — same arrays as the
-     matrix formulation. *)
-  let sw = Array.make n_sw 0 and ci = Array.make n_ci 0 in
-  let pairs = Array.make (Array.length blocks) [] in
-  for d = n_classes - 1 downto 0 do
-    Array.fill sw 0 n_sw 0;
-    Array.fill ci 0 n_ci 0;
-    let c, _ = compiled.(d) in
-    Ecmp.iter_candidates c ~f:(fun ~stage ~circuit ~prev ~next ->
-        let bit = 1 lsl min stage 61 in
-        ci.(circuit) <- ci.(circuit) lor bit;
-        sw.(prev) <- sw.(prev) lor bit;
-        sw.(next) <- sw.(next) lor bit);
+  let n_blocks = Array.length blocks in
+  let owners n ids =
+    let owner = Array.make n (-1) in
     Array.iteri
-      (fun i (b : Blocks.t) ->
-        let m = ref 0 in
-        Array.iter (fun s -> m := !m lor sw.(s)) b.Blocks.switches;
-        Array.iter (fun j -> m := !m lor ci.(j)) b.Blocks.circuits;
-        if !m <> 0 then pairs.(i) <- (d, !m) :: pairs.(i))
-      blocks
+      (fun b blk ->
+        Array.iter
+          (fun x ->
+            if owner.(x) >= 0 then
+              invalid_arg "Task: an element belongs to two blocks";
+            owner.(x) <- b)
+          (ids blk))
+      blocks;
+    owner
+  in
+  let switch_owner =
+    owners (Topo.n_switches topo) (fun (b : Blocks.t) -> b.Blocks.switches)
+  and circuit_owner =
+    owners (Topo.n_circuits topo) (fun (b : Blocks.t) -> b.Blocks.circuits)
+  in
+  let masks = Array.make n_blocks 0 in
+  let pairs = Array.make n_blocks [] in
+  for d = Array.length compiled - 1 downto 0 do
+    Array.fill masks 0 n_blocks 0;
+    Ecmp.owner_masks (fst compiled.(d)) ~switch_owner ~circuit_owner ~into:masks;
+    Array.iteri
+      (fun b m -> if m <> 0 then pairs.(b) <- (d, m) :: pairs.(b))
+      masks
   done;
   Array.map Array.of_list pairs
 

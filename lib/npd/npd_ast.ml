@@ -55,7 +55,13 @@ let int_field section key ~default =
   match field section key with
   | None -> default
   | Some (Int i) -> i
-  | Some (Float f) when Float.is_integer f -> int_of_float f
+  | Some (Float f) when Float.is_integer f ->
+      (* [int_of_float] of an integral float past the int range is
+         unspecified (it wraps to some other int). *)
+      if f >= Float.of_int min_int && f < Float.of_int max_int then int_of_float f
+      else
+        failwith
+          (Printf.sprintf "NPD field %s: %.0f is outside the integer range" key f)
   | Some v ->
       failwith
         (Printf.sprintf "NPD field %s: expected integer, got %s" key

@@ -60,8 +60,9 @@ val field : section -> string -> value option
 (** First field with the given key. *)
 
 val int_field : section -> string -> default:int -> int
-(** Integer field with default; a [Float] with integral value is
-    accepted.  Raises [Failure] on a non-numeric value. *)
+(** Integer field with default; a [Float] with integral value inside
+    the [int] range is accepted.  Raises [Failure] on a non-numeric
+    value or an integral float outside [\[min_int, max_int\]]. *)
 
 val float_field : section -> string -> default:float -> float
 (** Float field with default; [Int] promotes. *)

@@ -102,6 +102,40 @@ let section_arg_int section key ~default =
   | Some _ -> failwith (Printf.sprintf "argument %s: expected integer" key)
   | None -> default
 
+(* The counts the generator divides by, sizes arrays with or needs at
+   least one of for every class to route, and [link_mult], whose raw
+   value sizes the SSW and FSW port budgets while at least one circuit
+   is wired per link (at [link_mult = -3], A's original topology breaks
+   16 port bounds).  A generation-2 grid's per-grid counts matter only
+   when there is such a grid, and a region may have no MA layer and no
+   generation-2 grid. *)
+let validate_counts (p : Gen.params) =
+  let check section key v ~min =
+    if v < min then
+      failwith
+        (Printf.sprintf "section %s: %s = %d, must be %s" section key v
+           (if min > 0 then "positive" else "non-negative"))
+  in
+  let positive section key v = check section key v ~min:1 in
+  positive "fabric" "dcs" p.Gen.dcs;
+  positive "fabric" "pods" p.Gen.pods;
+  positive "fabric" "rsws_per_pod" p.Gen.rsws_per_pod;
+  positive "fabric" "planes" p.Gen.planes;
+  positive "fabric" "ssws_per_plane" p.Gen.ssws_per_plane;
+  positive "fabric" "link_mult" p.Gen.link_mult;
+  positive "hgrid generation=1" "grids" p.Gen.v1_grids;
+  positive "hgrid generation=1" "fadu_per_grid" p.Gen.v1_fadu_per_grid;
+  positive "hgrid generation=1" "fauu_per_grid" p.Gen.v1_fauu_per_grid;
+  check "hgrid generation=2" "grids" p.Gen.v2_grids ~min:0;
+  if p.Gen.v2_grids > 0 then begin
+    positive "hgrid generation=2" "fadu_per_grid" p.Gen.v2_fadu_per_grid;
+    positive "hgrid generation=2" "fauu_per_grid" p.Gen.v2_fauu_per_grid
+  end;
+  check "ma" "count" p.Gen.mas ~min:0;
+  positive "eb" "count" p.Gen.ebs;
+  positive "dr" "count" p.Gen.drs;
+  positive "bb" "ebbs" p.Gen.ebbs
+
 let to_params doc =
   try
     let require name =
@@ -169,6 +203,7 @@ let to_params doc =
         cap_dr_ebb = float_field bb "cap_dr_ebb" ~default:12.8;
       }
     in
+    validate_counts p;
     Ok (kind, p)
   with Failure msg -> Error msg
 

@@ -14,7 +14,15 @@ val of_params : Gen.kind -> Gen.params -> Npd_ast.t
 
 val to_params : Npd_ast.t -> (Gen.kind * Gen.params, string) result
 (** Read the generator parameters back.  Missing optional fields take the
-    generator defaults; a missing required section is an error. *)
+    generator defaults; a missing required section is an error, and so
+    is a count the generator needs that is not positive: [dcs], [pods],
+    [rsws_per_pod], [planes], [ssws_per_plane] and [link_mult] in
+    [fabric]; [grids],
+    [fadu_per_grid] and [fauu_per_grid] in [hgrid generation=1]; the two
+    per-grid counts of [hgrid generation=2] when its [grids] is
+    positive; [eb]'s and [dr]'s [count]; and [bb]'s [ebbs].
+    [hgrid generation=2]'s [grids] and [ma]'s [count] may be 0 but not
+    negative.  The error names the section and the field. *)
 
 val to_scenario : Npd_ast.t -> (Gen.scenario, string) result
 (** [to_params] followed by [Gen.build]. *)

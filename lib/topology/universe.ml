@@ -240,6 +240,206 @@ let funneling_ok u ~usable (loads : float array) circuits ~phi ~theta =
   done;
   !i >= n
 
+(* Route compilation, one call per hop.  A walk keeps switch and circuit
+   marks as bits in plain [Bytes] and tests them in place, as the load
+   scans above read [cap]: under [-opaque] a per-row [Kutil.Bitset] call
+   or adjacency callback from another module is an out-of-line call. *)
+
+type rows = {
+  circuits : int array;
+  alt_hi : int array;
+  prevs : int array;
+  nexts : int array;
+  skips : int array;
+}
+
+type walk = {
+  mutable frontier : Bytes.t;  (* switches the next hop starts from *)
+  mutable reached : Bytes.t;  (* switches this hop's [accept] admitted *)
+  rejected : Bytes.t;  (* switches this hop's [accept] refused *)
+  skipped : Bytes.t;  (* frontier switches this hop's [skip] holds for *)
+  marked : Bytes.t;  (* this hop's candidate circuits *)
+  alt_js : int array;  (* wiring alternatives by circuit id, each pair *)
+  alt_his : int array;  (* once, per circuit in [alts] order *)
+}
+
+let[@inline] bit b i =
+  Char.code (Bytes.get b (i lsr 3)) land (1 lsl (i land 7)) <> 0
+
+let[@inline] set_bit b i =
+  let k = i lsr 3 in
+  Bytes.set b k (Char.chr (Char.code (Bytes.get b k) lor (1 lsl (i land 7))))
+
+let start_walk u ~sources ~alts =
+  let n = n_switches u and m = n_circuits u in
+  let bits k = Bytes.make ((k + 7) / 8) '\000' in
+  let frontier = bits n in
+  Array.iter
+    (fun s ->
+      if s < 0 || s >= n then invalid_arg "Universe.start_walk: source out of range";
+      set_bit frontier s)
+    sources;
+  List.iter
+    (fun (j, h) ->
+      if j < 0 || j >= m || h < 0 || h >= n then
+        invalid_arg "Universe.start_walk: alternative out of range")
+    alts;
+  (* Sorted stably by circuit, so each circuit's alternatives keep their
+     [alts] order; a pair already kept for its circuit is dropped.  The
+     kept list's head is the current circuit's run. *)
+  let kept =
+    List.fold_left
+      (fun kept (j, h) ->
+        let rec listed = function
+          | (j', h') :: rest when j' = j -> h' = h || listed rest
+          | _ -> false
+        in
+        if listed kept then kept else (j, h) :: kept)
+      []
+      (List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) alts)
+    |> List.rev |> Array.of_list
+  in
+  {
+    frontier;
+    reached = bits n;
+    rejected = bits n;
+    skipped = bits n;
+    marked = bits m;
+    alt_js = Array.map fst kept;
+    alt_his = Array.map snd kept;
+  }
+
+(* [accept] once per switch per hop: [reached] and [rejected] keep the
+   verdicts.  Until the hop's skips are added, [reached] holds exactly
+   the switches [accept] admitted. *)
+let[@inline] accepts u w accept s =
+  if bit w.reached s then true
+  else if bit w.rejected s then false
+  else if accept u.switches.(s) then begin
+    set_bit w.reached s;
+    true
+  end
+  else begin
+    set_bit w.rejected s;
+    false
+  end
+
+(* Counting walks the frontier's adjacency: a circuit there has its prev
+   on the frontier, so its as-built row is kept exactly when [accept]
+   admits its next, and only then is it marked.  Alternatives are
+   counted from their pairs, and their circuits marked so the fill
+   visits them.  Filling walks the marks once, in increasing circuit id:
+   a marked circuit without alternatives is a kept as-built row; one
+   with alternatives (the merge cursor's) re-tests its as-built row and
+   each alternative against the verdicts counting left, so the fill
+   calls no [accept].  Skips join the next frontier after the fill has
+   read [reached]. *)
+let walk_hop u w ~dir ~accept ~skip =
+  let up = match dir with `Up -> true | `Down -> false in
+  let off = if up then u.up_off else u.down_off in
+  let ep_lo = u.ep_lo and ep_hi = u.ep_hi and adj = u.adj in
+  let fr = w.frontier and mk = w.marked and sk = w.skipped in
+  let alt_js = w.alt_js and alt_his = w.alt_his in
+  let n_alts = Array.length alt_js in
+  let jmin = ref max_int and jmax = ref (-1) in
+  let n_rows = ref 0 and n_alt_rows = ref 0 and n_skips = ref 0 in
+  for byte = 0 to Bytes.length fr - 1 do
+    let bits = Char.code (Bytes.get fr byte) in
+    if bits <> 0 then
+      for b = 0 to 7 do
+        if bits land (1 lsl b) <> 0 then begin
+          let s = (byte lsl 3) lor b in
+          for k = off.(s) to off.(s + 1) - 1 do
+            let j = adj.(k) in
+            if accepts u w accept (if up then ep_hi.(j) else ep_lo.(j)) then begin
+              set_bit mk j;
+              incr n_rows;
+              if j < !jmin then jmin := j;
+              if j > !jmax then jmax := j
+            end
+          done;
+          if skip u.switches.(s) then begin
+            set_bit sk s;
+            incr n_skips
+          end
+        end
+      done
+  done;
+  for x = 0 to n_alts - 1 do
+    let j = alt_js.(x) and h = alt_his.(x) in
+    set_bit mk j;
+    if j < !jmin then jmin := j;
+    if j > !jmax then jmax := j;
+    let lo = ep_lo.(j) in
+    if bit fr (if up then lo else h) && accepts u w accept (if up then h else lo)
+    then begin
+      incr n_rows;
+      incr n_alt_rows
+    end
+  done;
+  let rows = !n_rows in
+  let circuits = Array.make rows 0 and prevs = Array.make rows 0 in
+  let nexts = Array.make rows 0 in
+  let alt_hi = if !n_alt_rows > 0 then Array.make rows (-1) else [||] in
+  let i = ref 0 and cur = ref 0 in
+  (* Nothing marked leaves [jmin > jmax]: the fill is empty. *)
+  for byte = !jmin lsr 3 to !jmax asr 3 do
+    let bits = Char.code (Bytes.get mk byte) in
+    if bits <> 0 then begin
+      for b = 0 to 7 do
+        if bits land (1 lsl b) <> 0 then begin
+          let j = (byte lsl 3) lor b in
+          let lo = ep_lo.(j) and hi = ep_hi.(j) in
+          let prev = if up then lo else hi and next = if up then hi else lo in
+          let has_alts = !cur < n_alts && alt_js.(!cur) = j in
+          if (not has_alts) || (bit fr prev && bit w.reached next) then begin
+            circuits.(!i) <- j;
+            prevs.(!i) <- prev;
+            nexts.(!i) <- next;
+            incr i
+          end;
+          while !cur < n_alts && alt_js.(!cur) = j do
+            let h = alt_his.(!cur) in
+            let prev = if up then lo else h and next = if up then h else lo in
+            if bit fr prev && bit w.reached next then begin
+              circuits.(!i) <- j;
+              prevs.(!i) <- prev;
+              nexts.(!i) <- next;
+              alt_hi.(!i) <- h;
+              incr i
+            end;
+            incr cur
+          done
+        end
+      done;
+      Bytes.set mk byte '\000'
+    end
+  done;
+  let skips = Array.make !n_skips 0 in
+  if !n_skips > 0 then begin
+    let i = ref 0 in
+    for byte = 0 to Bytes.length sk - 1 do
+      let bits = Char.code (Bytes.get sk byte) in
+      if bits <> 0 then begin
+        for b = 0 to 7 do
+          if bits land (1 lsl b) <> 0 then begin
+            let s = (byte lsl 3) lor b in
+            skips.(!i) <- s;
+            incr i;
+            set_bit w.reached s
+          end
+        done;
+        Bytes.set sk byte '\000'
+      end
+    done
+  end;
+  let next = w.reached in
+  w.reached <- w.frontier;
+  w.frontier <- next;
+  Bytes.fill w.reached 0 (Bytes.length w.reached) '\000';
+  Bytes.fill w.rejected 0 (Bytes.length w.rejected) '\000';
+  { circuits; alt_hi; prevs; nexts; skips }
+
 let find_switch u name =
   match Hashtbl.find_opt u.name_index name with
   | Some i -> Some u.switches.(i)

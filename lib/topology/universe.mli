@@ -142,6 +142,57 @@ val funneling_ok :
     counted circuit of [circuits] has [loads.(j) *. (1.0 +. phi) /.
     capacity j <= theta]. *)
 
+(** {1 Route compilation}
+
+    The hop kernel of [Ecmp.compile]: one call per hop emits the hop's
+    candidate rows, reading the endpoint and adjacency arrays in place
+    and keeping its switch and circuit marks as bits it tests inline. *)
+
+type rows = {
+  circuits : int array;  (** Row [i]'s circuit. *)
+  alt_hi : int array;
+      (** [-1] when row [i] stands for the as-built wiring, else the
+          alternative hi endpoint it stands for; one entry per row, or
+          empty when no row is an alternative. *)
+  prevs : int array;  (** Row [i]'s upstream switch at this stage. *)
+  nexts : int array;  (** Row [i]'s downstream switch. *)
+  skips : int array;  (** The stage's skip switches. *)
+}
+(** One hop's rows as parallel columns. *)
+
+type walk
+(** The frontier of one class's walk through its hops, with its scratch
+    marks: O(|S|/8 + |C|/8) bytes. *)
+
+val start_walk : t -> sources:int array -> alts:(int * int) list -> walk
+(** [start_walk u ~sources ~alts] is a walk whose first hop starts at
+    [sources].  [alts] lists [(circuit, alt_hi)] wiring alternatives;
+    repeated pairs count once.  Raises [Invalid_argument] when a source,
+    an alternative's circuit or its endpoint is out of range. *)
+
+val walk_hop :
+  t ->
+  walk ->
+  dir:[ `Up | `Down ] ->
+  accept:(Switch.t -> bool) ->
+  skip:(Switch.t -> bool) ->
+  rows
+(** [walk_hop u w ~dir ~accept ~skip] emits the rows of one hop and
+    moves [w]'s frontier past it.  A row runs over a circuit in
+    direction [dir], under its as-built wiring or one of its
+    alternatives, from a frontier switch to a switch [accept] admits.
+    Rows come in increasing circuit id, per circuit the as-built row
+    first and then its alternatives in [alts] order.  [skips] lists, in
+    increasing id, the frontier switches [skip] holds for.  The next
+    frontier is the rows' next switches and the skips.
+
+    [accept] and [skip] run at most once per switch per call, so both
+    must be pure.  Cost: O(frontier degree + |alts|) to count the rows,
+    one pass over the circuit marks between the lowest and highest
+    marked id (at most |C|/8 bytes) to fill them, and O(|S|/8) to walk
+    and reset the switch marks.  Each column is allocated once, at its
+    final length, and nothing else is allocated per row. *)
+
 (** {1 Array views (cold paths)} *)
 
 val up_circuits : t -> int -> int array

@@ -9,7 +9,7 @@ type hop = {
 
 let hop ?(skip = fun _ -> false) dir accept = { dir; accept; skip }
 
-type rows = {
+type rows = Universe.rows = {
   circuits : int array;
   alt_hi : int array;
   prevs : int array;
@@ -64,25 +64,6 @@ module Ivec = struct
     v.len <- v.len + 1
 
   let clear v = v.len <- 0
-
-  (* The live prefix as a fresh array; [v] stays reusable. *)
-  let take v =
-    let a = Array.sub v.data 0 v.len in
-    v.len <- 0;
-    a
-
-  (* [take] for an [alt_hi] column: empty, and nothing allocated, when
-     no row is an alternative. *)
-  let take_alts v =
-    let any = ref false in
-    for i = 0 to v.len - 1 do
-      if v.data.(i) >= 0 then any := true
-    done;
-    if !any then take v
-    else begin
-      v.len <- 0;
-      [||]
-    end
 end
 
 (* A stage's [alt_hi] column, empty when no row is an alternative. *)
@@ -106,92 +87,50 @@ let stage_of_rows c ~circuits ~alt_hi ~prevs ~nexts ~skips =
     skip_switches = Col.make ~what:"Ecmp: skip switch" ~bound:n skips;
   }
 
-(* A class with no stages yet, its sources validated. *)
+(* A class with no stages yet, its sources validated.  The sources are
+   read in one loop, summing [volume] in list order, so nothing is
+   allocated per source but the two columns. *)
 let of_sources u ~sources =
   let n_switches = Universe.n_switches u in
-  let injecting = Array.of_list (List.filter (fun (_, v) -> v > 0.0) sources) in
+  let n = List.fold_left (fun k (_, v) -> if v > 0.0 then k + 1 else k) 0 sources in
+  let ids = Array.make n 0 and vols = Array.make n 0.0 in
+  let volume = ref 0.0 and i = ref 0 and rest = ref sources in
+  while
+    match !rest with
+    | [] -> false
+    | (s, v) :: tl ->
+        volume := !volume +. v;
+        if v > 0.0 then begin
+          ids.(!i) <- s;
+          vols.(!i) <- v;
+          incr i
+        end;
+        rest := tl;
+        true
+  do
+    ()
+  done;
   {
-    sources =
-      Col.make ~what:"Ecmp: source switch" ~bound:n_switches
-        (Array.map fst injecting);
-    source_vols = Array.map snd injecting;
+    sources = Col.make ~what:"Ecmp: source switch" ~bound:n_switches ids;
+    source_vols = vols;
     stages = [||];
-    volume = List.fold_left (fun acc (_, v) -> acc +. v) 0.0 sources;
+    volume = !volume;
     n_switches;
     n_circuits = Universe.n_circuits u;
   }
 
+(* One [Universe.walk_hop] call per hop: the rows come out in circuit-id
+   order with their columns at final length, and [stage_of_rows] proves
+   their ids. *)
 let compile ?(alts = []) u ~sources ~hops =
-  let n = Universe.n_switches u in
   let c = of_sources u ~sources in
-  let alt_tbl = Hashtbl.create ((2 * List.length alts) + 1) in
-  List.iter
-    (fun (j, h) ->
-      let prev =
-        match Hashtbl.find_opt alt_tbl j with Some l -> l | None -> []
-      in
-      if not (List.mem h prev) then Hashtbl.replace alt_tbl j (prev @ [ h ]))
-    alts;
-  let potential = Bitset.create n and next_potential = Bitset.create n in
-  Array.iter (Bitset.add potential) c.sources.ids;
-  (* Scratch reused by every hop: the candidate-circuit marks and the
-     stage's rows as flat columns. *)
-  let marked = Bitset.create (Universe.n_circuits u) in
-  let circuits = Ivec.create () and alt_hi = Ivec.create () in
-  let prevs = Ivec.create () and nexts = Ivec.create () in
-  let skips = Ivec.create () in
-  let compile_hop h =
-    let up = match h.dir with `Up -> true | `Down -> false in
-    (* A row can only start at a frontier switch, so its circuit is in
-       the frontier's adjacency for the hop's direction — except a [`Down]
-       alternative row, which starts at the alternative endpoint: mark
-       every circuit with alternatives too.  Walking the marks in id
-       order emits rows in the order a scan of the whole universe would:
-       per circuit the as-built row, then its alternatives in [alts]
-       order. *)
-    let mark j = Bitset.add marked j in
-    Bitset.iter
-      (fun s ->
-        if up then Universe.iter_up u s ~f:mark
-        else Universe.iter_down u s ~f:mark)
-      potential;
-    List.iter (fun (j, _) -> mark j) alts;
-    let row j alt hi_sw =
-      let lo = Universe.endpoint_lo u j in
-      let prev = if up then lo else hi_sw and next = if up then hi_sw else lo in
-      if Bitset.mem potential prev && h.accept (Universe.switch u next) then begin
-        Ivec.push circuits j;
-        Ivec.push alt_hi alt;
-        Ivec.push prevs prev;
-        Ivec.push nexts next;
-        Bitset.add next_potential next
-      end
-    in
-    Bitset.iter
-      (fun j ->
-        row j (-1) (Universe.endpoint_hi u j);
-        match Hashtbl.find_opt alt_tbl j with
-        | None -> ()
-        | Some alt_his -> List.iter (fun ah -> row j ah ah) alt_his)
-      marked;
-    Bitset.clear marked;
-    Bitset.iter
-      (fun s ->
-        if h.skip (Universe.switch u s) then begin
-          Ivec.push skips s;
-          Bitset.add next_potential s
-        end)
-      potential;
-    let stage =
-      stage_of_rows c ~circuits:(Ivec.take circuits)
-        ~alt_hi:(Ivec.take_alts alt_hi) ~prevs:(Ivec.take prevs)
-        ~nexts:(Ivec.take nexts) ~skips:(Ivec.take skips)
-    in
-    Bitset.blit ~src:next_potential ~dst:potential;
-    Bitset.clear next_potential;
-    stage
+  let w = Universe.start_walk u ~sources:c.sources.ids ~alts in
+  let stage h =
+    let r = Universe.walk_hop u w ~dir:h.dir ~accept:h.accept ~skip:h.skip in
+    stage_of_rows c ~circuits:r.circuits ~alt_hi:r.alt_hi ~prevs:r.prevs
+      ~nexts:r.nexts ~skips:r.skips
   in
-  { c with stages = Array.of_list (List.map compile_hop hops) }
+  { c with stages = Array.of_list (List.map stage hops) }
 
 let assemble u ~sources ~stages =
   let c = of_sources u ~sources in
@@ -219,6 +158,30 @@ let iter_candidates c ~f =
       for i = 0 to n_rows stage - 1 do
         f ~stage:k ~circuit:stage.circuits.ids.(i) ~prev:stage.prevs.ids.(i)
           ~next:stage.nexts.ids.(i)
+      done)
+    c.stages
+
+(* One pass per stage.  The columns' ids lie below the class's counts
+   ([stage_of_rows]) and the owner arrays are that long, so the owner
+   reads need no range check; [into] is indexed by owner values, which
+   nothing here proves, so its accesses stay checked. *)
+let owner_masks c ~switch_owner ~circuit_owner ~into =
+  if
+    Array.length switch_owner <> c.n_switches
+    || Array.length circuit_owner <> c.n_circuits
+  then invalid_arg "Ecmp.owner_masks: an owner array is sized for another universe";
+  Array.iteri
+    (fun k stage ->
+      let bit = 1 lsl min k 61 in
+      let circuits = stage.circuits.ids in
+      let prevs = stage.prevs.ids and nexts = stage.nexts.ids in
+      for i = 0 to Array.length circuits - 1 do
+        let o = Col.get circuit_owner (Col.get circuits i) in
+        if o >= 0 then into.(o) <- into.(o) lor bit;
+        let o = Col.get switch_owner (Col.get prevs i) in
+        if o >= 0 then into.(o) <- into.(o) lor bit;
+        let o = Col.get switch_owner (Col.get nexts i) in
+        if o >= 0 then into.(o) <- into.(o) lor bit
       done)
     c.stages
 

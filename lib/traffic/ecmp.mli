@@ -17,11 +17,13 @@
 
 type hop = {
   dir : [ `Up | `Down ];  (** Circuit orientation followed at this hop. *)
-  accept : Switch.t -> bool;  (** Which next switches qualify. *)
+  accept : Switch.t -> bool;
+      (** Which next switches qualify.  Must be pure: {!compile} asks it
+          at most once per switch. *)
   skip : Switch.t -> bool;
       (** Switches already past this hop: they carry their volume to the
           next stage unchanged (used when a layer such as MA is optional
-          on the path). *)
+          on the path).  Must be pure, as [accept]. *)
 }
 
 val hop : ?skip:(Switch.t -> bool) -> [ `Up | `Down ] -> (Switch.t -> bool) -> hop
@@ -53,11 +55,18 @@ val compile :
     column at all, which is what lets evaluation take the fused sweep
     there (see {!evaluate}).
 
-    Each hop costs O(frontier degree + |alts|) plus one |C|/8-byte scan:
-    candidates come from the CSR adjacency of the switches the previous
-    hop reached and are walked through a reused circuit-id bitset, so
-    rows come out in increasing circuit id (per circuit: the as-built
-    row, then its alternatives in [alts] order).
+    Each hop is one {!Universe.walk_hop} call, which makes no call per
+    row across a module boundary: it walks the CSR adjacency of the
+    switches the previous hop reached, asks [hop.accept] at most once
+    per switch and hop (so [accept] must be pure) and counts the rows,
+    then fills columns allocated once at their final length in one pass
+    over a circuit-id bitset, so rows come out in increasing circuit id
+    (per circuit: the as-built row, then its alternatives in [alts]
+    order).  A circuit without alternatives costs no lookup.  Each hop
+    costs O(frontier degree + |alts|) plus one scan of at most |C|/8
+    bytes and O(|S|/8) to move the frontier; a class allocates its
+    columns (three words per row, four on a stage with alternative
+    rows) plus O(|S|/8 + |C|/8) words of marks.
 
     Every id a stage holds is checked against [u] once, here, and the
     class records [u]'s switch and circuit counts; that is what lets
@@ -112,6 +121,23 @@ val iter_candidates :
     as-built endpoints and once per alternative — so dependency indexes
     built from this enumeration cover every wiring the circuit can
     take. *)
+
+val owner_masks :
+  compiled ->
+  switch_owner:int array ->
+  circuit_owner:int array ->
+  into:int array ->
+  unit
+(** [owner_masks c ~switch_owner ~circuit_owner ~into] ORs the stage bit
+    of every candidate row ({!iter_candidates}) into the accumulator of
+    the owner of its circuit, its prev switch and its next switch:
+    [into.(o)] gains bit [min k 61] when stage [k] has a row whose
+    circuit [j] has [circuit_owner.(j) = o], or whose prev or next
+    switch [s] has [switch_owner.(s) = o].  A negative owner marks an
+    element nobody owns.  One call per class: O(rows), no allocation,
+    and no call per row.  Raises [Invalid_argument] when an owner array
+    is not as long as [c]'s universe has switches or circuits, or when
+    an owner is [>= Array.length into]. *)
 
 type scratch
 (** Reusable working memory for evaluations (per-switch volumes,

@@ -229,12 +229,15 @@ let test_ensemble_walk_verdicts () =
 (* MRC's margin and the admission verdict are one verdict:
    [current_min_residual > neg_infinity] exactly when [current_ok] holds,
    on the full and the delta path, with a power budget and funneling on.
-   The SSW walk breaks the budget whenever it energizes new spines
-   before the old ones go; the DMAG budget never binds, and a funneling
-   margin of 1.0 rejects some of its walked states.  The OCS walk
-   rewires circuits, and the last row holds the quantile margin to the
-   verdict: a k = 4 ensemble of per-class factors from [0.6, 1.6] at
-   q = 0.5. *)
+   On the SSW walk the port bound is tested first and breaks on every
+   state that also breaks the budget, so no SSW step decides on power
+   (234 port bound, 18 θ and 4 admitted over its 256 steps); A's walk
+   under the same budget is the row whose verdicts name power, which
+   [Constraint.verdict] confirms (40 admitted, 11 power and 13 θ over
+   its 64 steps).  The DMAG budget never binds, and a funneling margin of
+   1.0 rejects some of its walked states.  The OCS walk rewires
+   circuits, and the last row holds the quantile margin to the verdict:
+   a k = 4 ensemble of per-class factors from [0.6, 1.6] at q = 0.5. *)
 let test_residual_matches_verdict () =
   let per_class (task : Task.t) =
     let n_classes = Array.length task.Task.compiled in
@@ -245,7 +248,7 @@ let test_residual_matches_verdict () =
                if m = 0 then 1.0 else 0.6 +. Kutil.Prng.float g 1.0)))
   in
   List.iter
-    (fun (label, sc, walk_seed, funneling, ensemble) ->
+    (fun (label, sc, walk_seed, funneling, ensemble, power_binds) ->
       let power = Power.hall_model sc ~headroom:0.1 in
       let task = Task.of_scenario ~funneling ~power sc in
       let task = Task.with_ensemble (Option.map (fun f -> f task) ensemble) task in
@@ -255,7 +258,7 @@ let test_residual_matches_verdict () =
       let n = Array.length task.Task.blocks in
       let applied = Array.make n false in
       let g = Kutil.Prng.create ~seed:walk_seed in
-      let admitted = ref 0 and rejected = ref 0 in
+      let admitted = ref 0 and rejected = ref 0 and power_verdicts = ref 0 in
       for step = 1 to 8 * n do
         let b = Kutil.Prng.int g n in
         List.iter
@@ -270,6 +273,9 @@ let test_residual_matches_verdict () =
             let ok = Constraint.current_ok ?last_block ck in
             let residual = Constraint.current_min_residual ?last_block ck in
             if ok then incr admitted else incr rejected;
+            (match Constraint.verdict ?last_block ck with
+            | Constraint.Power -> incr power_verdicts
+            | _ -> ());
             Alcotest.(check bool)
               (Printf.sprintf "%s step %d: margin agrees with the verdict" label step)
               ok
@@ -277,17 +283,22 @@ let test_residual_matches_verdict () =
           checkers
       done;
       Alcotest.(check bool) (label ^ ": the walk meets both verdicts") true
-        (!admitted > 0 && !rejected > 0))
+        (!admitted > 0 && !rejected > 0);
+      if power_binds then
+        Alcotest.(check bool) (label ^ ": the walk meets a power verdict") true
+          (!power_verdicts > 0))
     [
-      ("C-SSW", Gen.build Gen.Ssw_forklift (Gen.params_c ()), 5, 0.3, None);
-      ("C-DMAG", Gen.build Gen.Dmag (Gen.params_c ()), 6, 1.0, None);
-      ("OCS", Gen.scenario_of_label "OCS", 7, 0.3, None);
-      ("C-DMAG, six MAs", Gen.build Gen.Dmag (dmag_six_mas ()), 6, 1.0, None);
+      ("A", Gen.scenario_of_label "A", 5, 0.3, None, true);
+      ("C-SSW", Gen.build Gen.Ssw_forklift (Gen.params_c ()), 5, 0.3, None, false);
+      ("C-DMAG", Gen.build Gen.Dmag (Gen.params_c ()), 6, 1.0, None, false);
+      ("OCS", Gen.scenario_of_label "OCS", 7, 0.3, None, false);
+      ("C-DMAG, six MAs", Gen.build Gen.Dmag (dmag_six_mas ()), 6, 1.0, None, false);
       ( "C-DMAG, k = 4 at q = 0.5",
         Gen.build Gen.Dmag (Gen.params_c ()),
         6,
         1.0,
-        Some per_class );
+        Some per_class,
+        false );
     ]
 
 (* Soundness of the dependency index: any class whose loads change when a
@@ -330,6 +341,53 @@ let test_deps_index_sound () =
         (Array.map2 (fun a b -> (a, b)) before after))
     task.Task.blocks
 
+(* The dependency index against a per-candidate reference that does not
+   rely on blocks being disjoint: per class, every candidate row
+   ({!Ecmp.iter_candidates}) ORs its stage bit into per-switch and
+   per-circuit masks, and a block's mask is the OR over its switches and
+   circuits.  Same (class, mask) pairs, in class order, for every
+   block. *)
+let test_deps_match_reference () =
+  List.iter
+    (fun (label, task) ->
+      let n_sw = Topo.n_switches task.Task.topo in
+      let n_ci = Topo.n_circuits task.Task.topo in
+      let reference =
+        Array.map
+          (fun (b : Blocks.t) ->
+            Array.of_list
+              (List.filter_map Fun.id
+                 (Array.to_list
+                    (Array.mapi
+                       (fun d (c, _) ->
+                         let sw = Array.make n_sw 0 and ci = Array.make n_ci 0 in
+                         Ecmp.iter_candidates c ~f:(fun ~stage ~circuit ~prev ~next ->
+                             let bit = 1 lsl min stage 61 in
+                             ci.(circuit) <- ci.(circuit) lor bit;
+                             sw.(prev) <- sw.(prev) lor bit;
+                             sw.(next) <- sw.(next) lor bit);
+                         let m =
+                           Array.fold_left (fun m s -> m lor sw.(s)) 0 b.Blocks.switches
+                         in
+                         let m =
+                           Array.fold_left (fun m j -> m lor ci.(j)) m b.Blocks.circuits
+                         in
+                         if m <> 0 then Some (d, m) else None)
+                       task.Task.compiled))))
+          task.Task.blocks
+      in
+      Array.iteri
+        (fun b expected ->
+          Alcotest.(check (array (pair int int)))
+            (Printf.sprintf "%s: block %d's dependency row" label b)
+            expected task.Task.deps.(b))
+        reference)
+    [
+      ("C-SSW", Task.of_scenario (Gen.build Gen.Ssw_forklift (Gen.params_c ())));
+      ("C-DMAG, six MAs", Task.of_scenario (Gen.build Gen.Dmag (dmag_six_mas ())));
+      ("OCS-LITE", Task.of_scenario (Gen.scenario_of_label "OCS-LITE"));
+    ]
+
 (* The incremental flag reaches the checker: ~incremental:false must
    yield an inactive checker. *)
 let test_escape_hatch () =
@@ -357,5 +415,7 @@ let suite =
       Alcotest.test_case "residual agrees with verdict" `Quick
         test_residual_matches_verdict;
       Alcotest.test_case "dependency index sound" `Quick test_deps_index_sound;
+      Alcotest.test_case "dependency index matches per-candidate reference"
+        `Quick test_deps_match_reference;
       Alcotest.test_case "escape hatch" `Quick test_escape_hatch;
     ] )

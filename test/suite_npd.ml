@@ -237,6 +237,127 @@ let test_field_accessors () =
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "string accepted as int"
 
+(* [doc] (default: A's document) with field [key] of one section set to
+   [v]; [generation] picks the hgrid section. *)
+let with_field ?doc ?generation section key v =
+  let doc =
+    match doc with
+    | Some d -> d
+    | None -> Npd_convert.of_params Gen.Hgrid_v1_to_v2 (Gen.params_a ())
+  in
+  let here (s : Npd_ast.section) =
+    String.equal s.Npd_ast.name section
+    &&
+    match (generation, List.assoc_opt "generation" s.Npd_ast.args) with
+    | None, _ -> true
+    | Some g, Some (Npd_ast.Int g') -> g = g'
+    | Some _, _ -> false
+  in
+  let set = function
+    | Npd_ast.Field (k, _) when String.equal k key -> Npd_ast.Field (k, v)
+    | e -> e
+  in
+  {
+    doc with
+    Npd_ast.sections =
+      List.map
+        (fun s ->
+          if here s then { s with Npd_ast.entries = List.map set s.Npd_ast.entries }
+          else s)
+        doc.Npd_ast.sections;
+  }
+
+let contains msg sub =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length msg && (String.equal (String.sub msg i n) sub || at (i + 1))
+  in
+  at 0
+
+(* [to_params] and [to_scenario] both return an [Error] naming the
+   section and the field: the generator never sees the count. *)
+let refused what ~section key doc =
+  List.iter
+    (fun (stage, r) ->
+      match r with
+      | Ok () -> Alcotest.failf "%s: %s accepted" what stage
+      | Error msg ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s names section and field (%s)" what stage msg)
+            true
+            (contains msg ("section " ^ section) && contains msg key))
+    [
+      ("to_params", Result.map ignore (Npd_convert.to_params doc));
+      ("to_scenario", Result.map ignore (Npd_convert.to_scenario doc));
+    ]
+
+let accepted what doc =
+  match Npd_convert.to_scenario doc with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "%s refused: %s" what e
+
+let section_label ?generation section =
+  match generation with
+  | None -> section
+  | Some g -> Printf.sprintf "%s generation=%d" section g
+
+(* One case per count the generator needs: 0 and a negative count are
+   refused.  [A] has five generation-2 grids, so their per-grid counts
+   are needed; with no generation-2 grid they are not. *)
+let count_case ?generation section key =
+  let label = section_label ?generation section in
+  Alcotest.test_case
+    (Printf.sprintf "non-positive %s %s refused" label key)
+    `Quick
+    (fun () ->
+      List.iter
+        (fun v ->
+          refused
+            (Printf.sprintf "%s = %d" key v)
+            ~section:label key
+            (with_field ?generation section key (Npd_ast.Int v)))
+        [ 0; -3 ];
+      if generation = Some 2 then
+        let doc = with_field ~generation:2 "hgrid" "grids" (Npd_ast.Int 0) in
+        accepted
+          (key ^ " = 0 with no generation-2 grid")
+          (with_field ~doc ~generation:2 "hgrid" key (Npd_ast.Int 0)))
+
+(* Counts that may be 0 (a region without an MA layer or a
+   generation-2 grid) but not negative. *)
+let nonneg_case ?generation section key =
+  let label = section_label ?generation section in
+  Alcotest.test_case
+    (Printf.sprintf "negative %s %s refused, 0 accepted" label key)
+    `Quick
+    (fun () ->
+      accepted (key ^ " = 0") (with_field ?generation section key (Npd_ast.Int 0));
+      refused (key ^ " = -3") ~section:label key
+        (with_field ?generation section key (Npd_ast.Int (-3))))
+
+(* An integral float past the int range is refused by [int_field], not
+   truncated through [int_of_float]; the largest float below 2^62 is
+   still an int. *)
+let test_int_field_range () =
+  let big = Npd_ast.Float 99999999999999999999999.0 in
+  (match Npd_convert.to_scenario (with_field "fabric" "dcs" big) with
+  | Ok _ -> Alcotest.fail "dcs = 1e23 accepted"
+  | Error msg ->
+      Alcotest.(check bool) ("names the field: " ^ msg) true (contains msg "dcs"));
+  let section v =
+    { Npd_ast.name = "s"; args = []; entries = [ Npd_ast.Field ("n", v) ] }
+  in
+  List.iter
+    (fun f ->
+      match Npd_ast.int_field (section (Npd_ast.Float f)) "n" ~default:0 with
+      | exception Failure _ -> ()
+      | n -> Alcotest.failf "%.0f read as %d" f n)
+    [ 4611686018427387904.0; -4611686018427387905.0 *. 2.0; 1e23; -1e23 ];
+  Alcotest.(check int) "2^62 - 512 is an int" (max_int - 511)
+    (Npd_ast.int_field (section (Npd_ast.Float 4611686018427387392.0)) "n" ~default:0);
+  Alcotest.(check int) "-2^62 is an int" min_int
+    (Npd_ast.int_field (section (Npd_ast.Float (-4611686018427387904.0))) "n" ~default:0)
+
 let suite =
   ( "npd",
     [
@@ -263,4 +384,22 @@ let suite =
       Alcotest.test_case "document to scenario" `Quick test_to_scenario;
       Alcotest.test_case "file loading" `Quick test_load_scenario_file;
       Alcotest.test_case "field accessors" `Quick test_field_accessors;
+      Alcotest.test_case "integral float outside the int range" `Quick
+        test_int_field_range;
+      count_case "fabric" "dcs";
+      count_case "fabric" "pods";
+      count_case "fabric" "rsws_per_pod";
+      count_case "fabric" "planes";
+      count_case "fabric" "ssws_per_plane";
+      count_case "fabric" "link_mult";
+      count_case ~generation:1 "hgrid" "grids";
+      count_case ~generation:1 "hgrid" "fadu_per_grid";
+      count_case ~generation:1 "hgrid" "fauu_per_grid";
+      nonneg_case ~generation:2 "hgrid" "grids";
+      count_case ~generation:2 "hgrid" "fadu_per_grid";
+      count_case ~generation:2 "hgrid" "fauu_per_grid";
+      nonneg_case "ma" "count";
+      count_case "eb" "count";
+      count_case "dr" "count";
+      count_case "bb" "ebbs";
     ] )

@@ -604,8 +604,8 @@ let test_compile_alt_row_off_frontier () =
 
 let test_compile_matches_reference () =
   List.iter
-    (fun label ->
-      let sc = Gen.scenario_of_label label in
+    (fun (label, scenario) ->
+      let sc = scenario () in
       let topo = sc.Gen.topo in
       let u = Topo.universe topo in
       let layout = sc.Gen.layout in
@@ -651,7 +651,94 @@ let test_compile_matches_reference () =
             (fun t -> same_evaluation (what ^ " rewired") t fast oracle)
             rewired)
         demands)
-    [ "A"; "C"; "E-SSW"; "OCS-LITE" ]
+    [
+      ("A", fun () -> Gen.scenario_of_label "A");
+      ("C", fun () -> Gen.scenario_of_label "C");
+      ("E-SSW", fun () -> Gen.scenario_of_label "E-SSW");
+      ("OCS-LITE", fun () -> Gen.scenario_of_label "OCS-LITE");
+      (* The MA layer is optional on its egress and ingress routes, so
+         the skip hops carry rows and skip switches. *)
+      ( "C-DMAG, six MAs",
+        fun () -> Gen.build Gen.Dmag (Suite_incremental.dmag_six_mas ()) );
+    ]
+
+(* Every class of a scenario as [Ecmp.compile]'s inputs. *)
+let class_inputs (sc : Gen.scenario) =
+  let layout = sc.Gen.layout in
+  List.map
+    (fun d ->
+      ( d,
+        Routes.sources_for ~rsws_by_dc:layout.Gen.rsws_by_dc
+          ~ebbs:layout.Gen.ebbs d,
+        Routes.hops_for d ))
+    (Matrix.generate ~prng:(Kutil.Prng.create ~seed:42)
+       ~dcs:layout.Gen.params.Gen.dcs ())
+
+(* [Ecmp.compile] asks a hop's [accept] and [skip] about a switch at
+   most once: counting predicates over every class of C see no switch
+   twice in one hop, and compile the same rows as the plain ones. *)
+let test_compile_asks_once () =
+  let sc = Gen.scenario_of_label "C" in
+  let u = Topo.universe sc.Gen.topo in
+  let n = Universe.n_switches u in
+  List.iter
+    (fun ((d : Demand.t), sources, hops) ->
+      let counted = ref [] in
+      let counting f =
+        let calls = Array.make n 0 in
+        counted := calls :: !counted;
+        fun (sw : Switch.t) ->
+          calls.(sw.Switch.id) <- calls.(sw.Switch.id) + 1;
+          f sw
+      in
+      let counting_hops =
+        List.map
+          (fun (h : Ecmp.hop) ->
+            Ecmp.hop ~skip:(counting h.Ecmp.skip) h.Ecmp.dir (counting h.Ecmp.accept))
+          hops
+      in
+      let c = Ecmp.compile u ~sources ~hops:counting_hops in
+      let most = List.fold_left (fun m a -> Array.fold_left max m a) 0 !counted in
+      Alcotest.(check int) (d.Demand.name ^ ": most calls per switch and hop") 1 most;
+      Alcotest.(check bool) (d.Demand.name ^ ": same rows") true
+        (candidate_rows c = candidate_rows (Ecmp.compile u ~sources ~hops)))
+    (class_inputs sc)
+
+(* Compiling a class allocates its returned columns and O(|S|/8 + |C|/8)
+   words of marks, not a growable copy of every column: per class, the
+   words allocated stay within three per row (circuits, prevs, nexts;
+   these tasks have no wiring alternatives), two per injecting source,
+   a per-stage allowance for headers and skip switches, and
+   (|S| + |C|)/8.  Columns over 256 words skip the minor heap, so the
+   count adds the direct major words, read after a full major cycle. *)
+let test_compile_allocation () =
+  let counters () =
+    Gc.full_major ();
+    let s = Gc.quick_stat () in
+    Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  List.iter
+    (fun (label, sc) ->
+      let u = Topo.universe sc.Gen.topo in
+      let marks = (Universe.n_switches u + Universe.n_circuits u) / 8 in
+      List.iter
+        (fun ((d : Demand.t), sources, hops) ->
+          let before = counters () in
+          let c = Ecmp.compile u ~sources ~hops in
+          let words = counters () -. before in
+          let rows = Ecmp.stage_circuit_count c in
+          let injecting = List.length (List.filter (fun (_, v) -> v > 0.0) sources) in
+          let bound = (3 * rows) + (2 * injecting) + (64 * Ecmp.n_stages c) + marks in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s: %.0f words for %d rows (bound %d)" label
+               d.Demand.name words rows bound)
+            true
+            (words <= float_of_int bound))
+        (class_inputs sc))
+    [
+      ("C-SSW", Gen.build Gen.Ssw_forklift (Gen.params_c ()));
+      ("C-DMAG, six MAs", Gen.build Gen.Dmag (Suite_incremental.dmag_six_mas ()));
+    ]
 
 (* Bit-level equality: [Float.equal] would let 0.0 and -0.0 pass. *)
 let same_bits what a b =
@@ -1047,6 +1134,10 @@ let suite =
         test_compile_matches_reference;
       Alcotest.test_case "compile finds alternative rows off the frontier"
         `Quick test_compile_alt_row_off_frontier;
+      Alcotest.test_case "compile asks accept once per switch and hop" `Quick
+        test_compile_asks_once;
+      Alcotest.test_case "compile allocates its columns, not per row" `Quick
+        test_compile_allocation;
       Alcotest.test_case "evaluate matches per-row reference" `Slow
         test_evaluate_matches_reference;
       Alcotest.test_case "evaluation allocates per stage, not per row" `Quick
