@@ -14,7 +14,6 @@ let usage () =
   exit 2
 
 let () =
-  Kutil.Klog.setup ();
   let opts = ref Experiments.default_opts in
   let selected = ref [] in
   let rec parse = function

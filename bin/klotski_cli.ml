@@ -7,13 +7,6 @@
 
 open Cmdliner
 
-let setup_logs verbose =
-  Kutil.Klog.setup ~level:(if verbose then Logs.Info else Logs.Warning) ()
-
-let verbose =
-  let doc = "Enable informational logging on stderr." in
-  Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
-
 (* ------------------------------------------------------------------ *)
 (* Shared argument definitions *)
 
@@ -132,8 +125,7 @@ let gen_cmd =
     let doc = "Output file (stdout when omitted)." in
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~doc)
   in
-  let run verbose label kind output =
-    setup_logs verbose;
+  let run label kind output =
     let default_kind, params =
       match Gen.params_of_label label with
       | Some kp -> kp
@@ -163,14 +155,13 @@ let gen_cmd =
   in
   Cmd.v
     (Cmd.info "gen" ~doc:"Generate a Table-3 topology as an NPD document.")
-    Term.(const run $ verbose $ label $ kind $ output)
+    Term.(const run $ label $ kind $ output)
 
 (* ------------------------------------------------------------------ *)
 (* info *)
 
 let info_cmd =
-  let run verbose path =
-    setup_logs verbose;
+  let run path =
     match Npd_convert.load_scenario path with
     | Error e ->
         Printf.eprintf "error: %s\n" e;
@@ -199,14 +190,13 @@ let info_cmd =
   in
   Cmd.v
     (Cmd.info "info" ~doc:"Topology and migration statistics of an NPD file.")
-    Term.(const run $ verbose $ npd_file)
+    Term.(const run $ npd_file)
 
 (* ------------------------------------------------------------------ *)
 (* check *)
 
 let check_cmd =
-  let run verbose path theta seed =
-    setup_logs verbose;
+  let run path theta seed =
     let _, task = load_task ~theta ~seed path in
     let ck = Constraint.create task in
     let s = Constraint.evaluate_current ck in
@@ -227,7 +217,7 @@ let check_cmd =
   Cmd.v
     (Cmd.info "check"
        ~doc:"Evaluate the demand and port constraints on the original state.")
-    Term.(const run $ verbose $ npd_file $ theta $ seed)
+    Term.(const run $ npd_file $ theta $ seed)
 
 (* ------------------------------------------------------------------ *)
 (* plan *)
@@ -249,9 +239,8 @@ let plan_cmd =
     let doc = "Print the per-step utilization timeline of the plan." in
     Arg.(value & flag & info [ "timeline" ] ~doc)
   in
-  let run verbose path planner theta alpha budget block_factor seed jobs
+  let run path planner theta alpha budget block_factor seed jobs
       no_incremental ensemble quantile no_validate plan_out timeline =
-    setup_logs verbose;
     let _, task = load_task ~theta ~alpha ~block_factor ~seed path in
     let planner_kind =
       match planner with
@@ -314,7 +303,7 @@ let plan_cmd =
   Cmd.v
     (Cmd.info "plan" ~doc:"Compute a safe migration plan from an NPD file.")
     Term.(
-      const run $ verbose $ npd_file $ planner $ theta $ alpha $ budget
+      const run $ npd_file $ planner $ theta $ alpha $ budget
       $ block_factor $ seed $ jobs $ no_incremental $ ensemble $ quantile
       $ no_validate $ plan_out $ timeline)
 
@@ -345,9 +334,8 @@ let simulate_cmd =
     let doc = "Multiplicative size of a demand surprise (0.5 = +50%)." in
     Arg.(value & opt float 0.5 & info [ "surprise-magnitude" ] ~doc)
   in
-  let run verbose path theta seed jobs no_incremental ensemble quantile weeks
+  let run path theta seed jobs no_incremental ensemble quantile weeks
       failure_probability growth surprise_probability surprise_magnitude =
-    setup_logs verbose;
     let _, task = load_task ~theta ~seed path in
     let config =
       resolve_ensemble ensemble quantile
@@ -396,7 +384,7 @@ let simulate_cmd =
           pre-step audits, push failures and replanning (the deployment \
           workflow of the paper's experience section).")
     Term.(
-      const run $ verbose $ npd_file $ theta $ seed $ jobs $ no_incremental
+      const run $ npd_file $ theta $ seed $ jobs $ no_incremental
       $ ensemble $ quantile $ weeks $ failure_probability $ growth
       $ surprise_probability $ surprise_magnitude)
 
@@ -416,8 +404,7 @@ let export_cmd =
     let doc = "Truncate the export beyond this many switches." in
     Arg.(value & opt int 400 & info [ "max-switches" ] ~doc)
   in
-  let run verbose path output roles max_switches =
-    setup_logs verbose;
+  let run path output roles max_switches =
     match Npd_convert.load_scenario path with
     | Error e ->
         Printf.eprintf "error: %s\n" e;
@@ -438,7 +425,7 @@ let export_cmd =
   in
   Cmd.v
     (Cmd.info "export" ~doc:"Export the original topology state as Graphviz.")
-    Term.(const run $ verbose $ npd_file $ output $ roles $ max_switches)
+    Term.(const run $ npd_file $ output $ roles $ max_switches)
 
 let () =
   let info =

@@ -4,16 +4,17 @@
      klotski-sentinel [--src DIR]... [CMT-ROOT ...]
 
    CMT-ROOTs are searched recursively for [.cmt] files (default: lib bin
-   bench perfbench).  Run it from the build root (_build/default), as the
+   bench perfbench); the cmts under test and examples only count S5's
+   references.  Run it from the build root (_build/default), as the
    @sentinel alias does: the include paths recorded in the cmts, which
    R1 needs to rebuild each use site's typing environment, are relative
    to it.  --src names the source trees scanned for suppression
    comments and the S4 stale-suppression audit (default: lib bin bench
    perfbench).
 
-   Prints the S1 worker-closure report, then one
-   [file:line:col [rule] message] line per finding, and exits non-zero
-   when any remain unsuppressed.  Rule catalog R1-R6 and S1-S4:
+   Prints the S1 worker-closure report and S5's test-only exports, then
+   one [file:line:col [rule] message] line per finding, and exits
+   non-zero when any remain unsuppressed.  Rule catalog R1-R6 and S1-S5:
    DESIGN.md section 7. *)
 
 let () =

@@ -11,7 +11,6 @@
      dune exec examples/dmag_rollout.exe *)
 
 let () =
-  Kutil.Klog.setup ();
   let params = { (Gen.params_c ()) with Gen.mas = 24 } in
   let scenario = Gen.build Gen.Dmag params in
   let task = Task.of_scenario scenario in

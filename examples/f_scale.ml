@@ -7,7 +7,6 @@
      dune exec examples/f_scale.exe -- F-LITE  the CI-sized smoke tier *)
 
 let () =
-  Kutil.Klog.setup ();
   let label = if Array.length Sys.argv > 1 then Sys.argv.(1) else "F" in
   let t0 = Kutil.Timer.now () in
   let scenario = Gen.scenario_of_label label in

@@ -11,7 +11,6 @@
 let print_result r = Format.printf "  %a@." Planner.pp_result r
 
 let () =
-  Kutil.Klog.setup ();
   let scenario = Gen.scenario_of_label "C" in
   let task = Task.of_scenario scenario in
   Format.printf "%a@." Task.pp_summary task;

@@ -5,7 +5,6 @@
      dune exec examples/operate.exe *)
 
 let () =
-  Kutil.Klog.setup ();
   let scenario = Gen.scenario_of_label "B" in
   let task = Task.of_scenario scenario in
   let plan =

@@ -4,7 +4,6 @@
      dune exec examples/quickstart.exe *)
 
 let () =
-  Kutil.Klog.setup ();
   (* 1. Build a migration scenario: topology A, HGRID V1 -> V2. *)
   let scenario = Gen.scenario_of_label "A" in
   let st = Gen.stats scenario in

@@ -10,7 +10,6 @@
      dune exec examples/replan_forecast.exe *)
 
 let () =
-  Kutil.Klog.setup ();
   let scenario = Gen.scenario_of_label "C" in
   let task = Task.of_scenario scenario in
   let plan =

@@ -12,7 +12,6 @@
      dune exec examples/routing_config.exe *)
 
 let () =
-  Kutil.Klog.setup ();
   (* A variant of topology B whose V2 circuits have 60% of V1's capacity
      (per circuit; total V2 capacity is still larger via grid count). *)
   let p = Gen.params_b () in

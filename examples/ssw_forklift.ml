@@ -11,7 +11,6 @@
      dune exec examples/ssw_forklift.exe *)
 
 let () =
-  Kutil.Klog.setup ();
   let scenario = Gen.build Gen.Ssw_forklift (Gen.params_c ()) in
   let st = Gen.stats scenario in
   Printf.printf "scenario %s: %d actions over %d switches\n" scenario.Gen.name

@@ -1,5 +1,5 @@
 (* Driver for klotski-sentinel: load [.cmt] typedtrees, build the call
-   graph, solve the effect lattice over SCCs, run S1–S4 and the site
+   graph, solve the effect lattice over SCCs, run S1–S5 and the site
    rules R1–R6, apply suppression comments, and audit the suppressions
    themselves.  Printing is left to the caller ([bin/klotski_sentinel]):
    nothing in [lib/] writes to the console. *)
@@ -13,6 +13,9 @@ type config = {
       (* source trees scanned for suppression comments: malformed and
          stale directives there are findings.  Empty = scan only the
          files findings land in. *)
+  reference_roots : string list;
+      (* [.cmt] trees read only to count S5's references (tests,
+         examples): no other rule looks at them *)
 }
 
 let default_config =
@@ -24,6 +27,7 @@ let default_config =
         "Vec_key.equal"; "Vec_key.compare";
       ];
     source_roots = [ "lib"; "bin"; "bench"; "perfbench" ];
+    reference_roots = [ "test"; "examples" ];
   }
 
 type report = {
@@ -34,6 +38,7 @@ type report = {
   closure_units : string list;  (* display names, sorted *)
   audited : (string * string * int * string) list;
       (* display, file, line, reason of each in-closure annotation *)
+  test_only : string list;  (* S5: exports only tests reference, sorted *)
 }
 
 let read_file path =
@@ -58,6 +63,8 @@ let rec collect_sources acc path =
 
 let analyze ?(config = default_config) ~cmt_roots () =
   let units, problems = Sentinel_cmt.load ~roots:cmt_roots in
+  let refs, ref_problems = Sentinel_cmt.load ~roots:config.reference_roots in
+  let dead, test_only = Sentinel_exports.s5 ~subjects:units (units @ refs) in
   let graph = G.build units in
   let vis = Sentinel_rules.visible graph in
   let by_key = Hashtbl.create 256 in
@@ -81,6 +88,7 @@ let analyze ?(config = default_config) ~cmt_roots () =
     @ Sentinel_rules.s4_annotations graph
     @ List.map (Sentinel_rules.missing_root ~rule:"S1") missing1
     @ List.concat_map (Sentinel_sites.check graph) units
+    @ dead
   in
   (* Suppression comments live in sources, which the analyzer does not
      otherwise read; scan the configured trees plus any finding's own
@@ -132,7 +140,9 @@ let analyze ?(config = default_config) ~cmt_roots () =
   in
   let malformed = List.concat_map (fun (_, sup) -> sup.Sentinel_suppress.problems) sups in
   {
-    findings = List.sort Sentinel_finding.order (problems @ kept @ stale @ malformed);
+    findings =
+      List.sort Sentinel_finding.order
+        (problems @ ref_problems @ kept @ stale @ malformed);
     unit_count = List.length units;
     def_count = List.length vis;
     closure_roots = config.s1_roots;
@@ -145,10 +155,12 @@ let analyze ?(config = default_config) ~cmt_roots () =
             aloc.Location.loc_start.Lexing.pos_lnum,
             reason ))
         (Sentinel_rules.audited graph entries);
+    test_only;
   }
 
 (* The closure report CI greps: which units the worker entry points can
-   reach, and which annotations vouch for the shared state they touch. *)
+   reach, which annotations vouch for the shared state they touch, and
+   which exports only tests keep alive. *)
 let render_summary r =
   [
     Printf.sprintf "klotski-sentinel: %d units, %d defs analyzed" r.unit_count
@@ -157,12 +169,17 @@ let render_summary r =
     Printf.sprintf "S1 worker-reachable units: %s"
       (String.concat ", " r.closure_units);
   ]
+  @ (match r.audited with
+    | [] -> []
+    | audited ->
+        "audited [@@klotski.domain_safe] state in the closure:"
+        :: List.map
+             (fun (display, file, line, reason) ->
+               Printf.sprintf "  %s (%s:%d) — %s" display file line reason)
+             audited)
   @
-  match r.audited with
+  match r.test_only with
   | [] -> []
-  | audited ->
-      "audited [@@klotski.domain_safe] state in the closure:"
-      :: List.map
-           (fun (display, file, line, reason) ->
-             Printf.sprintf "  %s (%s:%d) — %s" display file line reason)
-           audited
+  | names ->
+      Printf.sprintf "S5 exports only tests reference (%d):" (List.length names)
+      :: List.map (fun n -> "  " ^ n) names

@@ -301,7 +301,7 @@ let classify comps =
               "Sys.command";
             ] ->
           B_io dotted
-      | _ when mem head [ "Out_channel"; "In_channel"; "Logs" ] -> B_io dotted
+      | _ when mem head [ "Out_channel"; "In_channel" ] -> B_io dotted
       | _ when
           String.equal head "Unix"
           && mem last
@@ -734,13 +734,19 @@ let scan_def t uenv (def : def) =
 
 (* ---------------------------------------------------------------- *)
 
-let build (units : Sentinel_cmt.unit_info list) =
+(* Phase A alone: enough to resolve every path the units spell
+   ([resolve_value]), which is all S5's reference count needs. *)
+let register (units : Sentinel_cmt.unit_info list) =
   let t = create () in
   List.iter (fun (u : Sentinel_cmt.unit_info) ->
       Hashtbl.replace t.unit_set u.unit_name ())
     units;
   List.iter (register_unit t) units;
   t.def_order <- List.rev t.def_order;
+  t
+
+let build units =
+  let t = register units in
   List.iter
     (fun key ->
       let def = Hashtbl.find t.defs key in

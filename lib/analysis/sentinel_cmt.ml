@@ -13,6 +13,9 @@ type unit_info = {
       (* the compiler's include path, relative to the build root: rebuilds
          the typing environment at a use site *)
   str : Typedtree.structure;
+  intf : (string * Typedtree.signature) option;
+      (* a library unit's interface, from the [.cmti] beside its [.cmt]:
+         the [.mli] source path and its typed signature (S5's subjects) *)
 }
 
 let has_suffix suf path = Filename.check_suffix path suf
@@ -32,14 +35,26 @@ let rec collect acc path =
 let in_library path =
   List.exists (has_suffix ".objs") (String.split_on_char '/' path)
 
+(* A library unit's interface: the [.cmti] dune writes beside the
+   [.cmt] when the unit has an [.mli]. *)
+let read_intf path =
+  let cmti = Filename.remove_extension path ^ ".cmti" in
+  if not (in_library path && Sys.file_exists cmti) then None
+  else
+    match Cmt_format.read_cmt cmti with
+    | { Cmt_format.cmt_annots = Cmt_format.Interface sg; cmt_sourcefile; _ } ->
+        Some (Option.value cmt_sourcefile ~default:cmti, sg)
+    | _ -> None
+
 let load_file path =
-  match Cmt_format.read_cmt path with
-  | { Cmt_format.cmt_annots = Cmt_format.Implementation str;
-      cmt_modname;
-      cmt_sourcefile;
-      cmt_loadpath;
-      _;
-    } ->
+  match (Cmt_format.read_cmt path, read_intf path) with
+  | ( { Cmt_format.cmt_annots = Cmt_format.Implementation str;
+        cmt_modname;
+        cmt_sourcefile;
+        cmt_loadpath;
+        _;
+      },
+      intf ) ->
       let source =
         match cmt_sourcefile with Some s -> s | None -> path
       in
@@ -51,6 +66,7 @@ let load_file path =
              library = in_library path;
              loadpath = cmt_loadpath;
              str;
+             intf;
            })
   | _ -> Ok None  (* interface or partial cmt: nothing to analyze *)
   | exception exn ->

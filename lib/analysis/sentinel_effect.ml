@@ -41,14 +41,6 @@ let join a b =
     float_arith = a.float_arith || b.float_arith;
   }
 
-let equal a b =
-  Bool.equal a.reads_mut b.reads_mut
-  && Bool.equal a.writes_own b.writes_own
-  && Bool.equal a.writes_shared b.writes_shared
-  && Bool.equal a.nondet b.nondet
-  && Bool.equal a.io b.io
-  && Bool.equal a.float_arith b.float_arith
-
 let deterministic e = not e.nondet
 
 let to_string e =

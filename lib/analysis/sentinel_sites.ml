@@ -17,7 +17,7 @@
    R3  [=]/[<>] at type float, literal or not: use [Float.equal].
    R4  no nondeterminism source (clocks, PRNGs, domain identity)
        outside lib/util/{prng,timer}.ml.
-   R5  no printing in library units outside [Klog]/[Table_fmt].
+   R5  no printing in library units outside [Table_fmt].
    R6  no unchecked access ([Array.unsafe_get]/[unsafe_set],
        [Bytes.unsafe_get]/[unsafe_set], [String.unsafe_get],
        [Float.Array.unsafe_get]/[unsafe_set], [Char.unsafe_chr], their
@@ -137,7 +137,7 @@ let check g (u : Sentinel_cmt.unit_info) =
   in
   let r4 = not (has_any_suffix u.source [ "util/prng.ml"; "util/timer.ml" ]) in
   let r5 =
-    u.library && not (has_any_suffix u.source [ "util/klog.ml"; "util/table_fmt.ml" ])
+    u.library && not (has_any_suffix u.source [ "util/table_fmt.ml" ])
   in
   let r6 = not (has_any_suffix u.source [ "util/col.ml"; "util/col_prim.ml" ]) in
   (* [vouched] is set while the walk is inside a binding with a reasoned
@@ -219,7 +219,7 @@ let check g (u : Sentinel_cmt.unit_info) =
               report ~loc:e.exp_loc "R5"
                 (Printf.sprintf
                    "direct printing (%s) in a library: route output through \
-                    Klog or Table_fmt"
+                    Table_fmt"
                    f))
   in
   let comps_of (p : Path.t) =

@@ -82,45 +82,6 @@ let target_to_string = function
 let to_string a =
   Printf.sprintf "%s %s" (op_to_string a.op) (target_to_string a.target)
 
-(* Hand-written structural comparison (R1): same total order as the
-   old [Stdlib.compare] (constructor declaration order, fields left to
-   right), but monomorphic — adding a float or functional field to a
-   target can no longer silently change plan ordering semantics. *)
-let op_rank = function Drain -> 0 | Undrain -> 1 | Rewire _ -> 2
-
-let compare_op a b =
-  let c = Int.compare (op_rank a) (op_rank b) in
-  if c <> 0 then c
-  else
-    match (a, b) with
-    | Rewire ra, Rewire rb ->
-        let c = String.compare ra.circuit_sel rb.circuit_sel in
-        if c <> 0 then c else Int.compare ra.new_hi rb.new_hi
-    | (Drain | Undrain | Rewire _), _ -> 0
-
-let compare_target a b =
-  match (a, b) with
-  | Switch_layer (ra, ga), Switch_layer (rb, gb) ->
-      let c = Int.compare (Switch.rank ra) (Switch.rank rb) in
-      if c <> 0 then c else Int.compare ga gb
-  | Switch_layer _, _ -> -1
-  | _, Switch_layer _ -> 1
-  | Hgrid_layer (ga, ma), Hgrid_layer (gb, mb) ->
-      let c = Int.compare ga gb in
-      if c <> 0 then c else Int.compare ma mb
-  | Hgrid_layer _, _ -> -1
-  | _, Hgrid_layer _ -> 1
-  | Circuit_group na, Circuit_group nb -> String.compare na nb
-
-let compare (a : t) (b : t) =
-  let c = compare_op a.op b.op in
-  if c <> 0 then c else compare_target a.target b.target
-
-let equal (a : t) (b : t) =
-  compare_op a.op b.op = 0 && compare_target a.target b.target = 0
-
-let pp fmt a = Format.pp_print_string fmt (to_string a)
-
 module Set = struct
   type action = t
   type nonrec t = { actions : action array; index_of : (action, int) Hashtbl.t }
@@ -149,6 +110,4 @@ module Set = struct
     match Hashtbl.find_opt s.index_of a with
     | Some i -> i
     | None -> raise Not_found
-
-  let to_list s = Array.to_list s.actions
 end

@@ -95,11 +95,6 @@ val to_string : t -> string
 (** e.g. ["drain HGRID-v1"], ["undrain SSW-g2"], ["drain circuits FAUU-EB"],
     ["rewire(EB0->412) circuits FAUU-EB0"]. *)
 
-val equal : t -> t -> bool
-val compare : t -> t -> int
-
-val pp : Format.formatter -> t -> unit
-
 module Set : sig
   type action = t
   type t
@@ -112,6 +107,4 @@ module Set : sig
   val get : t -> int -> action
   val index : t -> action -> int
   (** Raises [Not_found] when absent. *)
-
-  val to_list : t -> action list
 end

@@ -6,12 +6,6 @@ type t = {
   circuits : int array;
 }
 
-let size b = Array.length b.switches + Array.length b.circuits
-
-let pp fmt b =
-  Format.fprintf fmt "#%d %s [%s] (%d elements)" b.id b.label
-    (Action.to_string b.action) (size b)
-
 (* Chunk [xs] into [k] balanced slices, preserving order. *)
 let split_into k xs =
   if k <= 1 then [ xs ]

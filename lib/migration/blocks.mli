@@ -23,11 +23,6 @@ type t = {
   circuits : int array;  (** Standalone circuit ids toggled (DMAG drains). *)
 }
 
-val size : t -> int
-(** Number of elements operated: switches + standalone circuits. *)
-
-val pp : Format.formatter -> t -> unit
-
 val organize : ?factor:float -> Gen.scenario -> t list
 (** The production organization policy at block-count [factor] (default
     1.0).  Blocks are returned in canonical per-type order — the order in

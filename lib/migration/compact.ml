@@ -18,13 +18,6 @@ let is_target (v : t) ~(counts : int array) =
   let rec loop i = i >= n || (v.(i) = counts.(i) && loop (i + 1)) in
   loop 0
 
-let remaining v ~counts i = counts.(i) - v.(i)
-
-let total_remaining v ~counts =
-  let acc = ref 0 in
-  Array.iteri (fun i c -> acc := !acc + c - v.(i)) counts;
-  !acc
-
 let finished v = Kutil.Vec_key.total v
 
 let state_space_size ~counts =

@@ -25,12 +25,6 @@ val pred : t -> int -> t
 val is_target : t -> counts:int array -> bool
 (** [is_target v ~counts] holds when every type is fully operated. *)
 
-val remaining : t -> counts:int array -> int -> int
-(** [remaining v ~counts i] = blocks of type [i] still to do. *)
-
-val total_remaining : t -> counts:int array -> int
-(** Sum of {!remaining} over all types. *)
-
 val finished : t -> int
 (** Total finished actions (the secondary A* priority, §4.4). *)
 

@@ -203,7 +203,6 @@ let create ?(incremental = true) (task : Task.t) =
     incremental;
   }
 
-let task ck = ck.task
 let overlay ck = ck.topo
 
 let incremental_active ck = ck.incremental

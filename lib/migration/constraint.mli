@@ -119,8 +119,6 @@ val evaluate_current : t -> summary
 (** Diagnostic evaluation of the checker's current state (used by the
     examples and the CLI's [check] command). *)
 
-val task : t -> Task.t
-
 val overlay : t -> Topo.t
 (** The checker's private topology overlay, for diagnostics and tests.
     Do not toggle it directly — go through {!move_to} or the raw block

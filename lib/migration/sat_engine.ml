@@ -47,7 +47,6 @@ let create ?(jobs = 1) ?(use_cache = true) ?(incremental = true)
   }
 
 let jobs e = Kutil.Domain_pool.size e.pool
-let task e = e.task
 let incremental e = e.incremental
 
 let checker e wid =

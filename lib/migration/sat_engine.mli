@@ -37,8 +37,6 @@ val create : ?jobs:int -> ?use_cache:bool -> ?incremental:bool -> Task.t -> t
 val jobs : t -> int
 (** The effective worker count: [min jobs cores]. *)
 
-val task : t -> Task.t
-
 val incremental : t -> bool
 (** The [incremental] flag every worker's checker is created with. *)
 

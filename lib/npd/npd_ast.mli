@@ -56,9 +56,6 @@ val find_section : t -> string -> section option
 val find_sections : t -> string -> section list
 (** All top-level sections with the given name, in order. *)
 
-val field : section -> string -> value option
-(** First field with the given key. *)
-
 val int_field : section -> string -> default:int -> int
 (** Integer field with default; a [Float] with integral value inside
     the [int] range is accepted.  Raises [Failure] on a non-numeric

@@ -106,9 +106,11 @@ let section_arg_int section key ~default =
    least one of for every class to route, and [link_mult], whose raw
    value sizes the SSW and FSW port budgets while at least one circuit
    is wired per link (at [link_mult = -3], A's original topology breaks
-   16 port bounds).  A generation-2 grid's per-grid counts matter only
-   when there is such a grid, and a region may have no MA layer and no
-   generation-2 grid. *)
+   16 port bounds).  The port headrooms may be 0 but not negative (at
+   [ssw_port_headroom = -3], A's original topology breaks 8 port
+   bounds), and a grid needs at least one meshing pattern.  A
+   generation-2 grid's per-grid counts matter only when there is such a
+   grid, and a region may have no MA layer and no generation-2 grid. *)
 let validate_counts (p : Gen.params) =
   let check section key v ~min =
     if v < min then
@@ -123,9 +125,12 @@ let validate_counts (p : Gen.params) =
   positive "fabric" "planes" p.Gen.planes;
   positive "fabric" "ssws_per_plane" p.Gen.ssws_per_plane;
   positive "fabric" "link_mult" p.Gen.link_mult;
+  check "fabric" "fsw_port_headroom" p.Gen.fsw_port_headroom ~min:0;
   positive "hgrid generation=1" "grids" p.Gen.v1_grids;
   positive "hgrid generation=1" "fadu_per_grid" p.Gen.v1_fadu_per_grid;
   positive "hgrid generation=1" "fauu_per_grid" p.Gen.v1_fauu_per_grid;
+  positive "hgrid generation=1" "mesh_variants" p.Gen.mesh_variants;
+  check "hgrid generation=1" "ssw_port_headroom" p.Gen.ssw_port_headroom ~min:0;
   check "hgrid generation=2" "grids" p.Gen.v2_grids ~min:0;
   if p.Gen.v2_grids > 0 then begin
     positive "hgrid generation=2" "fadu_per_grid" p.Gen.v2_fadu_per_grid;

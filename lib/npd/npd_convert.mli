@@ -30,10 +30,7 @@ val to_scenario : Npd_ast.t -> (Gen.scenario, string) result
 val load_scenario : string -> (Gen.scenario, string) result
 (** Parse a file and convert ({!Npd_parser.parse_file} + {!to_scenario}). *)
 
-val kind_id : Gen.kind -> string
-(** Stable identifier used in the [migration] section:
-    ["hgrid-v1-to-v2"], ["ssw-forklift"], ["dmag"], ["ocs-rewire"],
-    ["ocs-swap"]. *)
-
 val kind_of_id : string -> (Gen.kind, string) result
-(** Inverse of {!kind_id}; [Error] names the unknown identifier. *)
+(** The kind a [migration] section's [kind] names: ["hgrid-v1-to-v2"],
+    ["ssw-forklift"], ["dmag"], ["ocs-rewire"] or ["ocs-swap"];
+    [Error] names the unknown identifier. *)

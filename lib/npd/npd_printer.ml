@@ -31,8 +31,6 @@ let to_string (doc : Npd_ast.t) =
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
-let pp fmt doc = Format.pp_print_string fmt (to_string doc)
-
 let write_file path doc =
   match Out_channel.with_open_text path (fun oc ->
             Out_channel.output_string oc (to_string doc))

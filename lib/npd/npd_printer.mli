@@ -6,7 +6,5 @@
 val to_string : Npd_ast.t -> string
 (** Render a document in canonical two-space-indented form. *)
 
-val pp : Format.formatter -> Npd_ast.t -> unit
-
 val write_file : string -> Npd_ast.t -> (unit, string) result
 (** Write the canonical form to a file. *)

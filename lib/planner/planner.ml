@@ -86,8 +86,6 @@ let cost_of r =
   | Found p | Timeout (Some p) -> Some p.Plan.cost
   | Infeasible | Timeout None | Unsupported _ -> None
 
-let is_optimal_capable name = name <> "MRC"
-
 let pp_result fmt r =
   let outcome =
     match r.outcome with

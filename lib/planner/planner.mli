@@ -94,8 +94,4 @@ type result = { planner : string; outcome : outcome; stats : stats }
 val cost_of : result -> float option
 (** The cost of the plan carried by the outcome, if any. *)
 
-val is_optimal_capable : string -> bool
-(** Whether the named planner guarantees optimality when it terminates
-    (every planner here except ["MRC"]). *)
-
 val pp_result : Format.formatter -> result -> unit

@@ -41,12 +41,6 @@ val connect_all :
   t -> los:int list -> his:int list -> ?future:bool -> capacity:float -> unit -> int list
 (** Full bipartite meshing: one circuit for every (lo, hi) pair. *)
 
-val future_switches : t -> int list
-(** Ids of switches declared future, in increasing order. *)
-
-val future_circuits : t -> int list
-(** Ids of circuits declared future (explicitly or via a future endpoint). *)
-
 val freeze : t -> Topo.t
 (** Freeze into a topology whose activity flags encode the original
     network (future elements inactive).  The builder must not be reused

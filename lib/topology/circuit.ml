@@ -9,5 +9,3 @@ let other_end c s =
   else if s = c.hi then c.lo
   else invalid_arg "Circuit.other_end: switch not an endpoint"
 
-let pp fmt c =
-  Format.fprintf fmt "#%d %d->%d (%g Tbps)" c.id c.lo c.hi c.capacity

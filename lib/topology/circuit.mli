@@ -19,5 +19,3 @@ val other_end : t -> int -> int
 (** [other_end c s] is the endpoint of [c] that is not [s].  Raises
     [Invalid_argument] if [s] is not an endpoint of [c]. *)
 
-val pp : Format.formatter -> t -> unit
-(** Prints ["#id lo->hi (cap Tbps)"]. *)

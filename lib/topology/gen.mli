@@ -124,16 +124,6 @@ val params_f : unit -> params
     144-state lattice so every planner finishes while each admission
     check pays the full million-circuit evaluation. *)
 
-val params_f_lite : unit -> params
-(** E's fabric (~11k switches) under F's shallow lattice: the CI smoke
-    tier for the `scale` bench. *)
-
-val params_ocs : unit -> params
-(** The OCS tier: a B-sized fabric, a v1-only HGRID and two EB banks,
-    with the FAUU-EB uplinks tuned to be the calibrated hotspot and the
-    FAUUs given zero port headroom — the regime where only the
-    topology-changing [Rewire] action can complete the migration. *)
-
 val params_ocs_lite : unit -> params
 (** The OCS shape at A's scale: the CI smoke tier for the `ocs` bench. *)
 

@@ -53,11 +53,3 @@ let make ~id ~name ~role ?(generation = 1) ?(dc = -1) ?(pod = -1) ?(plane = -1)
     ?(index = 0) ~max_ports () =
   { id; name; role; generation; dc; pod; plane; index; max_ports }
 
-let pp fmt s =
-  Format.fprintf fmt "%s(%s g%d dc%d)" s.name (role_to_string s.role)
-    s.generation s.dc
-
-let equal (a : t) (b : t) =
-  a.id = b.id && String.equal a.name b.name && a.role = b.role
-  && a.generation = b.generation && a.dc = b.dc && a.pod = b.pod
-  && a.plane = b.plane && a.index = b.index && a.max_ports = b.max_ports

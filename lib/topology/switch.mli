@@ -59,9 +59,3 @@ val make :
   t
 (** Constructor with the optional position fields defaulting to [-1]
     (resp. [1] for [generation], [0] for [index]). *)
-
-val pp : Format.formatter -> t -> unit
-(** Prints ["name(ROLE gN dcD)"]. *)
-
-val equal : t -> t -> bool
-(** Structural equality. *)

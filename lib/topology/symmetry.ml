@@ -57,9 +57,3 @@ let blocks ?(pinned = []) u ~scope =
 
 let max_block_size bs =
   List.fold_left (fun acc b -> max acc (List.length b.members)) 0 bs
-
-let pp_block fmt b =
-  Format.fprintf fmt "%s g%d {%s}"
-    (Switch.role_to_string b.role)
-    b.generation
-    (String.concat ", " (List.map string_of_int b.members))

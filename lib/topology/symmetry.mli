@@ -34,6 +34,3 @@ val blocks : ?pinned:int list -> Universe.t -> scope:int list -> block list
 
 val max_block_size : block list -> int
 (** Size of the largest block; 0 for an empty list. *)
-
-val pp_block : Format.formatter -> block -> unit
-(** Prints ["ROLE gN {id, id, ...}"]. *)

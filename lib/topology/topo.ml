@@ -39,8 +39,6 @@ let of_universe u =
     remap = Hashtbl.create 8;
   }
 
-let create ~switches ~circuits = of_universe (Universe.create ~switches ~circuits)
-
 let universe t = t.u
 
 let copy t =
@@ -54,61 +52,17 @@ let copy t =
     remap = Hashtbl.copy t.remap;
   }
 
-(* A snapshot is a frozen overlay: same shape, no universe of its own. *)
-type snapshot = {
-  s_switch_active : Bitset.t;
-  s_circuit_active : Bitset.t;
-  s_usable_set : Bitset.t;
-  s_usable_deg : int array;
-  s_usable_count : int;
-  s_port_violations : int;
-  s_rewired : Bitset.t;
-  s_remap : (int, int) Hashtbl.t;
-}
-
-let snapshot t =
-  {
-    s_switch_active = Bitset.copy t.switch_active;
-    s_circuit_active = Bitset.copy t.circuit_active;
-    s_usable_set = Bitset.copy t.usable_set;
-    s_usable_deg = Array.copy t.usable_deg;
-    s_usable_count = t.usable_count;
-    s_port_violations = t.port_violations;
-    s_rewired = Bitset.copy t.rewired;
-    s_remap = Hashtbl.copy t.remap;
-  }
-
-let restore t snap =
-  Bitset.blit ~src:snap.s_switch_active ~dst:t.switch_active;
-  Bitset.blit ~src:snap.s_circuit_active ~dst:t.circuit_active;
-  Bitset.blit ~src:snap.s_usable_set ~dst:t.usable_set;
-  Array.blit snap.s_usable_deg 0 t.usable_deg 0 (Array.length t.usable_deg);
-  t.usable_count <- snap.s_usable_count;
-  t.port_violations <- snap.s_port_violations;
-  (* Like the bitset blits, restoring wiring drops every remap added
-     after the snapshot and resurrects every one removed since.  The
-     table is rebuilt in bitset (circuit-id) order — deterministic. *)
-  Bitset.blit ~src:snap.s_rewired ~dst:t.rewired;
-  Hashtbl.reset t.remap;
-  if Hashtbl.length snap.s_remap > 0 then
-    Bitset.iter
-      (fun j -> Hashtbl.replace t.remap j (Hashtbl.find snap.s_remap j))
-      snap.s_rewired
-
 let n_switches t = Universe.n_switches t.u
 let n_circuits t = Universe.n_circuits t.u
 let switch t i = Universe.switch t.u i
 let circuit t j = Universe.circuit t.u j
 let switches t = Universe.switches t.u
 let circuits t = Universe.circuits t.u
-let up_circuits t s = Universe.up_circuits t.u s
-let down_circuits t s = Universe.down_circuits t.u s
-let find_switch t name = Universe.find_switch t.u name
 
 (* Flat hot-path pass-throughs: no record views, no array allocation.
-   [endpoint_hi]/[other_endpoint] report the *current* wiring — the
-   remap when the circuit is rewired, the universe otherwise — so every
-   overlay consumer (usability, ports, maxflow, reachability) sees moved
+   [endpoint_hi] reports the *current* wiring — the remap when the
+   circuit is rewired, the universe otherwise — so every overlay
+   consumer (usability, ports, maxflow, reachability) sees moved
    endpoints without knowing about the remap. *)
 let capacity t j = Universe.capacity t.u j
 let endpoint_lo t j = Universe.endpoint_lo t.u j
@@ -117,19 +71,8 @@ let endpoint_hi t j =
   if Bitset.mem t.rewired j then Hashtbl.find t.remap j
   else Universe.endpoint_hi t.u j
 
-let other_endpoint t j s =
-  let lo = Universe.endpoint_lo t.u j in
-  let hi = endpoint_hi t j in
-  if s = lo then hi
-  else if s = hi then lo
-  else invalid_arg "Topo.other_endpoint: switch is not an endpoint"
-
-let max_ports t i = Universe.max_ports t.u i
 let up_degree t s = Universe.up_degree t.u s
-let down_degree t s = Universe.down_degree t.u s
 let iter_up t s ~f = Universe.iter_up t.u s ~f
-let iter_down t s ~f = Universe.iter_down t.u s ~f
-let iter_incident t s ~f = Universe.iter_incident t.u s ~f
 
 let switch_active t i = Bitset.mem t.switch_active i
 let circuit_active t j = Bitset.mem t.circuit_active j
@@ -335,13 +278,3 @@ let reachable t ~from =
     iter_rewired_onto t s ~f:visit
   done;
   seen
-
-let connected t ~src ~dst =
-  let seen = reachable t ~from:src in
-  List.exists (fun d -> Bitset.mem seen d) dst
-
-let pp_summary fmt t =
-  Format.fprintf fmt
-    "topology: %d switches (%d active), %d circuits (%d active, %d usable)"
-    (n_switches t) (active_switch_count t) (n_circuits t)
-    (active_circuit_count t) t.usable_count

@@ -24,18 +24,12 @@
     a sparse table of circuits whose higher-rank endpoint has been
     retargeted by an OCS {!set_circuit_hi} (the [Rewire] action).  The
     universe always reports the as-built wiring; {!endpoint_hi},
-    {!other_endpoint}, usability, port accounting and reachability on
-    the overlay all report the {e current} wiring.  The remap holds only
-    non-identity entries, so it copies, snapshots and restores in
-    O(overlay) like the activity bitsets, and costs one bitset probe per
-    query on tasks that never rewire. *)
+    usability, port accounting and reachability on the overlay all
+    report the {e current} wiring.  The remap holds only non-identity
+    entries, so it copies in O(overlay) like the activity bitsets, and
+    costs one bitset probe per query on tasks that never rewire. *)
 
 type t
-
-val create : switches:Switch.t array -> circuits:Circuit.t array -> t
-(** [create ~switches ~circuits] builds a fresh universe plus an overlay
-    where everything is initially active.  Validation rules are those of
-    {!Universe.create}. *)
 
 val of_universe : Universe.t -> t
 (** [of_universe u] is an everything-active overlay sharing [u]. *)
@@ -46,24 +40,6 @@ val universe : t -> Universe.t
 val copy : t -> t
 (** Copy the overlay: activity flags and counters become independent of
     the source; the universe stays physically shared. *)
-
-(** {1 Snapshots}
-
-    A snapshot freezes the overlay words so a later {!restore} can rewind
-    the same (or an equal-shaped) overlay in O(overlay) time — the state
-    forking primitive planners can build on. *)
-
-type snapshot
-
-val snapshot : t -> snapshot
-(** Capture the current activity state, usable set/degrees and counters. *)
-
-val restore : t -> snapshot -> unit
-(** Rewind [t] to a previously captured snapshot.  The snapshot must come
-    from an overlay of the same universe shape.  Restoring also rewinds
-    the endpoint remap: rewires applied after the snapshot are dropped
-    and rewires undone since are reinstated, mirroring the bitset blits.
-    Raises [Invalid_argument] on a capacity mismatch. *)
 
 (** {1 Static structure}
 
@@ -85,22 +61,10 @@ val circuits : t -> Circuit.t array
 (** Freshly allocated record views of every circuit; mutating the array
     has no effect.  O(n_circuits) allocation — cold paths only. *)
 
-val up_circuits : t -> int -> int array
-(** [up_circuits t s]: fresh array of ids of circuits whose [lo]
-    endpoint is [s] (toward higher layers).  Hot loops use {!iter_up}. *)
-
-val down_circuits : t -> int -> int array
-(** [down_circuits t s]: fresh array of ids of circuits whose [hi]
-    endpoint is [s]. *)
-
-val find_switch : t -> string -> Switch.t option
-(** Look a switch up by name — O(1) through the universe's eagerly built
-    index; never mutates. *)
-
 (** {1 Flat structure accessors}
 
     Allocation-free pass-throughs to the packed {!Universe.t} arrays —
-    the hot-path replacements for {!circuit}/{!up_circuits}. *)
+    the hot-path replacements for {!circuit}. *)
 
 val capacity : t -> int -> float
 (** [capacity t j] is circuit [j]'s capacity. *)
@@ -113,28 +77,12 @@ val endpoint_hi : t -> int -> int
     {e current} wiring: the remap target when [j] is rewired, the
     as-built universe endpoint otherwise. *)
 
-val other_endpoint : t -> int -> int -> int
-(** [other_endpoint t j s] is the current endpoint of [j] opposite [s].
-    Raises [Invalid_argument] if [s] is not a current endpoint. *)
-
-val max_ports : t -> int -> int
-(** [max_ports t i] is switch [i]'s port budget. *)
-
 val up_degree : t -> int -> int
 (** Number of circuits whose [lo] endpoint is the given switch. *)
-
-val down_degree : t -> int -> int
-(** Number of circuits whose [hi] endpoint is the given switch. *)
 
 val iter_up : t -> int -> f:(int -> unit) -> unit
 (** [iter_up t s ~f] applies [f] to each up-circuit id of [s], in
     increasing id order, without allocating. *)
-
-val iter_down : t -> int -> f:(int -> unit) -> unit
-(** As {!iter_up} for down-circuits. *)
-
-val iter_incident : t -> int -> f:(int -> unit) -> unit
-(** [iter_incident t s ~f] is [iter_up] then [iter_down]. *)
 
 (** {1 Activity} *)
 
@@ -244,9 +192,3 @@ val reachable : t -> from:int list -> Kutil.Bitset.t
 (** [reachable t ~from] marks every switch reachable from [from] along
     usable circuits (both directions). *)
 
-val connected : t -> src:int list -> dst:int list -> bool
-(** [connected t ~src ~dst] is [true] iff some usable path links a source
-    to a destination. *)
-
-val pp_summary : Format.formatter -> t -> unit
-(** One-line summary: switch/circuit counts and activity. *)

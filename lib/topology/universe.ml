@@ -33,20 +33,20 @@ type t = {
 let validate_packed switches ep_lo ep_hi cap =
   Array.iteri
     (fun i (s : Switch.t) ->
-      if s.Switch.id <> i then invalid_arg "Universe.create: switch id mismatch")
+      if s.Switch.id <> i then invalid_arg "Universe.create_packed: switch id mismatch")
     switches;
   let m = Array.length ep_lo in
   if Array.length ep_hi <> m || Array.length cap <> m then
-    invalid_arg "Universe.create: endpoint/capacity arrays disagree on length";
+    invalid_arg "Universe.create_packed: endpoint/capacity arrays disagree on length";
   let n = Array.length switches in
   for j = 0 to m - 1 do
     let lo = ep_lo.(j) and hi = ep_hi.(j) in
     if lo < 0 || lo >= n || hi < 0 || hi >= n then
-      invalid_arg "Universe.create: circuit endpoint out of range";
+      invalid_arg "Universe.create_packed: circuit endpoint out of range";
     let rlo = Switch.rank switches.(lo).Switch.role
     and rhi = Switch.rank switches.(hi).Switch.role in
     if rlo >= rhi then
-      invalid_arg "Universe.create: circuit endpoints must go lower->higher rank"
+      invalid_arg "Universe.create_packed: circuit endpoints must go lower->higher rank"
   done
 
 let create_packed ~switches ~ep_lo ~ep_hi ~cap =
@@ -109,23 +109,6 @@ let create_packed ~switches ~ep_lo ~ep_hi ~cap =
     full_deg;
     full_port_violations = !full_port_violations;
   }
-
-let create ~switches ~circuits =
-  Array.iteri
-    (fun j (c : Circuit.t) ->
-      if c.Circuit.id <> j then
-        invalid_arg "Universe.create: circuit id mismatch")
-    circuits;
-  let m = Array.length circuits in
-  let ep_lo = Array.make m 0 and ep_hi = Array.make m 0 in
-  let cap = Array.make m 0.0 in
-  Array.iteri
-    (fun j (c : Circuit.t) ->
-      ep_lo.(j) <- c.Circuit.lo;
-      ep_hi.(j) <- c.Circuit.hi;
-      cap.(j) <- c.Circuit.capacity)
-    circuits;
-  create_packed ~switches ~ep_lo ~ep_hi ~cap
 
 let n_switches u = Array.length u.switches
 let n_circuits u = Array.length u.ep_lo

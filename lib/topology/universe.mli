@@ -3,8 +3,8 @@
     A universe records everything about a migration's network that never
     changes while planning: switches, circuit endpoints/capacities, the
     up/down adjacency, per-switch port budgets, and the name index.  All
-    of it is built once by {!create} (or {!create_packed}) and never
-    mutated afterwards, so a single universe is safely shared —
+    of it is built once by {!create_packed} and never mutated
+    afterwards, so a single universe is safely shared —
     physically, without copies or locks — by every {!Topo.t} overlay and
     hence every constraint checker and worker domain spawned from one
     task.
@@ -23,25 +23,21 @@
 
 type t
 
-val create : switches:Switch.t array -> circuits:Circuit.t array -> t
-(** [create ~switches ~circuits] validates and freezes the static
-    structure.  [switches.(i).id] must equal [i], [circuits.(j).id] must
-    equal [j], and circuit endpoints must go lower → higher {!Switch.rank};
-    raises [Invalid_argument] otherwise.  The name index is built eagerly
-    here, so lookups never mutate shared state. *)
-
 val create_packed :
   switches:Switch.t array ->
   ep_lo:int array ->
   ep_hi:int array ->
   cap:float array ->
   t
-(** [create_packed ~switches ~ep_lo ~ep_hi ~cap] freezes circuits given
-    directly as parallel arrays (circuit [j] runs [ep_lo.(j)] →
-    [ep_hi.(j)] with capacity [cap.(j)]) — the streaming-generator entry
-    point, allocating no intermediate records.  Validation rules are
-    those of {!create}.  The arrays are owned by the universe afterwards
-    and must not be mutated by the caller. *)
+(** [create_packed ~switches ~ep_lo ~ep_hi ~cap] validates and freezes
+    the static structure, circuits given directly as parallel arrays
+    (circuit [j] runs [ep_lo.(j)] → [ep_hi.(j)] with capacity
+    [cap.(j)]) — the streaming-generator entry point, allocating no
+    intermediate records.  [switches.(i).id] must equal [i], and circuit
+    endpoints must be in range and go lower → higher {!Switch.rank};
+    raises [Invalid_argument] otherwise.  The name index is built eagerly
+    here, so lookups never mutate shared state.  The arrays are owned by
+    the universe afterwards and must not be mutated by the caller. *)
 
 val n_switches : t -> int
 val n_circuits : t -> int

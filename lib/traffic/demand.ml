@@ -2,11 +2,6 @@ type endpoint = Rsws_of_dc of int | Rsws_except_dc of int | Backbone
 
 type t = { name : string; src : endpoint; dst : endpoint; volume : float }
 
-let endpoint_to_string = function
-  | Rsws_of_dc i -> Printf.sprintf "rsws(dc%d)" i
-  | Rsws_except_dc i -> Printf.sprintf "rsws(dc!=%d)" i
-  | Backbone -> "backbone"
-
 let endpoint_equal a b =
   match (a, b) with
   | Rsws_of_dc i, Rsws_of_dc j | Rsws_except_dc i, Rsws_except_dc j -> i = j
@@ -23,6 +18,3 @@ let scale f d = { d with volume = d.volume *. f }
 
 let total_volume ds = List.fold_left (fun acc d -> acc +. d.volume) 0.0 ds
 
-let pp fmt d =
-  Format.fprintf fmt "%s: %s->%s %.2f Tbps" d.name
-    (endpoint_to_string d.src) (endpoint_to_string d.dst) d.volume

@@ -30,8 +30,3 @@ val scale : float -> t -> t
 
 val total_volume : t list -> float
 (** Sum of the volumes of a demand set. *)
-
-val pp : Format.formatter -> t -> unit
-(** Prints ["name: src->dst volume Tbps"]. *)
-
-val endpoint_to_string : endpoint -> string

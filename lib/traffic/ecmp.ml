@@ -141,7 +141,6 @@ let assemble u ~sources ~stages =
   in
   { c with stages = Array.map stage stages }
 
-let source_volume c = c.volume
 
 let n_rows stage = Array.length stage.circuits.ids
 

@@ -96,9 +96,6 @@ val assemble : Universe.t -> sources:(int * float) list -> stages:rows array -> 
     one of [u]'s switches, or a stage's [circuits], [prevs], [nexts] and
     non-empty [alt_hi] differ in length. *)
 
-val source_volume : compiled -> float
-(** Total volume injected by the compiled class. *)
-
 val stage_circuit_count : compiled -> int
 (** Total candidate circuits across stages (a size diagnostic). *)
 
@@ -183,8 +180,8 @@ val evaluate :
     serves every matrix of a demand ensemble.  With [aux] empty the
     base float stream is bit-identical to the historical evaluation.
 
-    Deterministic; [delivered +. stuck] equals [scale *. source_volume c]
-    up to rounding.
+    Deterministic; [delivered +. stuck] equals [scale] times the class's
+    source volume up to rounding.
 
     Cost: a backward sweep decides once per candidate row whether it
     qualifies — usable under the wiring it was compiled for and leading

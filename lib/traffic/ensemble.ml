@@ -60,7 +60,6 @@ let create ?(quantile = 1.0) factors =
 
 let k t = Array.length t.factors
 let n_classes t = Array.length t.factors.(0)
-let quantile t = t.quantile
 let id t = t.id
 let factor t ~matrix ~cls = t.factors.(matrix).(cls)
 let row t m = Array.copy t.factors.(m)

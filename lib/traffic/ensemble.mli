@@ -47,8 +47,6 @@ val k : t -> int
 
 val n_classes : t -> int
 
-val quantile : t -> float
-
 val need : t -> int
 (** ⌈quantile·k⌉ clamped to [1, k]: how many matrices a state must be
     safe under to be admitted. *)

@@ -39,8 +39,6 @@ let growth_at t ~week =
   (1.0 +. t.weekly_growth) ** float_of_int week
 
 let spike_magnitude t = t.spike_magnitude
-let spike_probability t = t.spike_probability
-
 let scale_at t ~week ~class_name =
   if week < 0 then invalid_arg "Forecast.scale_at: negative week";
   let growth = growth_at t ~week in

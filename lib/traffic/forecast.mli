@@ -42,8 +42,5 @@ val spike_draw : t -> week:int -> class_name:string -> float
 val spike_magnitude : t -> float
 (** The multiplicative surge size (0.5 = +50%). *)
 
-val spike_probability : t -> float
-(** The per-week per-class spike probability. *)
-
 val apply : t -> week:int -> Demand.t list -> Demand.t list
 (** Scale every class of a demand set to its forecast at [week]. *)

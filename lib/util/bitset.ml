@@ -8,7 +8,6 @@ let create n =
   if n < 0 then invalid_arg "Bitset.create: negative capacity";
   { words = Bytes.make ((n + 7) / 8) '\000'; n }
 
-let capacity t = t.n
 
 (* Every range check raises this one preallocated exception. *)
 let out_of_range = Invalid_argument "Bitset: index out of range"
@@ -105,10 +104,6 @@ let cardinal t =
   !acc
 
 let copy t = { words = Bytes.copy t.words; n = t.n }
-
-let blit ~src ~dst =
-  if src.n <> dst.n then invalid_arg "Bitset.blit: capacity mismatch";
-  Bytes.blit src.words 0 dst.words 0 (Bytes.length src.words)
 
 let clear t = Bytes.fill t.words 0 (Bytes.length t.words) '\000'
 

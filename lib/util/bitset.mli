@@ -13,9 +13,6 @@ val create : int -> t
 val create_full : int -> t
 (** [create_full n] holds every element of [0 .. n-1]. *)
 
-val capacity : t -> int
-(** The [n] the set was created with. *)
-
 val mem : t -> int -> bool
 (** Membership test.  Raises [Invalid_argument] when out of range. *)
 
@@ -72,11 +69,6 @@ val cardinal : t -> int
 
 val copy : t -> t
 (** An independent clone. *)
-
-val blit : src:t -> dst:t -> unit
-(** Overwrite [dst]'s members with [src]'s.  The two sets must have the
-    same capacity — this is the O(n/8) restore primitive overlay
-    snapshots use.  Raises [Invalid_argument] on capacity mismatch. *)
 
 val clear : t -> unit
 (** Remove every element. *)

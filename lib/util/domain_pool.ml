@@ -141,8 +141,4 @@ let shutdown pool =
     pool.domains <- [||]
   end
 
-let with_pool ~jobs f =
-  let pool = create ~jobs in
-  Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
-
 let recommended_jobs () = Domain.recommended_domain_count ()

@@ -39,9 +39,5 @@ val shutdown : t -> unit
 (** Stop and join the spawned domains.  Idempotent; any later {!map}
     raises [Invalid_argument]. *)
 
-val with_pool : jobs:int -> (t -> 'a) -> 'a
-(** [with_pool ~jobs f] runs [f] on a fresh pool and shuts it down on the
-    way out, even on exceptions. *)
-
 val recommended_jobs : unit -> int
 (** The runtime's recommended domain count for this machine. *)

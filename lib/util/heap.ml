@@ -66,8 +66,6 @@ let push h x =
   h.size <- h.size + 1;
   sift_up h (h.size - 1)
 
-let peek h = if h.size = 0 then None else h.data.(0)
-
 let pop h =
   if h.size = 0 then None
   else begin

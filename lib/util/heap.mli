@@ -3,7 +3,7 @@
     The heap is the engine behind the A* planner's priority queue
     (Algorithm 2 of the paper).  Elements with the smallest key according to
     [compare] are popped first.  All operations are amortized O(log n) except
-    [length], [is_empty] and [peek], which are O(1). *)
+    [length] and [is_empty], which are O(1). *)
 
 type 'a t
 (** A mutable min-heap of elements of type ['a]. *)
@@ -20,10 +20,6 @@ val is_empty : 'a t -> bool
 
 val push : 'a t -> 'a -> unit
 (** [push h x] inserts [x] into [h]. *)
-
-val peek : 'a t -> 'a option
-(** [peek h] is the minimum element of [h] without removing it, or [None]
-    if [h] is empty. *)
 
 val pop : 'a t -> 'a option
 (** [pop h] removes and returns the minimum element of [h], or [None] if

@@ -32,8 +32,6 @@ let float g bound =
 
 let uniform g ~lo ~hi = lo +. float g (hi -. lo)
 
-let bool g = Int64.logand (next_int64 g) 1L = 1L
-
 let gaussian g ~mu ~sigma =
   let rec nonzero () =
     let u = float g 1.0 in

@@ -28,9 +28,6 @@ val float : t -> float -> float
 val uniform : t -> lo:float -> hi:float -> float
 (** [uniform g ~lo ~hi] is uniform in [\[lo, hi)]. *)
 
-val bool : t -> bool
-(** A fair coin flip. *)
-
 val gaussian : t -> mu:float -> sigma:float -> float
 (** [gaussian g ~mu ~sigma] samples a normal distribution via Box–Muller. *)
 

@@ -1,8 +1,6 @@
 type align = Left | Right | Center
 
-type row = Cells of string list | Separator
-
-type t = { headers : string list; arity : int; mutable rows : row list }
+type t = { headers : string list; arity : int; mutable rows : string list list }
 
 let create ~headers =
   { headers; arity = List.length headers; rows = [] }
@@ -10,9 +8,7 @@ let create ~headers =
 let add_row t cells =
   if List.length cells <> t.arity then
     invalid_arg "Table_fmt.add_row: arity mismatch";
-  t.rows <- Cells cells :: t.rows
-
-let add_sep t = t.rows <- Separator :: t.rows
+  t.rows <- cells :: t.rows
 
 let pad align width s =
   let n = String.length s in
@@ -31,7 +27,7 @@ let render ?(align = Left) t =
   let update cells =
     List.iteri (fun i c -> widths.(i) <- max widths.(i) (String.length c)) cells
   in
-  List.iter (function Cells c -> update c | Separator -> ()) rows;
+  List.iter update rows;
   let line ch =
     let parts =
       Array.to_list (Array.map (fun w -> String.make (w + 2) ch) widths)
@@ -53,9 +49,7 @@ let render ?(align = Left) t =
   List.iter
     (fun row ->
       Buffer.add_char buf '\n';
-      match row with
-      | Cells c -> Buffer.add_string buf (fmt_cells align c)
-      | Separator -> Buffer.add_string buf (line '-'))
+      Buffer.add_string buf (fmt_cells align row))
     rows;
   Buffer.add_char buf '\n';
   Buffer.add_string buf (line '-');

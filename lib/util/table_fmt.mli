@@ -16,9 +16,6 @@ val create : headers:string list -> t
 val add_row : t -> string list -> unit
 (** Append a data row.  Raises [Invalid_argument] on arity mismatch. *)
 
-val add_sep : t -> unit
-(** Append a horizontal separator line. *)
-
 val render : ?align:align -> t -> string
 (** Render with box-drawing characters, columns sized to fit
     (default alignment [Left], numbers look best with [Right]). *)

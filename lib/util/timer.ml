@@ -1,11 +1,9 @@
-(* Wall clock vs CPU clock: planning budgets and elapsed-time reporting
-   use the wall clock — since the satisfiability engine fans checks out
-   over a domain pool, CPU time accrues [jobs] times faster than wall time
-   and would shrink budgets under parallelism.  [cpu] remains available
-   for callers that want single-threaded CPU accounting. *)
+(* Wall clock, not CPU clock: planning budgets and elapsed-time
+   reporting use it because the satisfiability engine fans checks out
+   over a domain pool, so CPU time accrues [jobs] times faster than wall
+   time and would shrink budgets under parallelism. *)
 
 let now () = Unix.gettimeofday ()
-let cpu () = Sys.time ()
 
 let time f =
   let start = now () in
@@ -23,11 +21,4 @@ module Budget = struct
 
   let expired b =
     match b.deadline with None -> false | Some d -> now () > d
-
-  let remaining b =
-    match b.deadline with
-    | None -> infinity
-    | Some d -> Float.max 0.0 (d -. now ())
-
-  let check b = if expired b then Error `Timeout else Ok ()
 end

@@ -11,9 +11,6 @@ val now : unit -> float
     satisfiability engine, CPU time accrues [jobs] times faster than wall
     time and would shrink budgets under parallelism. *)
 
-val cpu : unit -> float
-(** Process CPU seconds ([Sys.time]); sums over all domains. *)
-
 val time : (unit -> 'a) -> 'a * float
 (** [time f] runs [f ()] and returns its result together with the elapsed
     wall-clock seconds. *)
@@ -30,12 +27,6 @@ module Budget : sig
       positive. *)
 
   val expired : t -> bool
-  (** [expired b] is [true] once the deadline has passed. *)
-
-  val remaining : t -> float
-  (** Seconds left; [infinity] for {!unlimited}, clamped at [0.]. *)
-
-  val check : t -> (unit, [ `Timeout ]) result
-  (** [check b] is [Error `Timeout] iff the budget is exhausted.  Planners
-      poll this between state expansions. *)
+  (** [expired b] is [true] once the deadline has passed.  Planners poll
+      this between state expansions. *)
 end

@@ -7,7 +7,6 @@ module Iset = Set.Make (Int)
 
 let test_basic () =
   let b = Bitset.create 10 in
-  Alcotest.(check int) "capacity" 10 (Bitset.capacity b);
   Alcotest.(check int) "empty" 0 (Bitset.cardinal b);
   Bitset.add b 3;
   Bitset.add b 3;

@@ -201,8 +201,8 @@ let test_related_circuits () =
       in
       Array.iter
         (fun s ->
-          Array.iter (note s) (Topo.up_circuits topo s);
-          Array.iter (note s) (Topo.down_circuits topo s))
+          Array.iter (note s) (Universe.up_circuits (Topo.universe topo) s);
+          Array.iter (note s) (Universe.down_circuits (Topo.universe topo) s))
         b.Blocks.switches;
       Array.iter
         (fun j ->

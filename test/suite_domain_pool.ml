@@ -3,10 +3,15 @@
 
 module Pool = Kutil.Domain_pool
 
+(* A fresh pool for [f], shut down on the way out, even on exceptions. *)
+let with_pool ~jobs f =
+  let pool = Pool.create ~jobs in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f pool)
+
 exception Boom of int
 
 let test_map_ordering () =
-  Pool.with_pool ~jobs:4 (fun pool ->
+  with_pool ~jobs:4 (fun pool ->
       let items = Array.init 100 (fun i -> i) in
       let out = Pool.map pool ~worker:(fun _wid x -> x * x) items in
       Alcotest.(check (array int))
@@ -15,7 +20,7 @@ let test_map_ordering () =
         out)
 
 let test_sequential_pool_inline () =
-  Pool.with_pool ~jobs:1 (fun pool ->
+  with_pool ~jobs:1 (fun pool ->
       Alcotest.(check int) "size" 1 (Pool.size pool);
       let out =
         Pool.map pool
@@ -27,7 +32,7 @@ let test_sequential_pool_inline () =
       Alcotest.(check (array int)) "inline map" [| 2; 3; 4 |] out)
 
 let test_worker_ids_in_range () =
-  Pool.with_pool ~jobs:3 (fun pool ->
+  with_pool ~jobs:3 (fun pool ->
       let wids =
         Pool.map pool ~worker:(fun wid _ -> wid) (Array.make 50 ())
       in
@@ -37,7 +42,7 @@ let test_worker_ids_in_range () =
         wids)
 
 let test_exception_propagates () =
-  Pool.with_pool ~jobs:4 (fun pool ->
+  with_pool ~jobs:4 (fun pool ->
       let items = Array.init 32 (fun i -> i) in
       (match
          Pool.map pool
@@ -51,7 +56,7 @@ let test_exception_propagates () =
       Alcotest.(check (array int)) "usable after failure" [| 2; 4; 6 |] out)
 
 let test_reuse_across_batches () =
-  Pool.with_pool ~jobs:3 (fun pool ->
+  with_pool ~jobs:3 (fun pool ->
       for round = 1 to 5 do
         let n = 10 * round in
         let out =
@@ -64,7 +69,7 @@ let test_reuse_across_batches () =
       done)
 
 let test_empty_and_singleton () =
-  Pool.with_pool ~jobs:4 (fun pool ->
+  with_pool ~jobs:4 (fun pool ->
       Alcotest.(check (array int)) "empty" [||]
         (Pool.map pool ~worker:(fun _ x -> x) [||]);
       Alcotest.(check (array int)) "singleton" [| 7 |]
@@ -100,7 +105,7 @@ let test_forced_dispatch_chunked () =
   (* Every multi-item batch goes through the worker epoch, covering the
      chunked cursor on batches much larger (and much smaller) than the
      chunk size. *)
-  Pool.with_pool ~jobs:4 (fun pool ->
+  with_pool ~jobs:4 (fun pool ->
       List.iter
         (fun n ->
           let items = Array.init n (fun i -> i) in
@@ -114,7 +119,7 @@ let test_forced_dispatch_chunked () =
 let test_exception_mid_batch_forced () =
   (* An item exception on the dispatched path: one failure surfaces, the
      remaining chunks drain, and the pool survives. *)
-  Pool.with_pool ~jobs:4 (fun pool ->
+  with_pool ~jobs:4 (fun pool ->
       let items = Array.init 1000 (fun i -> i) in
       (match
          Pool.map pool
@@ -134,7 +139,7 @@ let test_two_items_reach_a_worker () =
      dispatch.  The wait is bounded so a regression fails instead of
      hanging. *)
   let deadline = Kutil.Timer.now () +. 10.0 in
-  Pool.with_pool ~jobs:2 (fun pool ->
+  with_pool ~jobs:2 (fun pool ->
       for round = 1 to 20 do
         let other_ran = Atomic.make false in
         let wids =

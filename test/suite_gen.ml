@@ -89,7 +89,7 @@ let test_stripe_coverage () =
                       in
                       Hashtbl.replace grids_hit g (n + 1)
                   | None -> ())
-                (Topo.up_circuits topo ssw);
+                (Universe.up_circuits (Topo.universe topo) ssw);
               for g = 0 to l.Gen.params.Gen.v1_grids - 1 do
                 Alcotest.(check (option int))
                   "one circuit per grid per SSW" (Some 1)
@@ -114,7 +114,7 @@ let test_mesh_variants_differ () =
       (fun j ->
         let c = Topo.circuit topo j in
         Array.iteri (fun i f -> if f = c.Circuit.hi then found := i) fadus)
-      (Topo.up_circuits topo ssw);
+      (Universe.up_circuits (Topo.universe topo) ssw);
     !found
   in
   Alcotest.(check bool) "variant 0 and 1 use different positions" true

@@ -8,14 +8,12 @@ let test_empty () =
   let h = int_heap () in
   Alcotest.(check int) "length" 0 (Heap.length h);
   Alcotest.(check bool) "is_empty" true (Heap.is_empty h);
-  Alcotest.(check (option int)) "peek" None (Heap.peek h);
   Alcotest.(check (option int)) "pop" None (Heap.pop h)
 
 let test_push_pop_order () =
   let h = int_heap () in
   List.iter (Heap.push h) [ 5; 1; 4; 1; 3 ];
   Alcotest.(check int) "length" 5 (Heap.length h);
-  Alcotest.(check (option int)) "peek min" (Some 1) (Heap.peek h);
   Alcotest.(check (list int)) "sorted drain" [ 1; 1; 3; 4; 5 ]
     (Heap.to_sorted_list h);
   Alcotest.(check bool) "drained" true (Heap.is_empty h)

@@ -28,8 +28,8 @@ let test_action_set () =
   Alcotest.(check int) "deduplicated" 2 (Action.Set.cardinal set);
   Alcotest.(check int) "first index" 0 (Action.Set.index set a);
   Alcotest.(check int) "second index" 1 (Action.Set.index set b);
-  Alcotest.(check bool) "get inverts index" true
-    (Action.equal (Action.Set.get set 1) b);
+  Alcotest.(check string) "get inverts index" (Action.to_string b)
+    (Action.to_string (Action.Set.get set 1));
   Alcotest.(check bool) "missing raises" true
     (match
        Action.Set.index set (Action.make Action.Drain (Action.Hgrid_layer (9, 9)))
@@ -180,8 +180,6 @@ let test_compact_basics () =
   let counts = [| 1; 2 |] in
   Alcotest.(check bool) "not target" false (Compact.is_target v1 ~counts);
   Alcotest.(check bool) "target" true (Compact.is_target [| 1; 2 |] ~counts);
-  Alcotest.(check int) "remaining" 2 (Compact.remaining v1 ~counts 1);
-  Alcotest.(check int) "total remaining" 2 (Compact.total_remaining v1 ~counts);
   Alcotest.(check int) "finished" 1 (Compact.finished v1);
   Alcotest.check feq "lattice size" 6.0 (Compact.state_space_size ~counts)
 

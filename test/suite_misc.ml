@@ -19,10 +19,7 @@ let test_planner_result_helpers () =
   Alcotest.(check (option (float 1e-9))) "cost of Timeout Some"
     (Some plan.Plan.cost)
     (Planner.cost_of
-       { found with Planner.outcome = Planner.Timeout (Some plan) });
-  Alcotest.(check bool) "A* is optimal-capable" true
-    (Planner.is_optimal_capable "Klotski-A*");
-  Alcotest.(check bool) "MRC is not" false (Planner.is_optimal_capable "MRC")
+       { found with Planner.outcome = Planner.Timeout (Some plan) })
 
 let test_result_pretty_printing () =
   let stats =

@@ -402,4 +402,7 @@ let suite =
       count_case "eb" "count";
       count_case "dr" "count";
       count_case "bb" "ebbs";
+      nonneg_case "fabric" "fsw_port_headroom";
+      count_case ~generation:1 "hgrid" "mesh_variants";
+      nonneg_case ~generation:1 "hgrid" "ssw_port_headroom";
     ] )

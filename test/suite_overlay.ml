@@ -1,7 +1,7 @@
 (* Tests for the universe/overlay topology split: the immutable shared
    Universe plus per-checker bitset overlays must be an invisible
    refactor — same plans, costs, verdicts and cache counters — while the
-   new primitives (snapshot/restore, XOR-style move_to, compact-state
+   new primitives (the wiring plane, XOR-style move_to, compact-state
    word lowering) behave exactly like the naive reference
    implementations they replace. *)
 
@@ -113,56 +113,15 @@ let test_universe_shared () =
     ((Topo.switch (Constraint.overlay ck1) 0).Switch.id = 0)
 
 (* ------------------------------------------------------------------ *)
-(* Snapshot/restore: a round trip through arbitrary toggles restores the
-   exact overlay, including derived degrees and counters, and a snapshot
-   can rewind a different overlay of the same universe. *)
+(* The wiring plane on its own: a rewired circuit reports
+   [circuit_rewired] and its new [endpoint_hi], and un-rewiring with
+   [set_circuit_hi None] returns the overlay to as-built. *)
 
-let test_snapshot_restore () =
-  let task = random_task 5 in
-  let topo = Topo.copy task.Task.topo in
-  let g = Kutil.Prng.create ~seed:42 in
-  let toggle t =
-    if Kutil.Prng.int g 2 = 0 then begin
-      let s = Kutil.Prng.int g (Topo.n_switches t) in
-      Topo.set_switch_active t s (Kutil.Prng.int g 2 = 0)
-    end
-    else begin
-      let c = Kutil.Prng.int g (Topo.n_circuits t) in
-      Topo.set_circuit_active t c (Kutil.Prng.int g 2 = 0)
-    end
-  in
-  for _ = 1 to 40 do
-    toggle topo
-  done;
-  let snap = Topo.snapshot topo in
-  let fp = overlay_fingerprint topo in
-  for _ = 1 to 40 do
-    toggle topo
-  done;
-  Topo.restore topo snap;
-  Alcotest.(check string) "restore rewinds the same overlay" fp
-    (overlay_fingerprint topo);
-  let other = Topo.copy task.Task.topo in
-  Topo.restore other snap;
-  Alcotest.(check string) "restore into a sibling overlay" fp
-    (overlay_fingerprint other)
-
-(* ------------------------------------------------------------------ *)
-(* Snapshot/restore x endpoint remap: restoring a snapshot taken before
-   a rewire must drop it (back to as-built wiring), and restoring one
-   taken after must reproduce the exact remap — the wiring plane obeys
-   the same overwrite semantics as the Bitset.blit activity planes. *)
-
-let test_snapshot_restore_rewire () =
+let check_rewire_round_trip () =
   let sc = Gen.scenario_of_label "OCS-LITE" in
   let topo = Topo.copy sc.Gen.topo in
-  let groups = sc.Gen.rewire_groups in
-  Alcotest.(check bool) "scenario has two rewire groups" true
-    (List.length groups >= 2);
-  let _, g0, hi0 = List.nth groups 0 in
-  let _, g1, hi1 = List.nth groups 1 in
+  let _, g0, hi0 = List.hd sc.Gen.rewire_groups in
   let fp0 = overlay_fingerprint topo in
-  let snap0 = Topo.snapshot topo in
   List.iter (fun j -> Topo.set_circuit_hi topo j (Some hi0)) g0;
   List.iter
     (fun j ->
@@ -171,41 +130,20 @@ let test_snapshot_restore_rewire () =
       Alcotest.(check int) "endpoint reports the new wiring" hi0
         (Topo.endpoint_hi topo j))
     g0;
-  let fp1 = overlay_fingerprint topo in
-  let snap1 = Topo.snapshot topo in
-  List.iter (fun j -> Topo.set_circuit_hi topo j (Some hi1)) g1;
-  (* Rewind to the mid state: group 0 rewired, group 1 back as-built. *)
-  Topo.restore topo snap1;
-  Alcotest.(check string) "restore reproduces the remap" fp1
-    (overlay_fingerprint topo);
-  List.iter
-    (fun j ->
-      Alcotest.(check bool) "post-snapshot rewire dropped" false
-        (Topo.circuit_rewired topo j))
-    g1;
-  (* All the way back: every remap entry dropped. *)
-  Topo.restore topo snap0;
-  Alcotest.(check string) "restore drops every remap" fp0
-    (overlay_fingerprint topo);
-  Alcotest.(check int) "rewired_count back to zero" 0 (Topo.rewired_count topo);
-  (* A snapshot carrying remaps restores into a sibling overlay. *)
-  let other = Topo.copy sc.Gen.topo in
-  Topo.restore other snap1;
-  Alcotest.(check string) "sibling restore carries the remap" fp1
-    (overlay_fingerprint other);
-  (* Explicit un-rewire is equivalent to never having rewired. *)
-  List.iter (fun j -> Topo.set_circuit_hi topo j (Some hi0)) g0;
   List.iter (fun j -> Topo.set_circuit_hi topo j None) g0;
   Alcotest.(check string) "set_circuit_hi None returns to as-built" fp0
-    (overlay_fingerprint topo)
+    (overlay_fingerprint topo);
+  Alcotest.(check int) "rewired_count back to zero" 0 (Topo.rewired_count topo)
 
 (* ------------------------------------------------------------------ *)
 (* move_to vs naive replay: after any sequence of jumps across the
    compact lattice — forward steps and random rewinds — the checker's
    overlay must equal the from-scratch replay of the target state.
-   The OCS task exercises the wiring plane through the same path. *)
+   The OCS task exercises the wiring plane through the same path, after
+   a direct round trip through it. *)
 
 let test_move_to_matches_replay () =
+  check_rewire_round_trip ();
   List.iter
     (fun (seed, task) ->
       let ck = Constraint.create task in
@@ -387,10 +325,6 @@ let suite =
     [
       Alcotest.test_case "universe physically shared" `Quick
         test_universe_shared;
-      Alcotest.test_case "snapshot/restore round trip" `Quick
-        test_snapshot_restore;
-      Alcotest.test_case "snapshot/restore drops post-snapshot rewires"
-        `Quick test_snapshot_restore_rewire;
       Alcotest.test_case "move_to matches naive replay" `Quick
         test_move_to_matches_replay;
       Alcotest.test_case "state-word lowering sound" `Quick test_state_words;

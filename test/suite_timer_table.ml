@@ -5,11 +5,7 @@ module Table_fmt = Kutil.Table_fmt
 
 let test_unlimited () =
   Alcotest.(check bool) "never expires" false
-    (Timer.Budget.expired Timer.Budget.unlimited);
-  Alcotest.(check bool) "infinite remaining" true
-    (Timer.Budget.remaining Timer.Budget.unlimited = infinity);
-  Alcotest.(check bool) "check ok" true
-    (Timer.Budget.check Timer.Budget.unlimited = Ok ())
+    (Timer.Budget.expired Timer.Budget.unlimited)
 
 let test_budget_expiry () =
   let b = Timer.Budget.of_seconds 1e-9 in
@@ -20,11 +16,7 @@ let test_budget_expiry () =
       acc := !acc +. float_of_int i
     done
   done;
-  Alcotest.(check bool) "expired" true (Timer.Budget.expired b);
-  Alcotest.(check bool) "check fails" true
-    (Timer.Budget.check b = Error `Timeout);
-  Alcotest.check (Alcotest.float 1e-9) "no remaining" 0.0
-    (Timer.Budget.remaining b)
+  Alcotest.(check bool) "expired" true (Timer.Budget.expired b)
 
 let test_budget_validation () =
   Alcotest.check_raises "non-positive"
@@ -46,7 +38,6 @@ let contains haystack needle =
 let test_table_basic () =
   let t = Table_fmt.create ~headers:[ "a"; "bb" ] in
   Table_fmt.add_row t [ "x"; "long-cell" ];
-  Table_fmt.add_sep t;
   Table_fmt.add_row t [ "y"; "z" ];
   let rendered = Table_fmt.render t in
   Alcotest.(check bool) "contains header and cells" true

@@ -71,7 +71,6 @@ let test_ecmp_equal_split () =
 let test_ecmp_conservation_repeated () =
   let topo, (r0, r1, _, _, _), _, _ = ecmp_fixture () in
   let c = two_hop_compiled topo [ (r0, 1.0); (r1, 3.0) ] in
-  Alcotest.check feq "source volume" 4.0 (Ecmp.source_volume c);
   let scratch = Ecmp.make_scratch (Topo.universe topo) in
   let loads = Array.make (Topo.n_circuits topo) 0.0 in
   (* Same scratch reused across evaluations must give identical results. *)

@@ -1,12 +1,10 @@
 (* Aggregated test entry point: `dune runtest`. *)
 
 let () =
-  Kutil.Klog.setup ();
   Alcotest.run "klotski"
     [
       Suite_heap.suite;
       Suite_vec_key.suite;
-      Suite_union_find.suite;
       Suite_prng.suite;
       Suite_stats.suite;
       Suite_bitset.suite;

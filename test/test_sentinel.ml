@@ -22,6 +22,7 @@ let config =
     Sentinel.s1_roots = [ "Fx_engine.check"; "Fx_pool.map"; "Fx_rewire.apply" ];
     s3_roots = [ "Fx_cache.key_of" ];
     source_roots = [ fixture_dir ];
+    reference_roots = [];
   }
 
 let report = lazy (Sentinel.analyze ~config ~cmt_roots:[ fixture_dir ] ())
@@ -48,7 +49,7 @@ let read_expected name =
       go [])
 
 let golden base () =
-  let expected = read_expected (Filename.chop_suffix base ".ml" ^ ".expected") in
+  let expected = read_expected (Filename.remove_extension base ^ ".expected") in
   Alcotest.(check (list string)) base expected (findings_for base)
 
 let fixtures =
@@ -66,6 +67,8 @@ let fixtures =
     "r4_nondet.ml";
     "r5_print.ml";
     "r6_unchecked.ml";
+    "s5_export.mli";
+    "s5_user.ml";
     "suppress_ok.ml";
     "suppress_missing_reason.ml";
   ]
@@ -103,6 +106,13 @@ let audited_listed () =
     "an annotation without a reason audits nothing" false
     (listed "Fx_state.bare")
 
+(* Every fixture unit lies under test/, so the one export another unit
+   references is the one listed as test-only. *)
+let test_only_listed () =
+  Alcotest.(check (list string))
+    "exports only tests reference" [ "S5_export.used" ]
+    (Lazy.force report).Sentinel.test_only
+
 let suite =
   ( "sentinel",
     List.map (fun name -> Alcotest.test_case name `Quick (golden name)) fixtures
@@ -111,6 +121,7 @@ let suite =
         Alcotest.test_case "closure covers worker modules" `Quick
           closure_covers_workers;
         Alcotest.test_case "audited state listed" `Quick audited_listed;
+        Alcotest.test_case "test-only exports listed" `Quick test_only_listed;
         Alcotest.test_case "reasoned suppressions lint clean" `Quick
           suppression_is_clean;
       ] )
