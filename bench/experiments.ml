@@ -1045,7 +1045,7 @@ let robust opts =
 (* The packed layout books 8 B/circuit for each of five parallel arrays
    (endpoints x2, capacity, rank pair, a share of port budgets) plus two
    adjacency slots; 96 B/circuit leaves headroom for switch records and
-   the name index without hiding a regression to record-per-circuit
+   their names without hiding a regression to record-per-circuit
    storage (~3x this). *)
 let scale_bytes_per_circuit_budget = 96.0
 

@@ -9,8 +9,9 @@
 
 let usage () =
   prerr_endline
-    "usage: main.exe [--quick] [--budget S] \
-     [table1|table3|fig8|fig9|fig10|fig11|fig12|fig13|par|inc|robust|ext|scale|all]...";
+    ("usage: main.exe [--quick] [--budget S] ["
+    ^ String.concat "|" (List.map fst Experiments.all @ [ "all" ])
+    ^ "]...");
   exit 2
 
 let () =

@@ -141,6 +141,37 @@ let validate_counts (p : Gen.params) =
   positive "dr" "count" p.Gen.drs;
   positive "bb" "ebbs" p.Gen.ebbs
 
+(* Every capacity of a layer the region has must be positive and finite:
+   an infinite capacity reads zero utilization under any load, so A's
+   document with [cap_rsw_fsw = 1e999] would check clean, and a negative
+   one would reach the builder, whose error names no field.  Layers
+   follow the counts: the generation-2 stripe exists when there is a
+   generation-2 grid, the MA layer when there are MAs, and the
+   forklift's new links only for an SSW forklift. *)
+let validate_capacities kind (p : Gen.params) =
+  let forklift = match kind with Gen.Ssw_forklift -> true | _ -> false in
+  let v2 = p.Gen.v2_grids > 0 and ma = p.Gen.mas > 0 in
+  List.iter
+    (fun (layer, section, key, v) ->
+      if layer && not (v > 0.0 && Float.is_finite v) then
+        failwith
+          (Printf.sprintf "section %s: %s = %g, must be positive and finite"
+             section key v))
+    [
+      (true, "fabric", "cap_rsw_fsw", p.Gen.cap_rsw_fsw);
+      (true, "fabric", "cap_fsw_ssw", p.Gen.cap_fsw_ssw);
+      (forklift, "fabric", "cap_fsw_ssw_new", p.Gen.cap_fsw_ssw_new);
+      (true, "hgrid generation=1", "cap_ssw_fadu", p.Gen.cap_ssw_fadu_v1);
+      (forklift, "hgrid generation=1", "cap_ssw_fadu_new", p.Gen.cap_ssw_fadu_new);
+      (true, "hgrid generation=1", "cap_fadu_fauu", p.Gen.cap_fadu_fauu);
+      (true, "hgrid generation=1", "cap_fauu_eb", p.Gen.cap_fauu_eb);
+      (v2, "hgrid generation=2", "cap_ssw_fadu", p.Gen.cap_ssw_fadu_v2);
+      (ma, "ma", "cap_fauu_ma", p.Gen.cap_fauu_ma);
+      (ma, "ma", "cap_ma_eb", p.Gen.cap_ma_eb);
+      (true, "dr", "cap_eb_dr", p.Gen.cap_eb_dr);
+      (true, "bb", "cap_dr_ebb", p.Gen.cap_dr_ebb);
+    ]
+
 let to_params doc =
   try
     let require name =
@@ -209,6 +240,7 @@ let to_params doc =
       }
     in
     validate_counts p;
+    validate_capacities kind p;
     Ok (kind, p)
   with Failure msg -> Error msg
 

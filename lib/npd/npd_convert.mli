@@ -22,7 +22,12 @@ val to_params : Npd_ast.t -> (Gen.kind * Gen.params, string) result
     per-grid counts of [hgrid generation=2] when its [grids] is
     positive; [eb]'s and [dr]'s [count]; and [bb]'s [ebbs].
     [hgrid generation=2]'s [grids] and [ma]'s [count] may be 0 but not
-    negative.  The error names the section and the field. *)
+    negative.  Every capacity of a layer the region has must be positive
+    and finite: the generation-2 [cap_ssw_fadu] when there is a
+    generation-2 grid, [ma]'s capacities when its [count] is positive,
+    [cap_fsw_ssw_new] and [cap_ssw_fadu_new] for an SSW forklift, and
+    every other capacity always.  The error names the section and the
+    field. *)
 
 val to_scenario : Npd_ast.t -> (Gen.scenario, string) result
 (** [to_params] followed by [Gen.build]. *)

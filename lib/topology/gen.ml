@@ -145,8 +145,72 @@ let eb_max_ports (p : params) ~kind =
 (* ---------------------------------------------------------------- *)
 (* Region construction *)
 
+(* The switches and circuits [build] adds, term by term in its order:
+   the fabric, the EB/DR/EBB boundary, the generation-1 HGRID (stripes,
+   FADU-FAUU mesh, FAUU-EB uplinks), then the kind's target elements.
+   [Builder.freeze] refuses a count that drifts from the code below. *)
+let counts kind (p : params) =
+  let mult = max 1 p.link_mult in
+  let fsws = p.pods * 4 and ssws = p.planes * p.ssws_per_plane in
+  let hgrid ~grids ~fadu_per_grid ~fauu_per_grid =
+    ( grids * (fadu_per_grid + fauu_per_grid),
+      grids
+      * ((p.dcs * ssws) + (fadu_per_grid * fauu_per_grid) + (fauu_per_grid * p.ebs))
+    )
+  in
+  let v1_s, v1_c =
+    hgrid ~grids:p.v1_grids ~fadu_per_grid:p.v1_fadu_per_grid
+      ~fauu_per_grid:p.v1_fauu_per_grid
+  in
+  let v1_fauus = p.v1_grids * p.v1_fauu_per_grid in
+  let target_s, target_c =
+    match kind with
+    | Hgrid_v1_to_v2 ->
+        hgrid ~grids:p.v2_grids ~fadu_per_grid:p.v2_fadu_per_grid
+          ~fauu_per_grid:p.v2_fauu_per_grid
+    | Ssw_forklift -> (ssws, (fsws * p.ssws_per_plane * mult) + (ssws * p.v1_grids))
+    | Dmag -> (p.mas, p.mas * (v1_fauus + p.ebs))
+    | Ocs_rewire -> (p.ebs, p.ebs * p.drs)
+    | Ocs_swap -> (p.ebs, (p.ebs * p.drs) + (p.ebs * v1_fauus))
+  in
+  ( (p.dcs * ((p.pods * (4 + p.rsws_per_pod)) + ssws))
+    + p.ebs + p.drs + p.ebbs + v1_s + target_s,
+    (p.dcs * fsws * mult * (p.rsws_per_pod + p.ssws_per_plane))
+    + (p.ebs * p.drs) + (p.drs * p.ebbs) + v1_c + target_c )
+
+(* Switch names without [Printf]: [prefix] then [x]'s digits, or the
+   three such parts back to back, written into one string of the exact
+   length.  Every number is a non-negative index. *)
+let rec digits x = if x < 10 then 1 else 1 + digits (x / 10)
+
+let put b pos prefix x =
+  let lp = String.length prefix in
+  Bytes.blit_string prefix 0 b pos lp;
+  let last = pos + lp + digits x - 1 in
+  let x = ref x in
+  for k = last downto pos + lp do
+    Bytes.set b k (Char.chr (48 + (!x mod 10)));
+    x := !x / 10
+  done;
+  last + 1
+
+let name1 prefix x =
+  let b = Bytes.create (String.length prefix + digits x) in
+  ignore (put b 0 prefix x : int);
+  Bytes.unsafe_to_string b
+
+let name3 p1 x1 p2 x2 p3 x3 =
+  let len =
+    String.length p1 + digits x1 + String.length p2 + digits x2
+    + String.length p3 + digits x3
+  in
+  let b = Bytes.create len in
+  ignore (put b (put b (put b 0 p1 x1) p2 x2) p3 x3 : int);
+  Bytes.unsafe_to_string b
+
 let build kind (p : params) =
-  let b = Builder.create () in
+  let switches, circuits = counts kind p in
+  let b = Builder.create ~switches ~circuits in
   let mult = max 1 p.link_mult in
 
   (* Fabric: per DC, pods of 4 FSWs + RSWs; planes of SSWs. *)
@@ -166,7 +230,7 @@ let build kind (p : params) =
         let plane = (f + (pod mod (p.planes / 4 + (if p.planes mod 4 = 0 then 0 else 1)) * 4)) mod p.planes in
         let id =
           Builder.add_switch b
-            ~name:(Printf.sprintf "dc%d/pod%d/fsw%d" dc pod f)
+            ~name:(name3 "dc" dc "/pod" pod "/fsw" f)
             ~role:Switch.FSW ~dc ~pod ~plane ~index:f
             ~max_ports:(fsw_max_ports p ~kind) ()
         in
@@ -176,7 +240,7 @@ let build kind (p : params) =
       for r = 0 to p.rsws_per_pod - 1 do
         let id =
           Builder.add_switch b
-            ~name:(Printf.sprintf "dc%d/pod%d/rsw%d" dc pod r)
+            ~name:(name3 "dc" dc "/pod" pod "/rsw" r)
             ~role:Switch.RSW ~dc ~pod ~index:r
             ~max_ports:((4 * mult) + 2) ()
         in
@@ -194,7 +258,7 @@ let build kind (p : params) =
       for k = 0 to p.ssws_per_plane - 1 do
         let id =
           Builder.add_switch b
-            ~name:(Printf.sprintf "dc%d/plane%d/ssw%d" dc plane k)
+            ~name:(name3 "dc" dc "/plane" plane "/ssw" k)
             ~role:Switch.SSW ~dc ~plane ~index:k
             ~max_ports:(ssw_max_ports p ~kind) ()
         in
@@ -220,7 +284,7 @@ let build kind (p : params) =
   (* EB / DR / EBB boundary. *)
   let eb_ids =
     List.init p.ebs (fun e ->
-        Builder.add_switch b ~name:(Printf.sprintf "eb%d" e) ~role:Switch.EB
+        Builder.add_switch b ~name:(name1 "eb" e) ~role:Switch.EB
           ~index:e ~max_ports:(eb_max_ports p ~kind) ())
   in
   let dr_ports =
@@ -231,12 +295,12 @@ let build kind (p : params) =
   in
   let dr_ids =
     List.init p.drs (fun d ->
-        Builder.add_switch b ~name:(Printf.sprintf "dr%d" d) ~role:Switch.DR
+        Builder.add_switch b ~name:(name1 "dr" d) ~role:Switch.DR
           ~index:d ~max_ports:dr_ports ())
   in
   let ebb_ids =
     List.init p.ebbs (fun x ->
-        Builder.add_switch b ~name:(Printf.sprintf "ebb%d" x) ~role:Switch.EBB
+        Builder.add_switch b ~name:(name1 "ebb" x) ~role:Switch.EBB
           ~index:x ~max_ports:(p.drs + 4) ())
   in
   List.iter
@@ -264,7 +328,7 @@ let build kind (p : params) =
       let fadus =
         List.init fadu_per_grid (fun i ->
             Builder.add_switch b
-              ~name:(Printf.sprintf "hgrid-v%d/grid%d/fadu%d" generation g i)
+              ~name:(name3 "hgrid-v" generation "/grid" g "/fadu" i)
               ~role:Switch.FADU ~generation ~plane:g ~index:i ~future
               ~max_ports:(fadu_max_ports p ~kind ~fadu_per_grid ~fauu_per_grid)
               ())
@@ -272,7 +336,7 @@ let build kind (p : params) =
       let fauus =
         List.init fauu_per_grid (fun j ->
             Builder.add_switch b
-              ~name:(Printf.sprintf "hgrid-v%d/grid%d/fauu%d" generation g j)
+              ~name:(name3 "hgrid-v" generation "/grid" g "/fauu" j)
               ~role:Switch.FAUU ~generation ~plane:g ~index:j ~future
               ~max_ports:(fauu_max_ports p ~kind ~fadu_per_grid) ())
       in
@@ -346,7 +410,7 @@ let build kind (p : params) =
         for k = 0 to p.ssws_per_plane - 1 do
           let id =
             Builder.add_switch b
-              ~name:(Printf.sprintf "dc%d/plane%d/ssw-new%d" dc plane k)
+              ~name:(name3 "dc" dc "/plane" plane "/ssw-new" k)
               ~role:Switch.SSW ~generation:2 ~dc ~plane ~index:k ~future:true
               ~max_ports:(ssw_max_ports p ~kind) ()
           in
@@ -379,7 +443,7 @@ let build kind (p : params) =
       mas :=
         List.init p.mas (fun m ->
             let id =
-              Builder.add_switch b ~name:(Printf.sprintf "ma%d" m)
+              Builder.add_switch b ~name:(name1 "ma" m)
                 ~role:Switch.MA ~index:m ~future:true
                 ~max_ports:(List.length all_fauus + p.ebs + 2) ()
             in
@@ -407,7 +471,7 @@ let build kind (p : params) =
         List.init p.ebs (fun e ->
             let id =
               Builder.add_switch b
-                ~name:(Printf.sprintf "eb-new%d" e)
+                ~name:(name1 "eb-new" e)
                 ~role:Switch.EB ~generation:2 ~index:e
                 ~max_ports:(eb_max_ports p ~kind) ()
             in

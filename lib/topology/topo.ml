@@ -17,24 +17,49 @@ type t = {
   circuit_active : Bitset.t;
   usable_set : Bitset.t;  (* circuit flag AND both endpoints active *)
   usable_deg : int array;
-  mutable usable_count : int;
   mutable port_violations : int;
   rewired : Bitset.t;  (* circuits whose hi endpoint is remapped *)
   remap : (int, int) Hashtbl.t;  (* circuit id -> current hi endpoint *)
 }
 
-let of_universe u =
+(* The original state in one pass over the future flags: a future
+   switch or circuit starts inactive, a circuit is usable when it and
+   both its endpoints are active, and each usable circuit takes a port on
+   both endpoints. *)
+let of_universe u ~switch_future ~circuit_future =
   let n = Universe.n_switches u and m = Universe.n_circuits u in
+  if Bytes.length switch_future <> n || Bytes.length circuit_future <> m then
+    invalid_arg "Topo.of_universe: future flags disagree with the universe";
+  let switch_active = Bitset.create_full n in
+  for i = 0 to n - 1 do
+    if Bytes.get switch_future i <> '\000' then Bitset.remove switch_active i
+  done;
+  let circuit_active = Bitset.create_full m and usable_set = Bitset.create_full m in
+  let usable_deg = Array.make n 0 in
+  for j = 0 to m - 1 do
+    let lo = Universe.endpoint_lo u j and hi = Universe.endpoint_hi u j in
+    if Bytes.get circuit_future j <> '\000' then begin
+      Bitset.remove circuit_active j;
+      Bitset.remove usable_set j
+    end
+    else if Bytes.get switch_future lo <> '\000' || Bytes.get switch_future hi <> '\000'
+    then Bitset.remove usable_set j
+    else begin
+      usable_deg.(lo) <- usable_deg.(lo) + 1;
+      usable_deg.(hi) <- usable_deg.(hi) + 1
+    end
+  done;
+  let port_violations = ref 0 in
+  for i = 0 to n - 1 do
+    if usable_deg.(i) > Universe.max_ports u i then incr port_violations
+  done;
   {
     u;
-    switch_active = Bitset.create_full n;
-    circuit_active = Bitset.create_full m;
-    usable_set = Bitset.create_full m;
-    (* full_degrees returns a fresh copy per call — safe to own as the
-       overlay's mutable degree counter *)
-    usable_deg = Universe.full_degrees u;
-    usable_count = m;
-    port_violations = Universe.full_port_violations u;
+    switch_active;
+    circuit_active;
+    usable_set;
+    usable_deg;
+    port_violations = !port_violations;
     rewired = Bitset.create m;
     remap = Hashtbl.create 8;
   }
@@ -152,7 +177,6 @@ let bump_degree t s delta =
    switch and frees one on the as-built switch (Eq. 6 moves with it). *)
 let mark_usable t j present =
   let delta = if present then 1 else -1 in
-  t.usable_count <- t.usable_count + delta;
   Bitset.set t.usable_set j present;
   bump_degree t (Universe.endpoint_lo t.u j) delta;
   bump_degree t (endpoint_hi t j) delta
@@ -220,7 +244,6 @@ let set_circuit_hi t j target =
 
 let active_switch_count t = Bitset.cardinal t.switch_active
 let active_circuit_count t = Bitset.cardinal t.circuit_active
-let usable_circuit_count t = t.usable_count
 let usable_degree t s = t.usable_deg.(s)
 let ports_ok t = t.port_violations = 0
 let port_violation_count t = t.port_violations

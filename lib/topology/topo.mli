@@ -3,7 +3,7 @@
 
     A topology holds the {e universe} of a migration: every switch and
     circuit of both the original and the target networks.  The static
-    structure (arrays, adjacency, port budgets, name index) lives in a
+    structure (arrays, adjacency, port budgets) lives in a
     shared {!Universe.t}; this module is the thin mutable {e overlay} on
     top of it — switch/circuit activity bitsets plus the incrementally
     maintained usable set, per-switch usable degrees and the
@@ -31,8 +31,14 @@
 
 type t
 
-val of_universe : Universe.t -> t
-(** [of_universe u] is an everything-active overlay sharing [u]. *)
+val of_universe : Universe.t -> switch_future:Bytes.t -> circuit_future:Bytes.t -> t
+(** [of_universe u ~switch_future ~circuit_future] is the overlay of the
+    original network state, sharing [u]: byte [i] of [switch_future]
+    (byte [j] of [circuit_future]) is non-zero for a future switch
+    (circuit), which starts inactive; every other element starts active.
+    The usable set, usable degrees and port violations are computed in
+    the same pass.  Raises [Invalid_argument] unless the flags are as
+    long as [u]'s switches and circuits. *)
 
 val universe : t -> Universe.t
 (** The shared immutable structure under this overlay. *)
@@ -154,9 +160,6 @@ val sweep_rows :
 
 val active_switch_count : t -> int
 val active_circuit_count : t -> int
-
-val usable_circuit_count : t -> int
-(** Number of circuits that are currently usable. *)
 
 val usable_degree : t -> int -> int
 (** [usable_degree t s] is the number of usable circuits incident to [s]

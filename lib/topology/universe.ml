@@ -24,40 +24,16 @@ type t = {
   adj : int array;  (* CSR payload: up region [0, m), down region [m, 2m) *)
   up_off : int array;  (* n+1 offsets into adj's up region *)
   down_off : int array;  (* n+1 offsets into adj's down region *)
-  name_index : (string, int) Hashtbl.t;
-      (* built eagerly so sharing across domains needs no synchronization *)
-  full_deg : int array;  (* incident-circuit count per switch *)
-  full_port_violations : int;  (* violations when everything is usable *)
 }
 
-let validate_packed switches ep_lo ep_hi cap =
-  Array.iteri
-    (fun i (s : Switch.t) ->
-      if s.Switch.id <> i then invalid_arg "Universe.create_packed: switch id mismatch")
-    switches;
-  let m = Array.length ep_lo in
-  if Array.length ep_hi <> m || Array.length cap <> m then
-    invalid_arg "Universe.create_packed: endpoint/capacity arrays disagree on length";
-  let n = Array.length switches in
-  for j = 0 to m - 1 do
-    let lo = ep_lo.(j) and hi = ep_hi.(j) in
-    if lo < 0 || lo >= n || hi < 0 || hi >= n then
-      invalid_arg "Universe.create_packed: circuit endpoint out of range";
-    let rlo = Switch.rank switches.(lo).Switch.role
-    and rhi = Switch.rank switches.(hi).Switch.role in
-    if rlo >= rhi then
-      invalid_arg "Universe.create_packed: circuit endpoints must go lower->higher rank"
-  done
-
-let create_packed ~switches ~ep_lo ~ep_hi ~cap =
-  validate_packed switches ep_lo ep_hi cap;
+(* The columns come from [Builder], which range-checked and rank-checked
+   every circuit as it was added and wrote its rank pair then; only the
+   lengths are compared here.  Every access below is bounds-checked, so
+   columns that break the contract raise rather than corrupt memory. *)
+let create_packed ~switches ~ep_lo ~ep_hi ~cap ~rank_pair =
   let n = Array.length switches and m = Array.length ep_lo in
-  let rank_pair = Array.make m 0 in
-  for j = 0 to m - 1 do
-    rank_pair.(j) <-
-      (Switch.rank switches.(ep_lo.(j)).Switch.role * 16)
-      + Switch.rank switches.(ep_hi.(j)).Switch.role
-  done;
+  if Array.length ep_hi <> m || Array.length cap <> m || Array.length rank_pair <> m
+  then invalid_arg "Universe.create_packed: circuit columns disagree on length";
   let max_ports = Array.make n 0 in
   for i = 0 to n - 1 do
     max_ports.(i) <- switches.(i).Switch.max_ports
@@ -83,32 +59,7 @@ let create_packed ~switches ~ep_lo ~ep_hi ~cap =
     adj.(down_fill.(hi)) <- j;
     down_fill.(hi) <- down_fill.(hi) + 1
   done;
-  let full_deg = Array.make n 0 in
-  for j = 0 to m - 1 do
-    full_deg.(ep_lo.(j)) <- full_deg.(ep_lo.(j)) + 1;
-    full_deg.(ep_hi.(j)) <- full_deg.(ep_hi.(j)) + 1
-  done;
-  let full_port_violations = ref 0 in
-  for i = 0 to n - 1 do
-    if full_deg.(i) > max_ports.(i) then incr full_port_violations
-  done;
-  let name_index = Hashtbl.create (max 16 n) in
-  Array.iter (fun (s : Switch.t) -> Hashtbl.replace name_index s.name s.id)
-    switches;
-  {
-    switches;
-    ep_lo;
-    ep_hi;
-    cap;
-    rank_pair;
-    max_ports;
-    adj;
-    up_off;
-    down_off;
-    name_index;
-    full_deg;
-    full_port_violations = !full_port_violations;
-  }
+  { switches; ep_lo; ep_hi; cap; rank_pair; max_ports; adj; up_off; down_off }
 
 let n_switches u = Array.length u.switches
 let n_circuits u = Array.length u.ep_lo
@@ -423,14 +374,6 @@ let walk_hop u w ~dir ~accept ~skip =
   Bytes.fill w.rejected 0 (Bytes.length w.rejected) '\000';
   { circuits; alt_hi; prevs; nexts; skips }
 
-let find_switch u name =
-  match Hashtbl.find_opt u.name_index name with
-  | Some i -> Some u.switches.(i)
-  | None -> None
-
-let full_degrees u = Array.copy u.full_deg
-let full_port_violations u = u.full_port_violations
-
 let footprint u =
   let words a = Array.length a + 1 in
   let n = n_switches u in
@@ -442,5 +385,4 @@ let footprint u =
     ("rank pairs", 8 * words u.rank_pair);
     ("port budgets", 8 * words u.max_ports);
     ("adjacency", 8 * (words u.adj + words u.up_off + words u.down_off));
-    ("full degrees", 8 * words u.full_deg);
   ]

@@ -2,8 +2,8 @@
 
     A universe records everything about a migration's network that never
     changes while planning: switches, circuit endpoints/capacities, the
-    up/down adjacency, per-switch port budgets, and the name index.  All
-    of it is built once by {!create_packed} and never mutated
+    up/down adjacency and per-switch port budgets.  All of it is built
+    once by {!create_packed} and never mutated
     afterwards, so a single universe is safely shared —
     physically, without copies or locks — by every {!Topo.t} overlay and
     hence every constraint checker and worker domain spawned from one
@@ -28,15 +28,18 @@ val create_packed :
   ep_lo:int array ->
   ep_hi:int array ->
   cap:float array ->
+  rank_pair:int array ->
   t
-(** [create_packed ~switches ~ep_lo ~ep_hi ~cap] validates and freezes
-    the static structure, circuits given directly as parallel arrays
-    (circuit [j] runs [ep_lo.(j)] → [ep_hi.(j)] with capacity
-    [cap.(j)]) — the streaming-generator entry point, allocating no
-    intermediate records.  [switches.(i).id] must equal [i], and circuit
-    endpoints must be in range and go lower → higher {!Switch.rank};
-    raises [Invalid_argument] otherwise.  The name index is built eagerly
-    here, so lookups never mutate shared state.  The arrays are owned by
+(** [create_packed ~switches ~ep_lo ~ep_hi ~cap ~rank_pair] freezes the
+    static structure, circuits given directly as parallel arrays (circuit
+    [j] runs [ep_lo.(j)] → [ep_hi.(j)] with capacity [cap.(j)] and rank
+    pair [rank_pair.(j)]) — {!Builder.freeze}'s entry point, allocating
+    no intermediate records.  The columns must be a builder's:
+    [switches.(i).id] equals [i], and every circuit's endpoints are in
+    range and go lower → higher {!Switch.rank}, with [rank_pair] as
+    {!rank_pair} describes.  {!Builder.add_circuit} checks each circuit
+    once as it is added, so only the columns' lengths are compared here
+    (raises [Invalid_argument] when they differ).  The arrays are owned by
     the universe afterwards and must not be mutated by the caller. *)
 
 val n_switches : t -> int
@@ -200,18 +203,7 @@ val down_circuits : t -> int -> int array
 (** [down_circuits u s]: fresh array of ids of circuits whose [hi]
     endpoint is [s]. *)
 
-val find_switch : t -> string -> Switch.t option
-(** Name lookup through the eagerly built index: O(1), never mutates. *)
-
-val full_degrees : t -> int array
-(** Incident-circuit count per switch — the usable degrees when every
-    switch and circuit is active — as a fresh copy; mutating it has no
-    effect. *)
-
-val full_port_violations : t -> int
-(** Port-constraint violations of the everything-active state. *)
-
 val footprint : t -> (string * int) list
 (** Estimated heap bytes per packed component (switch records, endpoint
-    arrays, capacities, adjacency, …), excluding switch name strings and
-    the name index.  For memory reporting. *)
+    arrays, capacities, adjacency, …), excluding switch name strings.
+    For memory reporting. *)

@@ -8,7 +8,7 @@ let contains haystack needle =
   n = 0 || loop 0
 
 let fixture () =
-  let b = Builder.create () in
+  let b = Builder.create ~switches:3 ~circuits:2 in
   let r = Builder.add_switch b ~name:"dc0/rsw0" ~role:Switch.RSW ~max_ports:4 () in
   let f = Builder.add_switch b ~name:"dc0/fsw0" ~role:Switch.FSW ~max_ports:4 () in
   let s = Builder.add_switch b ~name:"dc0/ssw0" ~role:Switch.SSW ~max_ports:4 () in

@@ -11,7 +11,7 @@ let role_is r (sw : Switch.t) = sw.Switch.role = r
 
 let unequal_fixture () =
   (* One RSW with two uplinks of capacities 1 and 3. *)
-  let b = Builder.create () in
+  let b = Builder.create ~switches:3 ~circuits:2 in
   let r = Builder.add_switch b ~name:"r" ~role:Switch.RSW ~max_ports:4 () in
   let f0 = Builder.add_switch b ~name:"f0" ~role:Switch.FSW ~max_ports:4 () in
   let f1 = Builder.add_switch b ~name:"f1" ~role:Switch.FSW ~max_ports:4 () in

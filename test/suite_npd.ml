@@ -335,6 +335,39 @@ let nonneg_case ?generation section key =
       refused (key ^ " = -3") ~section:label key
         (with_field ?generation section key (Npd_ast.Int (-3))))
 
+(* One case per capacity: 0, a negative, an infinite and a NaN capacity
+   are refused on a document whose region has the layer ([doc]), naming
+   the section and the field.  [absent] is a document whose region lacks
+   the layer, where the field is not read. *)
+let cap_case ?doc ?absent ?generation section key =
+  let label = section_label ?generation section in
+  Alcotest.test_case
+    (Printf.sprintf "bad %s %s refused" label key)
+    `Quick
+    (fun () ->
+      List.iter
+        (fun v ->
+          let doc = with_field ?doc ?generation section key (Npd_ast.Float v) in
+          refused (Printf.sprintf "%s = %g" key v) ~section:label key doc;
+          match Npd_convert.to_params doc with
+          | Error msg ->
+              Alcotest.(check bool) msg true
+                (contains msg "must be positive and finite")
+          | Ok _ -> ())
+        [ 0.0; -1.0; infinity; neg_infinity; nan ];
+      Option.iter
+        (fun doc ->
+          accepted
+            (key ^ " = -1 where the layer is absent")
+            (with_field ~doc ?generation section key (Npd_ast.Float (-1.0))))
+        absent)
+
+let ssw_doc () = Npd_convert.of_params Gen.Ssw_forklift (Gen.params_a ())
+let dmag_doc () =
+  Npd_convert.of_params Gen.Dmag { (Gen.params_a ()) with Gen.mas = 2 }
+let a_doc () = Npd_convert.of_params Gen.Hgrid_v1_to_v2 (Gen.params_a ())
+let no_v2_doc () = with_field ~generation:2 "hgrid" "grids" (Npd_ast.Int 0)
+
 (* An integral float past the int range is refused by [int_field], not
    truncated through [int_of_float]; the largest float below 2^62 is
    still an int. *)
@@ -405,4 +438,17 @@ let suite =
       nonneg_case "fabric" "fsw_port_headroom";
       count_case ~generation:1 "hgrid" "mesh_variants";
       nonneg_case ~generation:1 "hgrid" "ssw_port_headroom";
+      cap_case "fabric" "cap_rsw_fsw";
+      cap_case "fabric" "cap_fsw_ssw";
+      cap_case ~doc:(ssw_doc ()) ~absent:(a_doc ()) "fabric" "cap_fsw_ssw_new";
+      cap_case ~generation:1 "hgrid" "cap_ssw_fadu";
+      cap_case ~doc:(ssw_doc ()) ~absent:(a_doc ()) ~generation:1 "hgrid"
+        "cap_ssw_fadu_new";
+      cap_case ~generation:1 "hgrid" "cap_fadu_fauu";
+      cap_case ~generation:1 "hgrid" "cap_fauu_eb";
+      cap_case ~absent:(no_v2_doc ()) ~generation:2 "hgrid" "cap_ssw_fadu";
+      cap_case ~doc:(dmag_doc ()) ~absent:(a_doc ()) "ma" "cap_fauu_ma";
+      cap_case ~doc:(dmag_doc ()) ~absent:(a_doc ()) "ma" "cap_ma_eb";
+      cap_case "dr" "cap_eb_dr";
+      cap_case "bb" "cap_dr_ebb";
     ] )

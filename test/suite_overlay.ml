@@ -58,9 +58,8 @@ let overlay_fingerprint t =
       Buffer.add_string buf (string_of_int (Topo.endpoint_hi t j))
     end
   done;
-  Printf.sprintf "%s|pv=%d|uc=%d|asw=%d|aci=%d|rw=%d" (Buffer.contents buf)
+  Printf.sprintf "%s|pv=%d|asw=%d|aci=%d|rw=%d" (Buffer.contents buf)
     (Topo.port_violation_count t)
-    (Topo.usable_circuit_count t)
     (Topo.active_switch_count t)
     (Topo.active_circuit_count t)
     (Topo.rewired_count t)

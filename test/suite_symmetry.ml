@@ -3,7 +3,7 @@
 (* Two FAUUs wired to the same FADUs are equivalent; a third wired to only
    one of them is not. *)
 let fixture () =
-  let b = Builder.create () in
+  let b = Builder.create ~switches:5 ~circuits:5 in
   let d0 = Builder.add_switch b ~name:"d0" ~role:Switch.FADU ~max_ports:8 () in
   let d1 = Builder.add_switch b ~name:"d1" ~role:Switch.FADU ~max_ports:8 () in
   let u0 = Builder.add_switch b ~name:"u0" ~role:Switch.FAUU ~max_ports:8 () in
@@ -35,7 +35,7 @@ let test_role_separates () =
     blocks
 
 let test_capacity_separates () =
-  let b = Builder.create () in
+  let b = Builder.create ~switches:3 ~circuits:2 in
   let d = Builder.add_switch b ~name:"d" ~role:Switch.FADU ~max_ports:8 () in
   let u0 = Builder.add_switch b ~name:"u0" ~role:Switch.FAUU ~max_ports:8 () in
   let u1 = Builder.add_switch b ~name:"u1" ~role:Switch.FAUU ~max_ports:8 () in
@@ -46,7 +46,7 @@ let test_capacity_separates () =
   Alcotest.(check int) "different capacities split" 2 (List.length blocks)
 
 let test_generation_separates () =
-  let b = Builder.create () in
+  let b = Builder.create ~switches:3 ~circuits:2 in
   let d = Builder.add_switch b ~name:"d" ~role:Switch.FADU ~max_ports:8 () in
   let u0 =
     Builder.add_switch b ~name:"u0" ~role:Switch.FAUU ~generation:1

@@ -36,7 +36,7 @@ let test_demand_total () =
    r0, r1 -> f0, f1 (full mesh) -> s0 (both FSWs uplink). *)
 
 let ecmp_fixture () =
-  let b = Builder.create () in
+  let b = Builder.create ~switches:5 ~circuits:6 in
   let r0 = Builder.add_switch b ~name:"r0" ~role:Switch.RSW ~max_ports:8 () in
   let r1 = Builder.add_switch b ~name:"r1" ~role:Switch.RSW ~max_ports:8 () in
   let f0 = Builder.add_switch b ~name:"f0" ~role:Switch.FSW ~max_ports:8 () in
@@ -235,7 +235,7 @@ let test_ecmp_scale_linearity () =
 let test_ecmp_weighted_split () =
   (* Two uplinks of unequal capacity: `Capacity_weighted splits the volume
      proportionally to capacity, `Equal ignores it. *)
-  let b = Builder.create () in
+  let b = Builder.create ~switches:4 ~circuits:4 in
   let r = Builder.add_switch b ~name:"r" ~role:Switch.RSW ~max_ports:8 () in
   let f0 = Builder.add_switch b ~name:"f0" ~role:Switch.FSW ~max_ports:8 () in
   let f1 = Builder.add_switch b ~name:"f1" ~role:Switch.FSW ~max_ports:8 () in
@@ -266,7 +266,7 @@ let test_ecmp_weighted_split () =
 let test_ecmp_weighted_skip_carries () =
   (* A skip switch carries its volume past the hop unweighted: the
      capacity-weighted policy must not redistribute it. *)
-  let b = Builder.create () in
+  let b = Builder.create ~switches:2 ~circuits:1 in
   let f = Builder.add_switch b ~name:"f" ~role:Switch.FSW ~max_ports:4 () in
   let s = Builder.add_switch b ~name:"s" ~role:Switch.SSW ~max_ports:4 () in
   ignore (Builder.add_circuit b ~lo:f ~hi:s ~capacity:5.0 ());
@@ -284,7 +284,7 @@ let test_ecmp_weighted_skip_carries () =
 
 let test_ecmp_skip_carries () =
   (* A source already at the destination layer carries through the skip. *)
-  let b = Builder.create () in
+  let b = Builder.create ~switches:2 ~circuits:1 in
   let f = Builder.add_switch b ~name:"f" ~role:Switch.FSW ~max_ports:4 () in
   let s = Builder.add_switch b ~name:"s" ~role:Switch.SSW ~max_ports:4 () in
   ignore (Builder.add_circuit b ~lo:f ~hi:s ~capacity:1.0 ());
@@ -566,7 +566,7 @@ let same_evaluation what topo fast oracle =
    adjacency, so the rows must come from [alts] itself — one per
    distinct alternative, in [alts] order. *)
 let test_compile_alt_row_off_frontier () =
-  let b = Builder.create () in
+  let b = Builder.create ~switches:4 ~circuits:1 in
   let sw name role = Builder.add_switch b ~name ~role ~max_ports:8 () in
   let f0 = sw "f0" Switch.FSW in
   let s0 = sw "s0" Switch.SSW and s1 = sw "s1" Switch.SSW in
