@@ -72,15 +72,23 @@ let quantile =
   in
   Arg.(value & opt float 1.0 & info [ "quantile" ] ~docv:"Q" ~doc)
 
+(* A float flag's range, checked before any work.  [in_range] is
+   written to hold only inside the range, and NaN fails every
+   comparison, so NaN and the infinities are refused with the rest. *)
+let require_float flag ~range in_range x =
+  if not (Float.is_finite x && in_range x) then begin
+    Printf.eprintf "error: --%s must be %s\n" flag range;
+    exit 1
+  end
+
+let unit_fraction x = x > 0.0 && x <= 1.0
+
 let resolve_ensemble k q config =
   if k < 1 then begin
     Printf.eprintf "error: --ensemble must be >= 1\n";
     exit 1
   end;
-  if q <= 0.0 || q > 1.0 then begin
-    Printf.eprintf "error: --quantile must be in (0, 1]\n";
-    exit 1
-  end;
+  require_float "quantile" ~range:"in (0, 1]" unit_fraction q;
   if k = 1 then config else Planner.with_ensemble ~quantile:q k config
 
 let resolve_jobs n =
@@ -93,6 +101,7 @@ let resolve_jobs n =
 
 let load_task ?(theta = 0.75) ?(alpha = 0.0) ?(block_factor = 1.0) ?(seed = 42)
     path =
+  require_float "theta" ~range:"in (0, 1]" unit_fraction theta;
   match Npd_convert.load_scenario path with
   | Error e ->
       Printf.eprintf "error: %s\n" e;
@@ -228,7 +237,10 @@ let plan_cmd =
     Arg.(value & opt string "astar" & info [ "planner" ] ~doc)
   in
   let no_validate =
-    let doc = "Skip the independent plan audit." in
+    let doc =
+      "Skip the plan audit, which re-checks every intermediate state with \
+       the planner's own constraint checker (Constraint.check_plan)."
+    in
     Arg.(value & flag & info [ "no-validate" ] ~doc)
   in
   let plan_out =
@@ -241,6 +253,11 @@ let plan_cmd =
   in
   let run path planner theta alpha budget block_factor seed jobs
       no_incremental ensemble quantile no_validate plan_out timeline =
+    require_float "alpha" ~range:"in [0, 1]" (fun a -> a >= 0.0 && a <= 1.0) alpha;
+    require_float "budget" ~range:"a positive, finite number of seconds"
+      (fun b -> b > 0.0) budget;
+    require_float "block-factor" ~range:"positive and finite" (fun f -> f > 0.0)
+      block_factor;
     let _, task = load_task ~theta ~alpha ~block_factor ~seed path in
     let planner_kind =
       match planner with

@@ -50,12 +50,21 @@ let merge_by m groups =
   end
 
 (* Apply the Fig. 11 factor to a list of base groups: factor >= 1 splits
-   each group into [factor] blocks, factor < 1 merges [1/factor] groups. *)
+   each group into [factor] blocks, factor < 1 merges [1/factor] groups.
+   Splitting a group into more slices than it has members, or merging
+   more groups than there are, gives the same blocks as doing so exactly
+   that many ways, so each count is capped in float space before it is
+   converted: a huge factor neither builds a slice per unit of it nor
+   overflows [int_of_float].  A split caps at two ways at least, which
+   keeps an empty group's split empty. *)
 let apply_factor factor groups =
-  if factor <= 0.0 then invalid_arg "Blocks.organize: factor must be positive";
+  if not (factor > 0.0) then invalid_arg "Blocks.organize: factor must be positive";
+  let capped x cap = int_of_float (Float.min (Float.round x) (float_of_int cap)) in
   if factor >= 1.0 then
-    List.concat_map (split_into (int_of_float (Float.round factor))) groups
-  else merge_by (int_of_float (Float.round (1.0 /. factor))) groups
+    List.concat_map
+      (fun g -> split_into (capped factor (max 2 (List.length g))) g)
+      groups
+  else merge_by (capped (1.0 /. factor) (List.length groups)) groups
 
 (* Interleave several member lists so that a later split keeps a balanced
    mix of roles in every slice (a split grid block keeps FADUs and FAUUs

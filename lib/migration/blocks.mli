@@ -26,8 +26,11 @@ type t = {
 val organize : ?factor:float -> Gen.scenario -> t list
 (** The production organization policy at block-count [factor] (default
     1.0).  Blocks are returned in canonical per-type order — the order in
-    which the planners consume them (Algorithm 2's [GetBlock]).  Raises
-    [Invalid_argument] when [factor] is not positive. *)
+    which the planners consume them (Algorithm 2's [GetBlock]).  A
+    factor past a group's size splits it into single members, and one
+    below the inverse of the group count merges every group, without
+    work or memory that grows with the factor itself.  Raises
+    [Invalid_argument] when [factor] is not positive (NaN included). *)
 
 val symmetry_granularity : Gen.scenario -> t list
 (** The "Klotski w/o OB" ablation (§6.4): one block per symmetry block,

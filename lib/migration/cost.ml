@@ -1,5 +1,6 @@
+(* Written to hold only inside the range: NaN fails every comparison. *)
 let check_alpha alpha =
-  if alpha < 0.0 || alpha > 1.0 then
+  if not (alpha >= 0.0 && alpha <= 1.0) then
     invalid_arg "Cost: alpha must lie in [0, 1]"
 
 let weight weights a =

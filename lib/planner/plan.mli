@@ -21,11 +21,15 @@ val length : t -> int
 (** Number of block-level steps. *)
 
 val validate : Task.t -> t -> (unit, string) result
-(** Full independent re-verification: the plan operates every block of the
-    task exactly once, every intermediate topology satisfies the demand
-    and port constraints, and the recorded cost matches a replay.  This is
+(** Full re-verification: the plan operates every block of the task
+    exactly once, every intermediate topology satisfies the demand and
+    port constraints, and the recorded cost matches a replay.  This is
     the safety audit of §7.2 ("we add extra audits and safety checks to
-    Klotski's plans"). *)
+    Klotski's plans").  It is not independent of the planner: every
+    state goes through {!Constraint.check_plan}, the same
+    {!Constraint.verdict}, delta layer and ECMP kernel the planners'
+    checks use, so it catches a planner that admits a state the checker
+    refuses, not a fault in the checker itself. *)
 
 val states : Task.t -> t -> Compact.t list
 (** The compact state after each step, origin excluded, target last.

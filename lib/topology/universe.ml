@@ -16,8 +16,8 @@
 
 type t = {
   switches : Switch.t array;  (* records: cold fields (names, pods) live here *)
-  ep_lo : int array;  (* circuit j -> lower-rank endpoint *)
-  ep_hi : int array;  (* circuit j -> higher-rank endpoint *)
+  ep_lo : Kutil.Col.t;  (* circuit j -> lower-rank endpoint *)
+  ep_hi : Kutil.Col.t;  (* circuit j -> higher-rank endpoint *)
   cap : float array;  (* circuit j -> capacity, unboxed *)
   rank_pair : int array;  (* circuit j -> rank(lo) * 16 + rank(hi) *)
   max_ports : int array;  (* switch i -> port budget *)
@@ -27,13 +27,18 @@ type t = {
 }
 
 (* The columns come from [Builder], which range-checked and rank-checked
-   every circuit as it was added and wrote its rank pair then; only the
-   lengths are compared here.  Every access below is bounds-checked, so
-   columns that break the contract raise rather than corrupt memory. *)
+   every circuit as it was added and wrote its rank pair then.  The
+   endpoint columns are proved once more, here, as [Kutil.Col]s: the row
+   kernels read a row's endpoints through its circuit without a range
+   check, so the proof must travel with the columns.  Every access below
+   is bounds-checked. *)
 let create_packed ~switches ~ep_lo ~ep_hi ~cap ~rank_pair =
   let n = Array.length switches and m = Array.length ep_lo in
   if Array.length ep_hi <> m || Array.length cap <> m || Array.length rank_pair <> m
   then invalid_arg "Universe.create_packed: circuit columns disagree on length";
+  let ep_lo = Kutil.Col.make ~what:"Universe: lo endpoint" ~bound:n ep_lo
+  and ep_hi = Kutil.Col.make ~what:"Universe: hi endpoint" ~bound:n ep_hi in
+  let lo_ids = ep_lo.ids and hi_ids = ep_hi.ids in
   let max_ports = Array.make n 0 in
   for i = 0 to n - 1 do
     max_ports.(i) <- switches.(i).Switch.max_ports
@@ -42,8 +47,8 @@ let create_packed ~switches ~ep_lo ~ep_hi ~cap ~rank_pair =
      prefix-sum, then fill in increasing circuit id order. *)
   let up_off = Array.make (n + 1) 0 and down_off = Array.make (n + 1) 0 in
   for j = 0 to m - 1 do
-    up_off.(ep_lo.(j) + 1) <- up_off.(ep_lo.(j) + 1) + 1;
-    down_off.(ep_hi.(j) + 1) <- down_off.(ep_hi.(j) + 1) + 1
+    up_off.(lo_ids.(j) + 1) <- up_off.(lo_ids.(j) + 1) + 1;
+    down_off.(hi_ids.(j) + 1) <- down_off.(hi_ids.(j) + 1) + 1
   done;
   down_off.(0) <- m;
   for i = 1 to n do
@@ -53,7 +58,7 @@ let create_packed ~switches ~ep_lo ~ep_hi ~cap ~rank_pair =
   let adj = Array.make (2 * m) (-1) in
   let up_fill = Array.copy up_off and down_fill = Array.copy down_off in
   for j = 0 to m - 1 do
-    let lo = ep_lo.(j) and hi = ep_hi.(j) in
+    let lo = lo_ids.(j) and hi = hi_ids.(j) in
     adj.(up_fill.(lo)) <- j;
     up_fill.(lo) <- up_fill.(lo) + 1;
     adj.(down_fill.(hi)) <- j;
@@ -62,11 +67,11 @@ let create_packed ~switches ~ep_lo ~ep_hi ~cap ~rank_pair =
   { switches; ep_lo; ep_hi; cap; rank_pair; max_ports; adj; up_off; down_off }
 
 let n_switches u = Array.length u.switches
-let n_circuits u = Array.length u.ep_lo
+let n_circuits u = Array.length u.ep_lo.ids
 let switch u i = u.switches.(i)
 
 let circuit u j =
-  { Circuit.id = j; lo = u.ep_lo.(j); hi = u.ep_hi.(j); capacity = u.cap.(j) }
+  { Circuit.id = j; lo = u.ep_lo.ids.(j); hi = u.ep_hi.ids.(j); capacity = u.cap.(j) }
 
 (* View accessors hand out fresh copies: the packed arrays are the shared
    truth and must never be writable through the public API.  Callers that
@@ -75,13 +80,15 @@ let switches u = Array.copy u.switches
 let circuits u = Array.init (n_circuits u) (circuit u)
 
 let capacity u j = u.cap.(j)
-let endpoint_lo u j = u.ep_lo.(j)
-let endpoint_hi u j = u.ep_hi.(j)
+let endpoint_lo u j = u.ep_lo.ids.(j)
+let endpoint_hi u j = u.ep_hi.ids.(j)
+
+let ends u = function `Up -> (u.ep_lo, u.ep_hi) | `Down -> (u.ep_hi, u.ep_lo)
 
 let other_endpoint u j s =
-  let lo = u.ep_lo.(j) in
-  if s = lo then u.ep_hi.(j)
-  else if s = u.ep_hi.(j) then lo
+  let lo = u.ep_lo.ids.(j) in
+  if s = lo then u.ep_hi.ids.(j)
+  else if s = u.ep_hi.ids.(j) then lo
   else invalid_arg "Universe.other_endpoint: switch not an endpoint"
 
 let rank_pair u j = u.rank_pair.(j)
@@ -180,10 +187,9 @@ let funneling_ok u ~usable (loads : float array) circuits ~phi ~theta =
    or adjacency callback from another module is an out-of-line call. *)
 
 type rows = {
+  dir : [ `Up | `Down ];
   circuits : int array;
   alt_hi : int array;
-  prevs : int array;
-  nexts : int array;
   skips : int array;
 }
 
@@ -271,7 +277,7 @@ let[@inline] accepts u w accept s =
 let walk_hop u w ~dir ~accept ~skip =
   let up = match dir with `Up -> true | `Down -> false in
   let off = if up then u.up_off else u.down_off in
-  let ep_lo = u.ep_lo and ep_hi = u.ep_hi and adj = u.adj in
+  let ep_lo = u.ep_lo.ids and ep_hi = u.ep_hi.ids and adj = u.adj in
   let fr = w.frontier and mk = w.marked and sk = w.skipped in
   let alt_js = w.alt_js and alt_his = w.alt_his in
   let n_alts = Array.length alt_js in
@@ -312,8 +318,7 @@ let walk_hop u w ~dir ~accept ~skip =
     end
   done;
   let rows = !n_rows in
-  let circuits = Array.make rows 0 and prevs = Array.make rows 0 in
-  let nexts = Array.make rows 0 in
+  let circuits = Array.make rows 0 in
   let alt_hi = if !n_alt_rows > 0 then Array.make rows (-1) else [||] in
   let i = ref 0 and cur = ref 0 in
   (* Nothing marked leaves [jmin > jmax]: the fill is empty. *)
@@ -323,27 +328,28 @@ let walk_hop u w ~dir ~accept ~skip =
       for b = 0 to 7 do
         if bits land (1 lsl b) <> 0 then begin
           let j = (byte lsl 3) lor b in
-          let lo = ep_lo.(j) and hi = ep_hi.(j) in
-          let prev = if up then lo else hi and next = if up then hi else lo in
-          let has_alts = !cur < n_alts && alt_js.(!cur) = j in
-          if (not has_alts) || (bit fr prev && bit w.reached next) then begin
-            circuits.(!i) <- j;
-            prevs.(!i) <- prev;
-            nexts.(!i) <- next;
-            incr i
-          end;
-          while !cur < n_alts && alt_js.(!cur) = j do
-            let h = alt_his.(!cur) in
-            let prev = if up then lo else h and next = if up then h else lo in
+          if !cur < n_alts && alt_js.(!cur) = j then begin
+            let lo = ep_lo.(j) and hi = ep_hi.(j) in
+            let prev = if up then lo else hi and next = if up then hi else lo in
             if bit fr prev && bit w.reached next then begin
               circuits.(!i) <- j;
-              prevs.(!i) <- prev;
-              nexts.(!i) <- next;
-              alt_hi.(!i) <- h;
               incr i
             end;
-            incr cur
-          done
+            while !cur < n_alts && alt_js.(!cur) = j do
+              let h = alt_his.(!cur) in
+              let prev = if up then lo else h and next = if up then h else lo in
+              if bit fr prev && bit w.reached next then begin
+                circuits.(!i) <- j;
+                alt_hi.(!i) <- h;
+                incr i
+              end;
+              incr cur
+            done
+          end
+          else begin
+            circuits.(!i) <- j;
+            incr i
+          end
         end
       done;
       Bytes.set mk byte '\000'
@@ -372,7 +378,7 @@ let walk_hop u w ~dir ~accept ~skip =
   w.frontier <- next;
   Bytes.fill w.reached 0 (Bytes.length w.reached) '\000';
   Bytes.fill w.rejected 0 (Bytes.length w.rejected) '\000';
-  { circuits; alt_hi; prevs; nexts; skips }
+  { dir; circuits; alt_hi; skips }
 
 let footprint u =
   let words a = Array.length a + 1 in
@@ -380,7 +386,7 @@ let footprint u =
   [
     (* pointer array plus 10 words per record; name strings excluded *)
     ("switch records", 8 * ((n + 1) + (n * 10)));
-    ("endpoints", 8 * (words u.ep_lo + words u.ep_hi));
+    ("endpoints", 8 * (words u.ep_lo.ids + words u.ep_hi.ids));
     ("capacities", 8 * words u.cap);
     ("rank pairs", 8 * words u.rank_pair);
     ("port budgets", 8 * words u.max_ports);

@@ -16,7 +16,8 @@
     arrays directly and are the hot-path API; {!circuit}, {!circuits}
     and friends materialize {!Circuit.t} record views for cold/API
     paths.  Accessors that return arrays always return fresh copies —
-    mutating a returned array never affects the universe.
+    mutating a returned array never affects the universe — except
+    {!ends}, which shares the endpoint columns with the row kernels.
 
     The mutable half (activity flags, usable degrees, port-violation
     counters) lives in {!Topo}, which holds a reference to its universe. *)
@@ -38,9 +39,12 @@ val create_packed :
     [switches.(i).id] equals [i], and every circuit's endpoints are in
     range and go lower → higher {!Switch.rank}, with [rank_pair] as
     {!rank_pair} describes.  {!Builder.add_circuit} checks each circuit
-    once as it is added, so only the columns' lengths are compared here
-    (raises [Invalid_argument] when they differ).  The arrays are owned by
-    the universe afterwards and must not be mutated by the caller. *)
+    once as it is added; here the columns' lengths are compared and the
+    endpoints are proved below the switch count once more, as the
+    {!Kutil.Col}s {!ends} hands out: O(|C|), no copy.  Raises
+    [Invalid_argument] when the lengths differ or an endpoint is out of
+    range.  The arrays are owned by the universe afterwards and must not
+    be mutated by the caller. *)
 
 val n_switches : t -> int
 val n_circuits : t -> int
@@ -71,6 +75,16 @@ val endpoint_lo : t -> int -> int
 
 val endpoint_hi : t -> int -> int
 (** [endpoint_hi u j] is the higher-rank endpoint of [j]. *)
+
+val ends : t -> [ `Up | `Down ] -> Kutil.Col.t * Kutil.Col.t
+(** [ends u dir] is the pair of endpoint columns, indexed by circuit id,
+    that give a row running over a circuit in direction [dir] its
+    (previous, next) switch: (lo, hi) going [`Up], (hi, lo) going
+    [`Down].  Each entry was proved below {!n_switches} by
+    {!create_packed} and each column is {!n_circuits} long, so a kernel
+    that reads a circuit id from a column bounded by {!n_circuits} reads
+    its endpoints without a range check.  The columns are the
+    universe's own, not copies: nothing may write them. *)
 
 val other_endpoint : t -> int -> int -> int
 (** [other_endpoint u j s] is the endpoint of circuit [j] opposite [s].
@@ -148,16 +162,20 @@ val funneling_ok :
     and keeping its switch and circuit marks as bits it tests inline. *)
 
 type rows = {
+  dir : [ `Up | `Down ];
+      (** The hop's direction: row [i] runs from its circuit's endpoint
+          in the first of [ends u dir] to the one in the second. *)
   circuits : int array;  (** Row [i]'s circuit. *)
   alt_hi : int array;
       (** [-1] when row [i] stands for the as-built wiring, else the
-          alternative hi endpoint it stands for; one entry per row, or
-          empty when no row is an alternative. *)
-  prevs : int array;  (** Row [i]'s upstream switch at this stage. *)
-  nexts : int array;  (** Row [i]'s downstream switch. *)
+          alternative hi endpoint it stands for, which replaces its
+          circuit's hi endpoint (the next switch going up, the previous
+          one going down); one entry per row, or empty when no row is an
+          alternative. *)
   skips : int array;  (** The stage's skip switches. *)
 }
-(** One hop's rows as parallel columns. *)
+(** One hop's rows as parallel columns.  A row holds its circuit and
+    nothing more: its endpoints are the universe's ({!ends}). *)
 
 type walk
 (** The frontier of one class's walk through its hops, with its scratch
@@ -190,7 +208,8 @@ val walk_hop :
     one pass over the circuit marks between the lowest and highest
     marked id (at most |C|/8 bytes) to fill them, and O(|S|/8) to walk
     and reset the switch marks.  Each column is allocated once, at its
-    final length, and nothing else is allocated per row. *)
+    final length: one word per row, two on a hop with alternative rows,
+    and nothing else is allocated per row. *)
 
 (** {1 Array views (cold paths)} *)
 

@@ -2,7 +2,8 @@
 
     A satisfiability check's row kernels ({!Bitset.sweep_rows} and the
     ECMP forward passes) index per-circuit and per-switch vectors with
-    ids read from a compiled class's columns.  Instead of a range check
+    ids read from a compiled class's columns, and from the universe's
+    endpoint columns at those ids.  Instead of a range check
     per access, every id is proved in range once, when its column is
     built ({!make}), and each kernel compares a column's [bound] with
     the length of every vector it indexes once per call.  The per-row

@@ -16,7 +16,8 @@ module Budget = struct
   let unlimited = { deadline = None }
 
   let of_seconds s =
-    if s <= 0.0 then invalid_arg "Budget.of_seconds: non-positive budget";
+    (* [not (s > 0.0)], not [s <= 0.0]: a NaN budget would never expire. *)
+    if not (s > 0.0) then invalid_arg "Budget.of_seconds: non-positive budget";
     { deadline = Some (now () +. s) }
 
   let expired b =

@@ -24,7 +24,7 @@ module Budget : sig
 
   val of_seconds : float -> t
   (** [of_seconds s] expires [s] seconds after the call.  [s] must be
-      positive. *)
+      positive; raises [Invalid_argument] otherwise, NaN included. *)
 
   val expired : t -> bool
   (** [expired b] is [true] once the deadline has passed.  Planners poll

@@ -115,6 +115,55 @@ let test_factor_scaling () =
     (Invalid_argument "Blocks.organize: factor must be positive") (fun () ->
       ignore (Blocks.organize ~factor:0.0 sc))
 
+(* A split past a group's size yields the group's members one by one,
+   so at factor 1000 A's blocks are those at a factor equal to its
+   largest group, and building them allocates a bounded amount per
+   member rather than a slice per unit of factor (the uncapped split
+   allocated about 78k words here, against 148 members).  A factor past
+   the int range, or infinite, gives the same blocks; a NaN factor is
+   refused. *)
+let test_factor_capped () =
+  let sc = Gen.scenario_of_label "A" in
+  let words f =
+    Gc.full_major ();
+    let count () =
+      let s = Gc.quick_stat () in
+      Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
+    in
+    let before = count () in
+    let blocks = Blocks.organize ~factor:f sc in
+    (blocks, count () -. before)
+  in
+  let base, base_words = words 1.0 in
+  let largest =
+    List.fold_left (fun m (b : Blocks.t) -> max m (Array.length b.Blocks.switches)) 0 base
+  in
+  let members =
+    List.fold_left
+      (fun m (b : Blocks.t) ->
+        m + Array.length b.Blocks.switches + Array.length b.Blocks.circuits)
+      0 base
+  in
+  let singles = Blocks.organize ~factor:(float_of_int largest) sc in
+  let huge, huge_words = words 1000.0 in
+  Alcotest.(check bool) "factor 1000 = factor largest group" true (huge = singles);
+  Alcotest.(check bool)
+    (Printf.sprintf "factor 1000 allocates %.0f words past factor 1 for %d members"
+       (huge_words -. base_words) members)
+    true
+    (huge_words -. base_words <= float_of_int (64 * members));
+  List.iter
+    (fun f ->
+      Alcotest.(check bool) (Printf.sprintf "factor %g" f) true
+        (Blocks.organize ~factor:f sc = singles))
+    [ 1e300; Float.infinity ];
+  Alcotest.(check bool) "tiny factor merges everything" true
+    (List.length (Blocks.organize ~factor:1e-300 sc)
+    = List.length (Blocks.organize ~factor:(1.0 /. float_of_int (List.length base)) sc));
+  Alcotest.check_raises "NaN factor"
+    (Invalid_argument "Blocks.organize: factor must be positive") (fun () ->
+      ignore (Blocks.organize ~factor:Float.nan sc))
+
 let test_future_circuits_attached () =
   let sc = Gen.scenario_of_label "A" in
   let blocks = Blocks.organize sc in
@@ -209,7 +258,9 @@ let test_cost_step () =
   Alcotest.check feq "type change" 1.0 (Cost.step ~alpha:0.5 ~last:(Some 1) 0);
   Alcotest.check feq "repeat" 0.5 (Cost.step ~alpha:0.5 ~last:(Some 0) 0);
   Alcotest.check_raises "alpha range" (Invalid_argument "Cost: alpha must lie in [0, 1]")
-    (fun () -> ignore (Cost.step ~alpha:1.5 ~last:None 0))
+    (fun () -> ignore (Cost.step ~alpha:1.5 ~last:None 0));
+  Alcotest.check_raises "NaN alpha" (Invalid_argument "Cost: alpha must lie in [0, 1]")
+    (fun () -> ignore (Cost.step ~alpha:Float.nan ~last:None 0))
 
 let test_cost_runs () =
   Alcotest.(check (list (pair int int))) "runs" [ (0, 2); (1, 1); (0, 3) ]
@@ -304,6 +355,7 @@ let suite =
       Alcotest.test_case "blocks partition scenarios" `Slow
         test_organize_partition;
       Alcotest.test_case "block factor scaling" `Quick test_factor_scaling;
+      Alcotest.test_case "huge block factor capped" `Quick test_factor_capped;
       Alcotest.test_case "future circuits attached" `Quick
         test_future_circuits_attached;
       Alcotest.test_case "symmetry granularity" `Quick test_symmetry_granularity;

@@ -21,7 +21,11 @@ let test_budget_expiry () =
 let test_budget_validation () =
   Alcotest.check_raises "non-positive"
     (Invalid_argument "Budget.of_seconds: non-positive budget") (fun () ->
-      ignore (Timer.Budget.of_seconds 0.0))
+      ignore (Timer.Budget.of_seconds 0.0));
+  (* A NaN deadline would never pass: [now () > nan] is false. *)
+  Alcotest.check_raises "NaN"
+    (Invalid_argument "Budget.of_seconds: non-positive budget") (fun () ->
+      ignore (Timer.Budget.of_seconds Float.nan))
 
 let test_time () =
   let result, elapsed = Timer.time (fun () -> 40 + 2) in

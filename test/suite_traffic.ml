@@ -112,7 +112,7 @@ let test_ecmp_usefulness_avoids_dead_end () =
    so these are the checks that stand between a mis-sized argument and
    a stray memory access. *)
 let test_ecmp_moved_checks () =
-  let topo, (r0, _, f0, f1, _), rf, _ = ecmp_fixture () in
+  let topo, (r0, _, _, f1, _), rf, _ = ecmp_fixture () in
   let u = Topo.universe topo in
   let n = Universe.n_switches u and m = Universe.n_circuits u in
   let range what x bound =
@@ -124,10 +124,10 @@ let test_ecmp_moved_checks () =
   Alcotest.check_raises "compile: a negative source"
     (range "source switch" (-1) n) (fun () ->
       ignore (two_hop_compiled topo [ (-1, 1.0) ]));
-  (* One stage of the fixture's first hop, column by column. *)
-  let stage ?(circuits = [| List.hd rf |]) ?(alt_hi = [||]) ?(prevs = [| r0 |])
-      ?(nexts = [| f0 |]) ?(skips = [||]) () =
-    { Ecmp.circuits; alt_hi; prevs; nexts; skips }
+  (* One stage of the fixture's first hop, column by column: a row holds
+     its circuit, and its endpoints are the universe's. *)
+  let stage ?(circuits = [| List.hd rf |]) ?(alt_hi = [||]) ?(skips = [||]) () =
+    { Ecmp.dir = `Up; circuits; alt_hi; skips }
   in
   let assemble ?(sources = [ (r0, 1.0) ]) st =
     ignore (Ecmp.assemble u ~sources ~stages:[| st |])
@@ -135,20 +135,19 @@ let test_ecmp_moved_checks () =
   assemble (stage ());
   Alcotest.check_raises "assemble: a circuit past the circuits"
     (range "circuit" m m) (fun () -> assemble (stage ~circuits:[| m |] ()));
-  Alcotest.check_raises "assemble: a prev past the switches"
-    (range "prev switch" n n) (fun () -> assemble (stage ~prevs:[| n |] ()));
-  Alcotest.check_raises "assemble: a negative next"
-    (range "next switch" (-1) n) (fun () -> assemble (stage ~nexts:[| -1 |] ()));
   Alcotest.check_raises "assemble: a skip past the switches"
     (range "skip switch" (n + 3) n) (fun () -> assemble (stage ~skips:[| n + 3 |] ()));
   Alcotest.check_raises "assemble: a source past the switches"
     (range "source switch" n n) (fun () ->
       assemble ~sources:[ (n, 1.0) ] (stage ()));
+  (* An alternative's hi endpoint stands in for a row's next switch, so
+     it is checked like one; [-1] is the as-built wiring. *)
+  assemble (stage ~alt_hi:[| -1 |] ());
+  assemble (stage ~alt_hi:[| f1 |] ());
+  Alcotest.check_raises "assemble: an alternative past the switches"
+    (range "alternative switch" n n) (fun () ->
+      assemble (stage ~alt_hi:[| n |] ()));
   let unequal = Invalid_argument "Ecmp: a stage's columns differ in length" in
-  Alcotest.check_raises "assemble: prevs shorter than circuits" unequal (fun () ->
-      assemble (stage ~prevs:[||] ()));
-  Alcotest.check_raises "assemble: nexts longer than circuits" unequal (fun () ->
-      assemble (stage ~nexts:[| f0; f1 |] ()));
   Alcotest.check_raises "assemble: alt_hi neither empty nor one per row" unequal
     (fun () -> assemble (stage ~alt_hi:[| -1; -1 |] ()));
   (* The entry checks, against the universe of A (42 switches, 87
@@ -436,20 +435,32 @@ let reference_rows ?(alts = []) u ~sources ~hops =
   in
   Array.of_list (List.map stage hops)
 
-(* Explicit rows as the columns [Ecmp.assemble] takes. *)
-let columns (rows, skips) =
+(* Explicit rows as the columns [Ecmp.assemble] takes, which drop the
+   endpoints: [assemble] reads them from the universe. *)
+let columns (h : Ecmp.hop) (rows, skips) =
   let col f = Array.map f rows in
   {
-    Ecmp.circuits = col (fun (j, _, _, _) -> j);
+    Ecmp.dir = h.Ecmp.dir;
+    circuits = col (fun (j, _, _, _) -> j);
     alt_hi = col (fun (_, a, _, _) -> a);
-    prevs = col (fun (_, _, p, _) -> p);
-    nexts = col (fun (_, _, _, n) -> n);
     skips;
   }
 
+(* The scan's rows assembled into a class, and the scan's explicit
+   [(stage, circuit, prev, next)] tuples as [candidate_rows] lists a
+   class's: the endpoints to compare a class against, since any
+   assembled class reads its endpoints from the universe. *)
 let reference_compile ?alts u ~sources ~hops =
-  Ecmp.assemble u ~sources
-    ~stages:(Array.map columns (reference_rows ?alts u ~sources ~hops))
+  let stages = reference_rows ?alts u ~sources ~hops in
+  let candidates =
+    List.concat
+      (List.mapi
+         (fun k (rows, _) ->
+           List.map (fun (j, _, prev, next) -> (k, j, prev, next)) (Array.to_list rows))
+         (Array.to_list stages))
+  in
+  (Ecmp.assemble u ~sources ~stages:(Array.map2 columns (Array.of_list hops) stages),
+   candidates)
 
 (* Reference evaluator, the oracle for [Ecmp.evaluate] and
    [Ecmp.evaluate_rebuild], over explicit rows: every visit of a row
@@ -578,13 +589,13 @@ let test_compile_alt_row_off_frontier () =
   let hops = [ Ecmp.hop `Down (role_is Switch.FSW) ] in
   let alts = [ (c, s2); (c, s1); (c, s2) ] in
   let fast = Ecmp.compile ~alts u ~sources ~hops in
-  let oracle = reference_compile ~alts u ~sources ~hops in
+  let oracle, candidates = reference_compile ~alts u ~sources ~hops in
   Alcotest.(check (list (pair int (pair int (pair int int)))))
     "one row per alternative, in alts order"
     [ (0, (c, (s2, f0))); (0, (c, (s1, f0))) ]
     (List.map (fun (k, j, p, n) -> (k, (j, (p, n)))) (candidate_rows fast));
   Alcotest.(check bool) "same rows as the scan" true
-    (candidate_rows oracle = candidate_rows fast);
+    (candidates = candidate_rows fast);
   Topo.set_circuit_hi topo c (Some s1);
   let r, loads = evaluated_loads topo fast in
   Alcotest.check feq "only the live wiring delivers" 2.0 r.Ecmp.delivered;
@@ -595,11 +606,17 @@ let test_compile_alt_row_off_frontier () =
      all the same. *)
   let sources = [ (s0, 1.0) ] in
   let fast = Ecmp.compile ~alts u ~sources ~hops in
-  let oracle = reference_compile ~alts u ~sources ~hops in
+  let oracle, _ = reference_compile ~alts u ~sources ~hops in
   let r, _ = evaluated_loads topo fast in
   Alcotest.check feq "a rewired circuit's as-built row is dead" 0.0
     r.Ecmp.delivered;
   same_evaluation "rewired, no alternative rows" topo fast oracle
+
+(* A scenario's rewire groups as [Ecmp.compile]'s wiring alternatives. *)
+let scenario_alts (sc : Gen.scenario) =
+  List.concat_map
+    (fun (_, circuits, hi) -> List.map (fun j -> (j, hi)) circuits)
+    sc.Gen.rewire_groups
 
 let test_compile_matches_reference () =
   List.iter
@@ -608,11 +625,7 @@ let test_compile_matches_reference () =
       let topo = sc.Gen.topo in
       let u = Topo.universe topo in
       let layout = sc.Gen.layout in
-      let alts =
-        List.concat_map
-          (fun (_, circuits, hi) -> List.map (fun j -> (j, hi)) circuits)
-          sc.Gen.rewire_groups
-      in
+      let alts = scenario_alts sc in
       (* The OCS tier is also evaluated with every rewire applied, so the
          alternative rows carry the flow. *)
       let rewired =
@@ -634,17 +647,15 @@ let test_compile_matches_reference () =
             Routes.compile ~alts u ~rsws_by_dc:layout.Gen.rsws_by_dc
               ~ebbs:layout.Gen.ebbs d
           in
-          let oracle =
-            reference_compile ~alts u
-              ~sources:
-                (Routes.sources_for ~rsws_by_dc:layout.Gen.rsws_by_dc
-                   ~ebbs:layout.Gen.ebbs d)
-              ~hops:(Routes.hops_for d)
-          in
+          let sources =
+            Routes.sources_for ~rsws_by_dc:layout.Gen.rsws_by_dc
+              ~ebbs:layout.Gen.ebbs d
+          and hops = Routes.hops_for d in
+          let oracle, candidates = reference_compile ~alts u ~sources ~hops in
           Alcotest.(check (array int)) (what ^ ": stage sizes")
             (Ecmp.stage_sizes oracle) (Ecmp.stage_sizes fast);
           Alcotest.(check bool) (what ^ ": candidate rows") true
-            (candidate_rows oracle = candidate_rows fast);
+            (candidates = candidate_rows fast);
           same_evaluation what topo fast oracle;
           Option.iter
             (fun t -> same_evaluation (what ^ " rewired") t fast oracle)
@@ -705,11 +716,14 @@ let test_compile_asks_once () =
 
 (* Compiling a class allocates its returned columns and O(|S|/8 + |C|/8)
    words of marks, not a growable copy of every column: per class, the
-   words allocated stay within three per row (circuits, prevs, nexts;
-   these tasks have no wiring alternatives), two per injecting source,
-   a per-stage allowance for headers and skip switches, and
-   (|S| + |C|)/8.  Columns over 256 words skip the minor heap, so the
-   count adds the direct major words, read after a full major cycle. *)
+   words allocated stay within one per row (its circuit: the endpoints
+   are the universe's), one more per row on a stage with alternative
+   rows (its [alt_hi]), two per injecting source, a per-stage allowance
+   for headers and skip switches, (|S| + |C|)/8, and what
+   [Universe.start_walk] spends sorting the wiring alternatives, measured
+   alone.  A per-row endpoint column put back breaks the bound.  Columns
+   over 256 words skip the minor heap, so the count adds the direct
+   major words, read after a full major cycle. *)
 let test_compile_allocation () =
   let counters () =
     Gc.full_major ();
@@ -719,15 +733,34 @@ let test_compile_allocation () =
   List.iter
     (fun (label, sc) ->
       let u = Topo.universe sc.Gen.topo in
+      let alts = scenario_alts sc in
       let marks = (Universe.n_switches u + Universe.n_circuits u) / 8 in
+      let walk_words alts =
+        let before = counters () in
+        ignore (Sys.opaque_identity (Universe.start_walk u ~sources:[||] ~alts));
+        counters () -. before
+      in
+      let sorting = int_of_float (walk_words alts -. walk_words []) in
       List.iter
         (fun ((d : Demand.t), sources, hops) ->
           let before = counters () in
-          let c = Ecmp.compile u ~sources ~hops in
+          let c = Ecmp.compile ~alts u ~sources ~hops in
           let words = counters () -. before in
           let rows = Ecmp.stage_circuit_count c in
+          let alt_rows =
+            Array.fold_left
+              (fun acc (rows, _) ->
+                if Array.exists (fun (_, a, _, _) -> a >= 0) rows then
+                  acc + Array.length rows
+                else acc)
+              0
+              (reference_rows ~alts u ~sources ~hops)
+          in
           let injecting = List.length (List.filter (fun (_, v) -> v > 0.0) sources) in
-          let bound = (3 * rows) + (2 * injecting) + (64 * Ecmp.n_stages c) + marks in
+          let bound =
+            rows + alt_rows + (2 * injecting) + (64 * Ecmp.n_stages c) + marks
+            + sorting
+          in
           Alcotest.(check bool)
             (Printf.sprintf "%s %s: %.0f words for %d rows (bound %d)" label
                d.Demand.name words rows bound)
@@ -737,6 +770,7 @@ let test_compile_allocation () =
     [
       ("C-SSW", Gen.build Gen.Ssw_forklift (Gen.params_c ()));
       ("C-DMAG, six MAs", Gen.build Gen.Dmag (Suite_incremental.dmag_six_mas ()));
+      ("OCS-LITE", Gen.scenario_of_label "OCS-LITE");
     ]
 
 (* Bit-level equality: [Float.equal] would let 0.0 and -0.0 pass. *)
@@ -772,11 +806,7 @@ let test_evaluate_matches_reference () =
       let m = Universe.n_circuits u in
       let layout = sc.Gen.layout in
       let rsws_by_dc = layout.Gen.rsws_by_dc and ebbs = layout.Gen.ebbs in
-      let alts =
-        List.concat_map
-          (fun (_, circuits, hi) -> List.map (fun j -> (j, hi)) circuits)
-          sc.Gen.rewire_groups
-      in
+      let alts = scenario_alts sc in
       let classes =
         List.map
           (fun (d : Demand.t) ->
