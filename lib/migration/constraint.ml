@@ -24,9 +24,10 @@ type ens = {
    recomputes: [set_block] ORs a toggled block's dependency row (the
    demand classes it affects, with a dirty-stage mask each) into
    [masks], and the next evaluation delta-evaluates only the dirty
-   classes (Ecmp.evaluate_patch) — the rest keep their load
-   contributions verbatim.  Utilization is then one θ scan over the
-   patched loads, as after a rebuild. *)
+   classes (Ecmp.evaluate_patch, over the rows the task grouped for
+   them) — the rest keep their load contributions verbatim.
+   Utilization is then one θ scan over the patched loads, as after a
+   rebuild. *)
 type eval_state = {
   loads : float array;
   scratch : Ecmp.scratch;
@@ -61,65 +62,6 @@ type t = {
    zero). *)
 let patch_interval = 512
 
-let lowest_bit m =
-  let k = ref 0 in
-  while m land (1 lsl !k) = 0 && !k < 62 do
-    incr k
-  done;
-  !k
-
-(* Below this many stage candidates a full evaluation is already so cheap
-   that the delta layer's bookkeeping (dirty masks, recorded stages)
-   costs more than it saves. *)
-let min_full_cost = 1024.0
-
-(* Structural profitability of the delta layer for this task, from a
-   candidate-count cost model: a full evaluation visits every stage
-   candidate of every class, and a patched class re-runs the candidates
-   from its lowest dirty stage on.  Planners toggle one block per step,
-   so the mean one-block estimate over all blocks is the typical patch;
-   when it reaches half a full evaluation, the patch's bookkeeping (load
-   subtraction, recorded stages) eats the saving — measurably slower
-   than the plain full path (HGRID A/B/C regress to 0.85–0.96x).  Such
-   tasks skip the delta layer entirely.  The margin is wide in practice:
-   one-block ratios are 0.76–0.92 on HGRID A/B/C versus 0.33–0.44 on the
-   SSW-forklift and DMAG migrations, where the delta layer wins
-   1.8–2.5x. *)
-let delta_profitable (task : Task.t) =
-  let full_cost =
-    Array.fold_left
-      (fun acc (c, _) -> acc +. float_of_int (Ecmp.stage_circuit_count c))
-      0.0 task.Task.compiled
-  in
-  full_cost >= min_full_cost
-  &&
-  let n_blocks = Array.length task.Task.blocks in
-  n_blocks > 0
-  &&
-  (* class -> stage -> candidates from that stage on *)
-  let suffix_cost =
-    Array.map
-      (fun (c, _) ->
-        let sizes = Ecmp.stage_sizes c in
-        let n = Array.length sizes in
-        let suffix = Array.make (n + 1) 0.0 in
-        for k = n - 1 downto 0 do
-          suffix.(k) <- suffix.(k + 1) +. float_of_int sizes.(k)
-        done;
-        suffix)
-      task.Task.compiled
-  in
-  let total = ref 0.0 in
-  for b = 0 to n_blocks - 1 do
-    let dep = task.Task.deps.(b) in
-    for i = 0 to Array.length dep - 1 do
-      let d, m = dep.(i) in
-      let suffix = suffix_cost.(d) in
-      total := !total +. suffix.(min (lowest_bit m) (Array.length suffix - 1))
-    done
-  done;
-  !total /. float_of_int n_blocks < 0.5 *. full_cost
-
 let make_ens (task : Task.t) en =
   let n_circuits = Universe.n_circuits (Task.universe task) in
   let kx = Ensemble.k en - 1 in
@@ -146,12 +88,7 @@ let eval_state ck =
       let task = ck.task in
       let u = Topo.universe ck.topo in
       let n_classes = Array.length task.Task.compiled in
-      let delta = ck.incremental && delta_profitable task in
-      let touched = Array.make n_classes false in
-      if delta then
-        Array.iter
-          (Array.iter (fun (d, _) -> touched.(d) <- true))
-          task.Task.deps;
+      let delta = ck.incremental && Task.delta_profitable task in
       let es =
         {
           loads = Array.make (Topo.n_circuits ck.topo) 0.0;
@@ -159,7 +96,9 @@ let eval_state ck =
           classes =
             Array.mapi
               (fun d (c, _) ->
-                if touched.(d) then Some (Ecmp.make_inc u c) else None)
+                match task.Task.groups.(d) with
+                | Some g when delta -> Some (Ecmp.make_inc u c g)
+                | _ -> None)
               task.Task.compiled;
           delta;
           masks = Array.make n_classes 0;
@@ -415,10 +354,9 @@ let patch ck es =
     match es.classes.(d) with
     | Some cls when m <> 0 ->
         let old = Ecmp.class_stuck cls in
-        let _, scale = ck.task.Task.compiled.(d) in
         let fresh =
-          Ecmp.evaluate_patch ~scale ~split ?aux:(aux_of es d) ck.topo
-            es.scratch cls ~dirty:m ~loads:es.loads
+          Ecmp.evaluate_patch ~split ?aux:(aux_of es d) ck.topo es.scratch cls
+            ~dirty:m ~loads:es.loads
         in
         (match es.ens with
         | None -> ()

@@ -22,11 +22,15 @@
       toggled block marks the classes and stages its row of the task's
       block→demand dependency index ({!Task.t.deps}) names as dirty, and
       the next evaluation delta-evaluates only the dirty classes
-      ({!Ecmp.evaluate_patch}); θ is then one scan over every circuit,
-      the same call the full evaluation makes.  Verdicts are identical
-      to the full evaluation: unaffected classes provably contribute the
-      same loads, and a full rebuild every 512 patches bounds float
-      drift far below the 1e-9 verdict slack;
+      ({!Ecmp.evaluate_patch}), re-splitting only the switches a toggle
+      moved over the rows the task groups once per class
+      ({!Task.t.groups}); θ is then one scan over every circuit, the
+      same call the full evaluation makes.  Verdicts are identical to
+      the full evaluation: unaffected classes provably contribute the
+      same loads, a patched class's shares and volumes are bit-equal to
+      a rebuild's, and a full rebuild every 512 patches bounds the
+      rounding drift of the patched loads far below the 1e-9 verdict
+      slack;
     - optionally, the transient traffic-funneling margin of §7.2 tightens
       the bound to load·(1 + φ) ≤ θ·W on the circuits that absorb the
       traffic of the block just drained.
@@ -51,24 +55,15 @@ val create : ?incremental:bool -> Task.t -> t
     so several checkers never interfere yet share the universe
     physically.  [incremental] (default [true]) enables the delta demand
     evaluation.  Even when enabled, the delta layer is only instantiated
-    for tasks where it can pay off: when the cost model says a typical
-    one-block delta already costs half a full evaluation (so the delta
-    bookkeeping would eat the saving), the checker silently uses the
-    plain full evaluation, which is never slower. *)
+    for tasks where the cost model ({!Task.delta_profitable}) says it
+    pays; elsewhere the checker silently uses the plain full evaluation,
+    the very code a [~incremental:false] checker runs. *)
 
 val incremental_active : t -> bool
 (** Whether delta demand evaluation was requested for this checker (its
     [incremental] flag).  The checker may still evaluate fully when the
     cost model rules the delta layer out for the task — that choice is
-    internal and only ever makes checks faster. *)
-
-val delta_profitable : Task.t -> bool
-(** The cost-model decision behind that internal choice: [true] when a
-    typical one-block delta is estimated to cost well under a full
-    evaluation, so an incremental checker for [task] will actually
-    instantiate the delta layer.  When [false], checkers created with
-    [~incremental:true] run the very same full-evaluation code as
-    [~incremental:false] ones.  Pure — depends only on the task. *)
+    internal. *)
 
 val move_to : t -> Compact.t -> unit
 (** Reconfigure the private topology to the given compact state. *)

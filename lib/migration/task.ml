@@ -16,6 +16,7 @@ type t = {
   adds_layer : bool;
   ensemble : Ensemble.t option;
   deps : (int * int) array array;
+  groups : Ecmp.groups option array;
   state_word_count : int;
   block_prefix : int array array array;
 }
@@ -63,6 +64,88 @@ let build_deps topo blocks compiled =
       masks
   done;
   Array.map Array.of_list pairs
+
+let lowest_bit m =
+  let k = ref 0 in
+  while m land (1 lsl !k) = 0 && !k < 62 do
+    incr k
+  done;
+  !k
+
+(* Below this many stage candidates a full evaluation is already so cheap
+   that the delta layer's bookkeeping (dirty masks, recorded stages)
+   costs more than it saves. *)
+let min_full_cost = 1024.0
+
+(* Structural profitability of the delta layer for this task, from a
+   candidate-count cost model: a full evaluation visits every stage
+   candidate of every class, and a patched class is charged the
+   candidates from its lowest dirty stage on.  Planners toggle one block
+   per step, so the mean one-block estimate over all blocks is the
+   typical patch; when it reaches half a full evaluation, the delta
+   layer's bookkeeping was measured to eat the saving (HGRID A/B/C ran
+   at 0.85–0.96x the plain full path when a patch re-ran that suffix),
+   and such tasks skip the delta layer entirely.  One-block ratios are
+   0.76–0.92 on HGRID A/B/C versus 0.33–0.44 on the SSW-forklift and
+   DMAG migrations.  Since the patch re-splits only the switches a
+   toggle moved rather than re-running the suffix, the model overstates
+   a patch's cost (on E-SSW a patch visits about 29,000 rows where the
+   model charges the 78,000 it used to re-run); it stays the decision
+   rule, so the HGRID tiers stay on the full path until the delta layer
+   is measured there. *)
+let profitable ~compiled ~n_blocks ~deps =
+  let full_cost =
+    Array.fold_left
+      (fun acc (c, _) -> acc +. float_of_int (Ecmp.stage_circuit_count c))
+      0.0 compiled
+  in
+  full_cost >= min_full_cost
+  && n_blocks > 0
+  &&
+  (* class -> stage -> candidates from that stage on *)
+  let suffix_cost =
+    Array.map
+      (fun (c, _) ->
+        let sizes = Ecmp.stage_sizes c in
+        let n = Array.length sizes in
+        let suffix = Array.make (n + 1) 0.0 in
+        for k = n - 1 downto 0 do
+          suffix.(k) <- suffix.(k + 1) +. float_of_int sizes.(k)
+        done;
+        suffix)
+      compiled
+  in
+  let total = ref 0.0 in
+  for b = 0 to n_blocks - 1 do
+    let dep = deps.(b) in
+    for i = 0 to Array.length dep - 1 do
+      let d, m = dep.(i) in
+      let suffix = suffix_cost.(d) in
+      total := !total +. suffix.(min (lowest_bit m) (Array.length suffix - 1))
+    done
+  done;
+  !total /. float_of_int n_blocks < 0.5 *. full_cost
+
+let delta_profitable t =
+  profitable ~compiled:t.compiled ~n_blocks:(Array.length t.blocks) ~deps:t.deps
+
+(* The delta layer's row groupings, for exactly the classes it patches:
+   those some dependency row names, when it is profitable.  A grouping
+   depends only on its compiled class, so a class [carried] already
+   groups keeps that grouping and only the others are built. *)
+let group_classes ~carried compiled ~n_blocks deps =
+  let n = Array.length compiled in
+  let patched = Array.make n false in
+  if profitable ~compiled ~n_blocks ~deps then
+    Array.iter (Array.iter (fun (d, _) -> patched.(d) <- true)) deps;
+  let kept d = d < Array.length carried && Option.is_some carried.(d) in
+  let built =
+    Ecmp.group_rows (Array.map fst compiled)
+      ~which:(Array.mapi (fun d p -> p && not (kept d)) patched)
+  in
+  Array.mapi
+    (fun d p -> if not p then None else if kept d then carried.(d) else built.(d))
+    patched
 
 (* Lower the compact representation to per-block activity masks: block
    [b] owns bit [b mod 63] of word [b / 63], and [block_prefix.(a).(k)]
@@ -157,6 +240,7 @@ let of_scenario ?(theta = 0.75) ?(alpha = 0.0) ?(funneling = 0.0)
   let state_word_count, block_prefix =
     lower_blocks blocks_by_type ~n_blocks:(Array.length blocks_arr)
   in
+  let deps = build_deps sc.Gen.topo blocks_arr compiled in
   {
     name = sc.Gen.name;
     topo = sc.Gen.topo;
@@ -174,13 +258,18 @@ let of_scenario ?(theta = 0.75) ?(alpha = 0.0) ?(funneling = 0.0)
     power;
     adds_layer = sc.Gen.adds_layer;
     ensemble = None;
-    deps = build_deps sc.Gen.topo blocks_arr compiled;
+    deps;
+    groups =
+      group_classes ~carried:[||] compiled ~n_blocks:(Array.length blocks_arr)
+        deps;
     state_word_count;
     block_prefix;
   }
 
 (* A block's dependency row depends only on its own switches and circuits
-   and on the compiled classes, so re-indexed blocks keep their rows. *)
+   and on the compiled classes, so re-indexed blocks keep their rows; a
+   class's row grouping depends on the class alone, so [t]'s carry over
+   too. *)
 let with_blocks t blocks ~deps =
   let actions, blocks_by_type, counts = index_blocks (Array.to_list blocks) in
   let state_word_count, block_prefix =
@@ -193,12 +282,16 @@ let with_blocks t blocks ~deps =
     blocks_by_type;
     counts;
     deps;
+    groups =
+      group_classes ~carried:t.groups t.compiled ~n_blocks:(Array.length blocks)
+        deps;
     state_word_count;
     block_prefix;
   }
 
 let relower t =
-  with_blocks t t.blocks ~deps:(build_deps t.topo t.blocks t.compiled)
+  with_blocks { t with groups = [||] } t.blocks
+    ~deps:(build_deps t.topo t.blocks t.compiled)
 
 let universe t = Topo.universe t.topo
 

@@ -51,6 +51,13 @@ type t = {
           the only stages (bit [k] = stage [k]) where the change can
           enter.  The incremental satisfiability checker drives its delta
           evaluation off this. *)
+  groups : Ecmp.groups option array;
+      (** Per class, its rows grouped by previous and next switch
+          ({!Ecmp.group_rows}): [Some] exactly for the classes the delta
+          layer patches — every class a dependency row names, when
+          {!delta_profitable} holds — and [None] for the rest.  Built
+          with [deps], carried into remainder tasks with them
+          ({!with_blocks}), and shared by every checker of the task. *)
   state_word_count : int;
       (** Words of the packed applied-block representation: blocks are
           lowered to one bit each (bit [b mod 63] of word [b / 63]). *)
@@ -111,11 +118,27 @@ val with_blocks : t -> Blocks.t array -> deps:(int * int) array array -> t
     dependency row.  A block's row depends only on its own switches and
     circuits and on [t]'s compiled classes, so a remainder task passes
     each kept block's row from its parent ([Klotski.remainder_task]) and
-    builds no index. *)
+    builds no index.  [groups] is decided again for the new blocks; a
+    class [t] already groups keeps its grouping, which depends on the
+    class alone, and only a class the delta layer newly patches is
+    grouped. *)
 
 val relower : t -> t
-(** [with_blocks t t.blocks] with every dependency row rebuilt from the
-    compiled classes: the indexes keyed by block id, derived afresh. *)
+(** [with_blocks t t.blocks] with every dependency row and row grouping
+    rebuilt from the compiled classes: the indexes, derived afresh. *)
+
+val delta_profitable : t -> bool
+(** Whether the delta layer pays on this task, from a candidate-count
+    cost model: a full evaluation visits every stage candidate of every
+    class; one block's patch is charged, per class its dependency row
+    names, the candidates from the lowest stage it dirties on; the delta
+    layer is used when the mean over blocks is below half a full
+    evaluation (and a full evaluation visits at least 1024 candidates).
+    The model predates the sparse patch ({!Ecmp.evaluate_patch}), which
+    visits only the switches a toggle moved, so it overstates a patch's
+    cost; it stays the rule, keeping the HGRID tiers (one-block ratios
+    0.76–0.92, against 0.33–0.44 on the SSW-forklift and DMAG
+    migrations) on the full path. *)
 
 val universe : t -> Universe.t
 (** The immutable structure shared by every checker of this task. *)

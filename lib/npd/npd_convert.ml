@@ -99,8 +99,52 @@ let of_params kind (p : Gen.params) =
 let section_arg_int section key ~default =
   match List.assoc_opt key section.args with
   | Some (Int i) -> i
-  | Some _ -> failwith (Printf.sprintf "argument %s: expected integer" key)
+  | Some _ ->
+      failwith
+        (Printf.sprintf "section %s: argument %s: expected integer" section.name key)
   | None -> default
+
+(* The document's top-level sections, before any is read: each must be
+   one [to_params] reads, given once, and take no argument but [hgrid]'s
+   [generation], at most once and 1 or 2 (1 when absent).  Otherwise a
+   second [fabric] or an unknown [fabrik] would be ignored unseen,
+   [fabric planes=0] read as a plain [fabric], and an
+   [hgrid generation=7] dropped.  Returns nothing; raises [Failure]
+   naming the section. *)
+let check_sections doc =
+  let reads = [ "fabric"; "hgrid"; "ma"; "eb"; "dr"; "bb"; "migration" ] in
+  ignore
+    (List.fold_left
+       (fun seen (s : section) ->
+         if not (List.exists (String.equal s.name) reads) then
+           failwith (Printf.sprintf "section %s: unknown section" s.name);
+         let allowed = if String.equal s.name "hgrid" then [ "generation" ] else [] in
+         ignore
+           (List.fold_left
+              (fun given (key, _) ->
+                if not (List.exists (String.equal key) allowed) then
+                  failwith
+                    (Printf.sprintf "section %s: unknown argument %s" s.name key);
+                if List.exists (String.equal key) given then
+                  failwith
+                    (Printf.sprintf "section %s: argument %s given twice" s.name key);
+                key :: given)
+              [] s.args);
+         let label =
+           if String.equal s.name "hgrid" then begin
+             let g = section_arg_int s "generation" ~default:1 in
+             let label = Printf.sprintf "hgrid generation=%d" g in
+             if g <> 1 && g <> 2 then
+               failwith
+                 (Printf.sprintf "section %s: generation must be 1 or 2" label);
+             label
+           end
+           else s.name
+         in
+         if List.exists (String.equal label) seen then
+           failwith (Printf.sprintf "section %s: given twice" label);
+         label :: seen)
+       [] doc.sections)
 
 (* The counts the generator divides by, sizes arrays with or needs at
    least one of for every class to route, and [link_mult], whose raw
@@ -202,6 +246,7 @@ let check_entries label (section : section) ~read =
 
 let to_params doc =
   try
+    check_sections doc;
     let require name =
       match find_section doc name with
       | Some s -> s

@@ -29,8 +29,13 @@ val to_params : Npd_ast.t -> (Gen.kind * Gen.params, string) result
     every other capacity always.  A field this function does not read
     from its section (it reads every field {!of_params} writes), a field
     given twice in one section, or a subsection of a section it reads,
-    is an error too.  The error names the section and the field or
-    subsection. *)
+    is an error too.  So is a top-level section it does not read (any
+    but [fabric], [hgrid], [ma], [eb], [dr], [bb] and [migration]), a
+    section given twice ([hgrid] once per generation), a section
+    argument other than [hgrid]'s [generation], and a [generation] given
+    twice or other than 1 or 2 (an [hgrid] without one is generation 1).
+    The error names the section and the field, subsection or
+    argument. *)
 
 val to_scenario : Npd_ast.t -> (Gen.scenario, string) result
 (** [to_params] followed by [Gen.build]. *)

@@ -218,26 +218,53 @@ val evaluate :
 (** {1 Incremental evaluation}
 
     The flow of a class is a pure function of the usability of its static
-    stage candidates; between adjacent topology states only a few stages'
-    candidates change usability.  An {!inc} records, per stage, the
-    entering volumes, per-circuit shares and stuck volume of the last
-    evaluation, so the next one can re-run only the affected suffix of
-    the stage pipeline and patch the aggregate loads. *)
+    stage candidates; between adjacent topology states only a few rows
+    change verdict.  An {!inc} records, per stage, every row's last share
+    and verdict and every switch's entering volume, so the next
+    evaluation can re-split only the switches a toggle moved and patch
+    the aggregate loads where a share changed. *)
+
+type groups
+(** One class's rows grouped by previous and by next switch, stage by
+    stage: what lets {!evaluate_patch} visit only the rows of the
+    switches it re-splits and re-sums.  Immutable: built once per task
+    and shared by every checker, across domains too. *)
+
+val group_rows : compiled array -> which:bool array -> groups option array
+(** [group_rows cs ~which] groups the rows of each class [cs.(d)] with
+    [which.(d)], [None] for the others.  Per stage it numbers the
+    switches that can enter it (the sources, or the previous stage's
+    next and skip switches) and its own prev and skip switches, and
+    sorts the row ids stably by their prev's number and by their next's
+    number at the next stage (not on the last stage), 4 bytes per row
+    each: O(rows + switches) per class, plus one int per universe switch
+    of scratch shared by every class.  Raises [Invalid_argument] when
+    [which] is not one flag per class. *)
 
 type inc
 (** Persistent incremental state for one compiled class.  Owned by one
     checker: never share an [inc] across concurrent evaluators. *)
 
-val make_inc : Universe.t -> compiled -> inc
-(** [make_inc u c] is a fresh incremental state for [c].  Each stage's
-    contribution record is sized once, to the stage's row count — the
-    most shares an evaluation can record there — so no evaluation grows
-    it; the entering-volume records start small and grow.  Raises
-    [Invalid_argument] when [c] was compiled for a universe with other
-    switch or circuit counts than [u]. *)
+val make_inc : Universe.t -> compiled -> groups -> inc
+(** [make_inc u c g] is a fresh incremental state for [c], whose rows
+    [g] groups.  Each stage's record is sized once: a share (one float)
+    and a verdict (one byte) per row, and an entering volume and a flag
+    byte per switch that can enter the stage; with [g]'s two packed row
+    ids, the delta layer holds 17 bytes per row.  No evaluation grows a
+    record.  Raises [Invalid_argument] when [c] was compiled for a
+    universe with other switch or circuit counts than [u], or [g] was
+    not built from [c]. *)
 
 val class_stuck : inc -> float
 (** Stuck volume of the last {!evaluate_rebuild}/{!evaluate_patch}. *)
+
+val recorded : inc -> stage:int -> float array * float array
+(** Copies of stage [stage]'s record: each row's share from the last
+    evaluation (0.0 where it deposited nothing), in row order, and the
+    entering volume of each switch that can enter the stage, in the
+    order its groups number them.  Two states made from the same
+    {!groups} number their switches alike, so their records compare
+    entry by entry. *)
 
 val evaluate_rebuild :
   ?scale:float ->
@@ -252,11 +279,11 @@ val evaluate_rebuild :
     class's shares into [loads] (which the caller has zeroed or otherwise
     cleared of this class's contributions).  Same arithmetic as
     {!evaluate}, including the ensemble [aux] deposits and the entry
-    check (raises [Invalid_argument] as {!evaluate} does); returns the
-    stuck volume. *)
+    check (raises [Invalid_argument] as {!evaluate} does); it also fills
+    every stage's record and sizes [scratch]'s delta-layer buffers, so
+    no patch allocates.  Returns the stuck volume. *)
 
 val evaluate_patch :
-  ?scale:float ->
   ?split:[ `Equal | `Capacity_weighted ] ->
   ?aux:(float array * float) array ->
   Topo.t ->
@@ -268,19 +295,36 @@ val evaluate_patch :
 (** Delta evaluation against the state captured by the last rebuild or
     patch.  [dirty] is a stage bitmask covering {e every} stage whose
     candidate circuits may have changed usability since then (bit [k] =
-    stage [k]); [scale]/[split]/[aux] must match the previous evaluation
-    (stale aux shares are subtracted with the same factors they were
-    added with, so they cancel exactly).
+    stage [k]; stages from 61 on share bit 61); [split]/[aux] must match
+    the previous evaluation (a moved share's old value is subtracted
+    with the factors it was added with, so the old deposit cancels
+    exactly).  The class's volume and scale are the recorded ones: no
+    source is re-injected.
 
-    The useful sets are re-derived backwards and compared with the
-    snapshot, stopping at the first stage at or below the lowest dirty
-    one whose set is unchanged: stages before the first dirty stage whose
-    consulted useful sets are unchanged are provably identical and reused
-    verbatim, the rest are re-run from the recorded entering volumes.
-    Only re-derived stages are probed, once per row as in {!evaluate};
-    the re-run reads their row verdicts, and records its shares without
-    boxing them.  [loads] is patched in place — stale suffix shares
-    subtracted, fresh ones added — and no list of touched circuits is
-    kept: the caller rescans the whole vector for θ.  Makes the entry
+    The useful sets are re-derived backwards, as in {!evaluate}, and
+    compared with the snapshot, stopping at the first stage at or below
+    the lowest dirty one whose set is unchanged.  The forward pass is
+    sparse: on each stage whose circuits or next useful set may have
+    changed it finds the rows whose verdict flipped, comparing the
+    recorded verdicts with the sweep's eight at a time; it re-splits
+    those rows' previous switches and every switch whose entering
+    volume changed (counting the switch's qualifying rows, and their
+    capacity under [`Capacity_weighted]), writes [loads], each [aux]
+    vector and the record only where a row's share changed, and re-sums
+    the entering volume of each next switch that received a changed
+    share: its incoming rows' shares in row order, then the volume it
+    carries as a skip.  Propagation stops at the first stage whose
+    volumes all come out bit-equal, once no stage above may hold a
+    flipped row.  Every recomputed share and volume is the dense
+    expression over the same operands in the same order, so the records
+    stay bit-equal to a rebuild's ({!recorded}); [loads] and the stuck
+    volume drift by rounding, and a stage with no stuck switch reads
+    exactly 0.0.
+
+    The work is O(stage rows / 8) per such stage for the comparison, and
+    otherwise O(rows of the re-split and re-summed switches + their
+    stages' switch counts), not O(re-run rows) as a dense re-run of the
+    suffix would be; nothing is allocated.  No list of touched circuits
+    is kept: the caller rescans the whole vector for θ.  Makes the entry
     check of {!evaluate} and raises [Invalid_argument] as it does, or
     when nothing was evaluated yet.  Returns the class's stuck volume. *)

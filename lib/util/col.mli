@@ -33,5 +33,9 @@ val make : what:string -> bound:int -> int array -> t
     [a.(i)], [a.(i) <- x], [Bytes.get b i] and [Bytes.set b i c] without
     the range check (with it, under the [checked] profile).  The caller
     proves [0 <= i < length]: from a column's [bound], a vector length
-    checked on entry, or a loop bound. *)
+    checked on entry, or a loop bound.  [get_int32 b o], [set_int32 b o
+    x] and [get_int64 b o] are [Bytes.get_int32_ne b o],
+    [Bytes.set_int32_ne b o x] and [Bytes.get_int64_ne b o] on the same
+    terms: the delta layer's packed row ids and its live-verdict
+    diff. *)
 include module type of Col_prim

@@ -97,7 +97,7 @@ let test_random_walk_verdicts () =
       Alcotest.(check bool) (label ^ ": incremental checker active") true
         (Constraint.incremental_active inc);
       Alcotest.(check bool) (label ^ ": delta layer instantiated") delta
-        (Constraint.delta_profitable task);
+        (Task.delta_profitable task);
       let n = Array.length task.Task.blocks in
       let applied = Array.make n false in
       let g = Kutil.Prng.create ~seed:walk_seed in
@@ -178,7 +178,7 @@ let test_ensemble_walk_verdicts () =
           ]
       in
       Alcotest.(check bool) (label ^ ": delta layer instantiated") true
-        (Constraint.delta_profitable task);
+        (Task.delta_profitable task);
       let n = Array.length task.Task.blocks in
       let applied = Array.make n false in
       let g = Kutil.Prng.create ~seed:walk_seed in
@@ -390,6 +390,147 @@ let test_deps_match_reference () =
 
 (* The incremental flag reaches the checker: ~incremental:false must
    yield an inactive checker. *)
+(* The sparse patch against a fresh rebuild, at the level of what it
+   recomputes.  Each walk toggles random blocks on an overlay (through a
+   full checker that never evaluates), patches every class the toggled
+   block's dependency row names with the stages it dirties, exactly as
+   the delta layer does, and after every toggle rebuilds a fresh record
+   of each grouped class on the same overlay.  Every row's share and
+   every stage's entering volumes must be bit-equal to the rebuild's;
+   the patched loads (every ensemble matrix's too) and the stuck volume
+   drift by rounding only, so they agree within 1e-9.  The five walks
+   cover the equal split, the capacity-weighted one, DMAG's skip
+   carriers, OCS alternative rows (starting from the state with every
+   rewire applied) and a k = 4 ensemble's deposits. *)
+let test_patch_matches_rebuild () =
+  let same_bits what reference got =
+    if Array.length reference <> Array.length got then
+      Alcotest.failf "%s: %d entries, a rebuild has %d" what (Array.length got)
+        (Array.length reference);
+    Array.iteri
+      (fun i x ->
+        if not (Float.equal x got.(i)) then
+          Alcotest.failf "%s: entry %d reads %h, a rebuild %h" what i got.(i) x)
+      reference
+  in
+  let close what reference got =
+    Array.iteri
+      (fun i x ->
+        if Float.abs (x -. got.(i)) > 1e-9 then
+          Alcotest.failf "%s: entry %d reads %.17g, a rebuild %.17g" what i got.(i) x)
+      reference
+  in
+  List.iter
+    (fun (label, task, rewired, walk_seed) ->
+      Alcotest.(check bool) (label ^ ": delta layer instantiated") true
+        (Task.delta_profitable task);
+      let ck = Constraint.create ~incremental:false task in
+      let n = Array.length task.Task.blocks in
+      let applied =
+        Array.map
+          (fun (b : Blocks.t) -> rewired && Action.affects_wiring b.Blocks.action)
+          task.Task.blocks
+      in
+      Array.iteri (fun b a -> if a then Constraint.apply_block ck b) applied;
+      let topo = Constraint.overlay ck in
+      let u = Task.universe task in
+      let m = Universe.n_circuits u in
+      let split =
+        match task.Task.routing with `Ecmp -> `Equal | `Weighted -> `Capacity_weighted
+      in
+      let factors d =
+        match task.Task.ensemble with
+        | None -> [||]
+        | Some e ->
+            Array.init (Ensemble.k e - 1) (fun x ->
+                Ensemble.factor e ~matrix:(x + 1) ~cls:d)
+      in
+      let n_extra = Array.length (factors 0) in
+      let grouped =
+        List.filter_map
+          (fun d -> Option.map (fun g -> (d, g)) task.Task.groups.(d))
+          (List.init (Array.length task.Task.compiled) Fun.id)
+      in
+      let scratch = Ecmp.make_scratch u in
+      (* One state's loads: the grouped classes' base deposits, and each
+         extra matrix's. *)
+      let fresh_loads () = Array.init (1 + n_extra) (fun _ -> Array.make m 0.0) in
+      let aux_of lv d = Array.mapi (fun x f -> (lv.(x + 1), f)) (factors d) in
+      let rebuild_all lv =
+        List.map
+          (fun (d, g) ->
+            let c, scale = task.Task.compiled.(d) in
+            let st = Ecmp.make_inc u c g in
+            let stuck =
+              Ecmp.evaluate_rebuild ~scale ~split ~aux:(aux_of lv d) topo scratch st
+                ~loads:lv.(0)
+            in
+            (d, st, stuck))
+          grouped
+      in
+      let lv = fresh_loads () in
+      let incs = rebuild_all lv in
+      let masks = Array.make (Array.length task.Task.compiled) 0 in
+      let g = Kutil.Prng.create ~seed:walk_seed in
+      for step = 1 to 8 * n do
+        let b = Kutil.Prng.int g n in
+        if applied.(b) then Constraint.unapply_block ck b
+        else Constraint.apply_block ck b;
+        applied.(b) <- not applied.(b);
+        Array.iter (fun (d, mask) -> masks.(d) <- masks.(d) lor mask) task.Task.deps.(b);
+        List.iter
+          (fun (d, st, _) ->
+            if masks.(d) <> 0 then begin
+              ignore
+                (Ecmp.evaluate_patch ~split ~aux:(aux_of lv d) topo scratch st
+                   ~dirty:masks.(d) ~loads:lv.(0));
+              masks.(d) <- 0
+            end)
+          incs;
+        let lv' = fresh_loads () in
+        List.iter2
+          (fun (d, st, _) (_, st', stuck') ->
+            let what part = Printf.sprintf "%s step %d class %d: %s" label step d part in
+            for k = 0 to Ecmp.n_stages (fst task.Task.compiled.(d)) - 1 do
+              let sh, vol = Ecmp.recorded st ~stage:k in
+              let sh', vol' = Ecmp.recorded st' ~stage:k in
+              same_bits (what (Printf.sprintf "stage %d shares" k)) sh' sh;
+              same_bits (what (Printf.sprintf "stage %d entering volumes" k)) vol' vol
+            done;
+            Alcotest.check (Alcotest.float 1e-9) (what "stuck") stuck'
+              (Ecmp.class_stuck st))
+          incs (rebuild_all lv');
+        Array.iteri
+          (fun x l ->
+            close (Printf.sprintf "%s step %d: matrix %d loads" label step x) l lv.(x))
+          lv'
+      done)
+    [
+      ( "C-SSW",
+        Task.of_scenario (Gen.build Gen.Ssw_forklift (Gen.params_c ())),
+        false,
+        5 );
+      ("C-DMAG, six MAs", Task.of_scenario (Gen.build Gen.Dmag (dmag_six_mas ())), false, 6);
+      ("OCS, rewires applied", Task.of_scenario (Gen.scenario_of_label "OCS"), true, 7);
+      ( "C-SSW, capacity-weighted",
+        Task.of_scenario ~routing:`Weighted
+          (Gen.build Gen.Ssw_forklift (Gen.params_c ())),
+        false,
+        8 );
+      ( "C-DMAG, six MAs, k = 4",
+        (let task = Task.of_scenario (Gen.build Gen.Dmag (dmag_six_mas ())) in
+         let n_classes = Array.length task.Task.compiled in
+         let g = Kutil.Prng.create ~seed:9 in
+         let factors =
+           Array.init 4 (fun m ->
+               Array.init n_classes (fun _ ->
+                   if m = 0 then 1.0 else 0.6 +. Kutil.Prng.float g 1.0))
+         in
+         Task.with_ensemble (Some (Ensemble.create ~quantile:0.5 factors)) task),
+        false,
+        9 );
+    ]
+
 let test_escape_hatch () =
   let task = random_task 1 in
   Alcotest.(check bool) "disabled by argument" false
@@ -418,4 +559,6 @@ let suite =
       Alcotest.test_case "dependency index matches per-candidate reference"
         `Quick test_deps_match_reference;
       Alcotest.test_case "escape hatch" `Quick test_escape_hatch;
+      Alcotest.test_case "sparse patch matches a fresh rebuild" `Quick
+        test_patch_matches_rebuild;
     ] )

@@ -404,6 +404,80 @@ let test_subsection () =
     "grids"
     (with_entries ~generation:2 "hgrid" (fun es -> sub "grids" :: es))
 
+(* The converter reads a fixed set of top-level sections, each once,
+   and no section argument but [hgrid]'s [generation].  Anything else
+   used to be ignored unseen: a second [fabric] (the first won), an
+   unknown [fabrik], [fabric planes=0] (read as a plain [fabric]) and an
+   [hgrid generation=7].  Each is refused, naming the section. *)
+let with_sections f =
+  let doc = Npd_convert.of_params Gen.Hgrid_v1_to_v2 (Gen.params_a ()) in
+  { doc with Npd_ast.sections = f doc.Npd_ast.sections }
+
+let section ?(args = []) name entries = { Npd_ast.name; args; entries }
+
+let int_entry key v = Npd_ast.Field (key, Npd_ast.Int v)
+
+let generation g = [ ("generation", Npd_ast.Int g) ]
+
+let test_unknown_section () =
+  refused "an unknown fabrik" ~section:"fabrik" "unknown section"
+    (with_sections (fun ss -> ss @ [ section "fabrik" [ int_entry "dcs" 3 ] ]));
+  Alcotest.(check (result reject string))
+    "message" (Error "section fabrik: unknown section")
+    (Result.map ignore
+       (Npd_convert.to_params
+          (with_sections (fun ss -> section "fabrik" [] :: ss))))
+
+let test_repeated_section () =
+  refused "a second fabric" ~section:"fabric" "given twice"
+    (with_sections (fun ss ->
+         ss @ [ section "fabric" [ int_entry "dcs" 9; int_entry "planes" 0 ] ]));
+  refused "a second hgrid generation=1" ~section:"hgrid generation=1" "given twice"
+    (with_sections (fun ss ->
+         ss @ [ section ~args:(generation 1) "hgrid" [ int_entry "grids" 0 ] ]));
+  refused "an hgrid without generation beside generation 1"
+    ~section:"hgrid generation=1" "given twice"
+    (with_sections (fun ss -> ss @ [ section "hgrid" [] ]));
+  refused "a second migration" ~section:"migration" "given twice"
+    (with_sections (fun ss -> ss @ [ section "migration" [] ]))
+
+let test_section_arguments () =
+  let fabric_args args =
+    with_sections
+      (List.map (fun (s : Npd_ast.section) ->
+           if String.equal s.Npd_ast.name "fabric" then { s with Npd_ast.args } else s))
+  in
+  refused "fabric planes=0" ~section:"fabric" "unknown argument planes"
+    (fabric_args [ ("planes", Npd_ast.Int 0) ]);
+  refused "hgrid generation=7" ~section:"hgrid generation=7"
+    "generation must be 1 or 2"
+    (with_sections (fun ss ->
+         ss @ [ section ~args:(generation 7) "hgrid" [ int_entry "grids" 0 ] ]));
+  refused "hgrid generation=0" ~section:"hgrid generation=0"
+    "generation must be 1 or 2"
+    (with_sections (fun ss -> section ~args:(generation 0) "hgrid" [] :: ss));
+  let hgrid2 args =
+    with_sections
+      (List.map (fun (s : Npd_ast.section) ->
+           match List.assoc_opt "generation" s.Npd_ast.args with
+           | Some (Npd_ast.Int 2) -> { s with Npd_ast.args }
+           | _ -> s))
+  in
+  refused "generation given twice" ~section:"hgrid" "argument generation given twice"
+    (hgrid2 (generation 2 @ generation 2));
+  refused "a string generation" ~section:"hgrid" "argument generation"
+    (hgrid2 [ ("generation", Npd_ast.String "2") ]);
+  refused "an hgrid argument other than generation" ~section:"hgrid"
+    "unknown argument grids"
+    (hgrid2 (generation 2 @ [ ("grids", Npd_ast.Int 5) ]));
+  (* An hgrid without [generation] is generation 1. *)
+  accepted "generation 1 left implicit"
+    (with_sections
+       (List.map (fun (s : Npd_ast.section) ->
+            match List.assoc_opt "generation" s.Npd_ast.args with
+            | Some (Npd_ast.Int 1) -> { s with Npd_ast.args = [] }
+            | _ -> s)))
+
 let ssw_doc () = Npd_convert.of_params Gen.Ssw_forklift (Gen.params_a ())
 let dmag_doc () =
   Npd_convert.of_params Gen.Dmag { (Gen.params_a ()) with Gen.mas = 2 }
@@ -497,4 +571,7 @@ let suite =
       Alcotest.test_case "unknown field refused" `Quick test_unknown_field;
       Alcotest.test_case "repeated field refused" `Quick test_repeated_field;
       Alcotest.test_case "subsection refused" `Quick test_subsection;
+      Alcotest.test_case "unknown section refused" `Quick test_unknown_section;
+      Alcotest.test_case "repeated section refused" `Quick test_repeated_section;
+      Alcotest.test_case "section arguments refused" `Quick test_section_arguments;
     ] )

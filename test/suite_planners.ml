@@ -649,7 +649,7 @@ let test_search_shuts_down () =
       | exception Invalid_argument _ -> ())
     !engines
 
-(* On C-SSW the delta layer is live ([Constraint.delta_profitable]), so
+(* On C-SSW the delta layer is live ([Task.delta_profitable]), so
    this is where MRC's and Janus's checker really differs with the
    incremental flag.  Both settings must give the pinned fingerprint.
    MRC's pin is the full-evaluation plan: its residual objective treats
@@ -660,7 +660,7 @@ let test_baselines_incremental_differential () =
     Task.of_scenario (Gen.build Gen.Ssw_forklift (Gen.params_c ()))
   in
   Alcotest.(check bool) "delta layer live" true
-    (Constraint.delta_profitable task);
+    (Task.delta_profitable task);
   List.iter
     (fun (name, want) ->
       let plan = List.assoc name pinned_planners in

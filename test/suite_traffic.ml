@@ -3,6 +3,10 @@
 
 let feq = Alcotest.float 1e-9
 
+(* A fresh incremental state for one class, its rows grouped on their own. *)
+let make_inc u c =
+  Ecmp.make_inc u c (Option.get (Ecmp.group_rows [| c |] ~which:[| true |]).(0))
+
 (* ---------------------------------------------------------------- *)
 (* Demand *)
 
@@ -181,8 +185,15 @@ let test_ecmp_moved_checks () =
         topo scratch c ~loads:(loads ()));
   Alcotest.check_raises "make_inc: a class of another universe"
     (Invalid_argument "Ecmp.make_inc: the class was compiled for another universe")
-    (fun () -> ignore (Ecmp.make_inc a_u c));
-  let st = Ecmp.make_inc u c in
+    (fun () -> ignore (make_inc a_u c));
+  let c' = two_hop_compiled topo [ (r0, 4.0) ] in
+  Alcotest.check_raises "make_inc: another class's groups"
+    (Invalid_argument "Ecmp.make_inc: the groups were built for another class")
+    (fun () ->
+      ignore
+        (Ecmp.make_inc u c
+           (Option.get (Ecmp.group_rows [| c' |] ~which:[| true |]).(0))));
+  let st = make_inc u c in
   Alcotest.check_raises "evaluate_rebuild: a larger universe's scratch"
     (sized "the scratch is") (fun () ->
       ignore (Ecmp.evaluate_rebuild topo a_scratch st ~loads:(loads ())));
@@ -857,7 +868,7 @@ let test_evaluate_matches_reference () =
                     (r.Ecmp.stuck, Some r.Ecmp.delivered));
                 check "evaluate_rebuild" (fun ~aux ~loads ->
                     ( Ecmp.evaluate_rebuild ~scale ~split ~aux topo scratch
-                        (Ecmp.make_inc u fast) ~loads,
+                        (make_inc u fast) ~loads,
                       None )))
               [ `Equal; `Capacity_weighted ])
           classes
@@ -894,7 +905,7 @@ let test_evaluate_allocation () =
   let scratch = Ecmp.make_scratch u in
   let loads = Array.make m 0.0 in
   let two = [| (Array.make m 0.0, 0.75); (Array.make m 0.0, 1.5) |] in
-  let incs = Array.map (fun (c, _) -> Ecmp.make_inc u c) task.Task.compiled in
+  let incs = Array.map (fun (c, _) -> make_inc u c) task.Task.compiled in
   let stages =
     Array.fold_left (fun acc (c, _) -> acc + Ecmp.n_stages c) 0 task.Task.compiled
   in
@@ -952,7 +963,7 @@ let test_check_allocation () =
   in
   let task = Task.of_scenario (Gen.scenario_of_label "C") in
   Alcotest.(check bool) "C checks on the full path" false
-    (Constraint.delta_profitable task);
+    (Task.delta_profitable task);
   let ck = Constraint.create task in
   ignore (Constraint.current_ok ck);
   let stages, cap = bound task in
@@ -963,7 +974,7 @@ let test_check_allocation () =
     true (w <= cap);
   let task = Task.of_scenario (Gen.build Gen.Ssw_forklift (Gen.params_c ())) in
   Alcotest.(check bool) "C-SSW checks on the delta layer" true
-    (Constraint.delta_profitable task);
+    (Task.delta_profitable task);
   let ck = Constraint.create task in
   let stages, cap = bound task in
   let walk = List.init (min 12 (Array.length task.Task.blocks)) Fun.id in
@@ -986,12 +997,15 @@ let test_check_allocation () =
   run false;
   run true
 
-(* A fresh delta-layer checker sizes its contribution records once.  Its
-   first check allocates the loads, the scratch, the useful sets and the
-   entry records, which grow to the switches entering a stage (a fixed
-   multiple of the circuit and switch counts), and, for each class some
-   block's dependency row names, a contribution record of two words per
-   row.  No later check here grows a record: neither the jump through every
+(* A fresh delta-layer checker sizes its records once.  Its first check
+   allocates the loads, the scratch (its local-id map and queues
+   included), the useful sets and the per-switch records (an entering
+   volume and a flag byte per switch that can enter a stage: a fixed
+   multiple of the circuit and switch counts), and, for each class the
+   task groups, a record of one float share and one verdict byte per
+   row: 9/8 of a word.  The row groupings are the task's, built with it
+   and shared by every checker.  No later check here grows a record:
+   neither the jump through every
    block nor a walk of single toggles longer than the checker's drift
    interval, whose periodic full rebuild re-records every class.  Record
    arrays over 256 words skip the minor heap, so the first check counts
@@ -1008,17 +1022,14 @@ let test_checker_records_allocated_once () =
   List.iter
     (fun (label, task) ->
       Alcotest.(check bool) (label ^ " checks on the delta layer") true
-        (Constraint.delta_profitable task);
+        (Task.delta_profitable task);
       let u = Task.universe task in
-      let touched = Array.make (Array.length task.Task.compiled) false in
-      Array.iter
-        (Array.iter (fun (d, _) -> touched.(d) <- true))
-        task.Task.deps;
       let rows = ref 0 and stages = ref 0 in
       Array.iteri
         (fun d (c, _) ->
           stages := !stages + Ecmp.n_stages c;
-          if touched.(d) then rows := !rows + Ecmp.stage_circuit_count c)
+          if Option.is_some task.Task.groups.(d) then
+            rows := !rows + Ecmp.stage_circuit_count c)
         task.Task.compiled;
       let ck = Constraint.create task in
       let minor0, major0 = counters () in
@@ -1027,11 +1038,12 @@ let test_checker_records_allocated_once () =
       let first = minor1 -. minor0 +. (major1 -. major0) in
       let bound =
         float_of_int
-          ((2 * !rows) + (2 * Universe.n_circuits u) + (24 * Universe.n_switches u))
+          ((9 * !rows / 8) + (2 * Universe.n_circuits u)
+          + (24 * Universe.n_switches u))
       in
       Alcotest.(check bool)
         (Printf.sprintf
-           "%s: first check %.0f words, bound %.0f (%d rows of touched classes)"
+           "%s: first check %.0f words, bound %.0f (%d rows of grouped classes)"
            label first bound !rows)
         true (first <= bound);
       let cap = float_of_int (16 * !stages) in
