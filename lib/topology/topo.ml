@@ -238,6 +238,35 @@ let hottest t loads top_j top_u =
 let funneling_ok t loads circuits ~phi ~theta =
   Universe.funneling_ok t.u ~usable:t.usable_set loads circuits ~phi ~theta
 
+let theta_count t loads ~theta ~over =
+  Universe.theta_count t.u ~usable:t.usable_set loads ~theta ~over
+
+let theta_rejudge t ~marks ~loads ~over ~n_over ~theta =
+  Universe.theta_rejudge t.u ~usable:t.usable_set ~marks ~loads ~over ~n_over ~theta
+
+(* Whole 8-byte words, so [Universe.theta_rejudge] reads every byte as
+   part of one. *)
+let circuit_marks t = Bytes.make ((n_circuits t + 63) / 64 * 8) '\000'
+
+(* A toggled switch flips the usability of its as-built incident
+   circuits that are not rewired away, and of the circuits rewired onto
+   it, which its as-built adjacency does not list; marking every
+   as-built one is a superset of the first.  A toggled circuit (its
+   activity or its wiring) is marked itself. *)
+let set_mark marks j =
+  let b = j lsr 3 in
+  Bytes.set marks b (Char.chr (Char.code (Bytes.get marks b) lor (1 lsl (j land 7))))
+
+let mark_touched t marks ~switches ~circuits =
+  for x = 0 to Array.length circuits - 1 do
+    set_mark marks circuits.(x)
+  done;
+  for x = 0 to Array.length switches - 1 do
+    let s = switches.(x) in
+    Universe.mark_incident t.u marks s;
+    if Hashtbl.length t.remap > 0 then iter_rewired_onto t s ~f:(set_mark marks)
+  done
+
 let usable_capacity_between t ra rb =
   (* Roles map one-to-one onto ranks and circuits always run lower→higher
      rank, so the either-order role test collapses to one rank-pair tag. *)

@@ -188,6 +188,37 @@ val hottest : t -> float array -> int array -> float array -> unit
 val funneling_ok :
   t -> float array -> int array -> phi:float -> theta:float -> bool
 
+(** {2 Kept θ verdicts}
+
+    {!Universe.theta_count} and {!Universe.theta_rejudge} over this
+    overlay's usable set: a caller that keeps a flag byte per circuit
+    and the number set re-judges only the circuits it marks, and θ
+    holds, exactly as {!theta_ok} says, when the number is zero. *)
+
+val theta_count : t -> float array -> theta:float -> over:Bytes.t -> int
+
+val theta_rejudge :
+  t ->
+  marks:Bytes.t ->
+  loads:float array array ->
+  over:Bytes.t array ->
+  n_over:int array ->
+  theta:float ->
+  unit
+
+val circuit_marks : t -> Bytes.t
+(** A cleared circuit bitset for {!theta_rejudge} and
+    [Ecmp.evaluate_patch]'s [moved]: bit [j land 7] of byte [j lsr 3]
+    for circuit [j], in whole 8-byte words. *)
+
+val mark_touched : t -> Bytes.t -> switches:int array -> circuits:int array -> unit
+(** [mark_touched t marks ~switches ~circuits] marks every circuit whose
+    usability toggling these switches and circuits can flip: each of
+    [circuits], each circuit incident to one of [switches] as built, and
+    each circuit currently rewired onto one.  Call it after the toggle,
+    once per toggle.  O(their degrees), plus a scan of the rewired set
+    per switch while some circuit is rewired. *)
+
 val usable_capacity_between : t -> Switch.role -> Switch.role -> float
 (** Total capacity (Tbps) of usable circuits whose endpoints have the two
     given roles (in either order). *)

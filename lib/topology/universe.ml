@@ -181,6 +181,98 @@ let funneling_ok u ~usable (loads : float array) circuits ~phi ~theta =
   done;
   !i >= n
 
+(* The θ verdict kept per circuit.  A circuit is over θ exactly when
+   [theta_ok]'s test fails it: positive load, a utilization not within
+   θ, and usable. *)
+let[@inline] over_theta cap ~usable (loads : float array) ~theta j =
+  let l = loads.(j) in
+  l > 0.0 && (not (l /. cap.(j) <= theta)) && Kutil.Bitset.mem usable j
+
+(* Circuit [j]'s bit in a circuit bitset: bit [j land 7] of byte
+   [j lsr 3]. *)
+let[@inline] has_mark marks j =
+  Char.code (Bytes.get marks (j lsr 3)) land (1 lsl (j land 7)) <> 0
+
+let[@inline] set_mark marks j =
+  let b = j lsr 3 in
+  Bytes.set marks b (Char.chr (Char.code (Bytes.get marks b) lor (1 lsl (j land 7))))
+
+let[@inline] clear_mark marks j =
+  let b = j lsr 3 in
+  Bytes.set marks b
+    (Char.chr (Char.code (Bytes.get marks b) land lnot (1 lsl (j land 7)) land 0xff))
+
+let theta_count u ~usable (loads : float array) ~theta ~over =
+  if Bytes.length over * 8 < Array.length loads then
+    invalid_arg "Universe.theta_count: one flag per load";
+  Bytes.fill over 0 (Bytes.length over) '\000';
+  let cap = u.cap in
+  let n = ref 0 in
+  for j = 0 to Array.length loads - 1 do
+    if over_theta cap ~usable loads ~theta j then begin
+      set_mark over j;
+      incr n
+    end
+  done;
+  !n
+
+let mark_incident u marks s =
+  for k = u.up_off.(s) to u.up_off.(s + 1) - 1 do
+    set_mark marks u.adj.(k)
+  done;
+  for k = u.down_off.(s) to u.down_off.(s + 1) - 1 do
+    set_mark marks u.adj.(k)
+  done
+
+(* Re-judge circuit [j] under every load vector, moving each vector's
+   count where its flag flips. *)
+let rejudge_circuit cap ~usable (loads : float array array) over n_over ~theta j =
+  for v = 0 to Array.length loads - 1 do
+    let o = over_theta cap ~usable loads.(v) ~theta j and ov = over.(v) in
+    if not (Bool.equal o (has_mark ov j)) then begin
+      if o then set_mark ov j else clear_mark ov j;
+      n_over.(v) <- (n_over.(v) + if o then 1 else -1)
+    end
+  done
+
+(* Re-judge the circuits marked in byte [b] of [marks] and clear it. *)
+let rejudge_byte cap ~usable marks loads over n_over ~theta b =
+  let m = Char.code (Bytes.get marks b) in
+  if m <> 0 then begin
+    Bytes.set marks b '\000';
+    for bit = 0 to 7 do
+      if m land (1 lsl bit) <> 0 then
+        rejudge_circuit cap ~usable loads over n_over ~theta ((b lsl 3) lor bit)
+    done
+  end
+
+(* Eight mark bytes per word read: [Col.get_int64] at [o] reads bytes
+   [o] to [o + 7], below [words * 8 <= Bytes.length marks].  A word is
+   non-zero when one of its halves is: [Int64.to_int] keeps bits 0-62,
+   the shifted copy bits 1-63. *)
+let theta_rejudge u ~usable ~marks ~(loads : float array array) ~over ~n_over ~theta =
+  let nv = Array.length loads in
+  if Array.length over <> nv || Array.length n_over <> nv then
+    invalid_arg "Universe.theta_rejudge: one flag column and count per load vector";
+  for v = 0 to nv - 1 do
+    if Bytes.length over.(v) * 8 < Array.length loads.(v) then
+      invalid_arg "Universe.theta_rejudge: one flag per load"
+  done;
+  let cap = u.cap in
+  let len = Bytes.length marks in
+  let words = len / 8 in
+  for w = 0 to words - 1 do
+    let o = w lsl 3 in
+    let x = Kutil.Col.get_int64 marks o in
+    if Int64.to_int x lor Int64.to_int (Int64.shift_right_logical x 1) <> 0 then
+      for b = o to o + 7 do
+        rejudge_byte cap ~usable marks loads over n_over ~theta b
+      done
+  done;
+  for b = words lsl 3 to len - 1 do
+    rejudge_byte cap ~usable marks loads over n_over ~theta b
+  done
+
 (* Route compilation, one call per hop.  A walk keeps switch and circuit
    marks as bits in plain [Bytes] and tests them in place, as the load
    scans above read [cap]: under [-opaque] a per-row [Kutil.Bitset] call

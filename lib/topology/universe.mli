@@ -155,6 +155,44 @@ val funneling_ok :
     counted circuit of [circuits] has [loads.(j) *. (1.0 +. phi) /.
     capacity j <= theta]. *)
 
+(** {2 Kept θ verdicts}
+
+    A circuit is {e over θ} exactly when {!theta_ok}'s test fails it:
+    it counts and [loads.(j) /. capacity j <= theta] does not hold.  A
+    caller keeps one flag bit per circuit and the number set, so θ
+    holds when that number is zero, and re-judges only the circuits
+    whose load or usability may have moved.  Flags and marks are
+    circuit bitsets: circuit [j] is bit [j land 7] of byte [j lsr 3]. *)
+
+val theta_count :
+  t -> usable:Kutil.Bitset.t -> float array -> theta:float -> over:Bytes.t -> int
+(** [theta_count u ~usable loads ~theta ~over] sets exactly the bits of
+    [over] of the circuits over θ and returns their number.  Raises
+    [Invalid_argument] when [over] has fewer bits than [loads] has
+    entries. *)
+
+val mark_incident : t -> Bytes.t -> int -> unit
+(** [mark_incident u marks s] sets the bit of every circuit incident to
+    switch [s] as built. *)
+
+val theta_rejudge :
+  t ->
+  usable:Kutil.Bitset.t ->
+  marks:Bytes.t ->
+  loads:float array array ->
+  over:Bytes.t array ->
+  n_over:int array ->
+  theta:float ->
+  unit
+(** [theta_rejudge u ~usable ~marks ~loads ~over ~n_over ~theta]
+    re-judges every circuit marked in [marks] under each load vector
+    [loads.(v)], as {!theta_count} judges it, keeping [over.(v)] and
+    [n_over.(v)] in step, and clears the marks.  It reads the marks
+    eight bytes at a time, so a call costs O(|marks| / 8 + marked
+    circuits × vectors).  Raises [Invalid_argument] when [over] and
+    [n_over] are not one per load vector or a flag set has fewer bits
+    than its vector has entries. *)
+
 (** {1 Route compilation}
 
     The hop kernel of [Ecmp.compile]: one call per hop emits the hop's
