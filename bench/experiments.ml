@@ -53,6 +53,12 @@ let commit_hash =
        | _ -> "unknown"
      with _ -> "unknown")
 
+(* A run's artifact: BENCH_<NAME>.json, the committed record of a full
+   run, or BENCH_<NAME>.quick.json for a quick one, so a quick run never
+   overwrites the record. *)
+let artifact opts name =
+  Printf.sprintf "BENCH_%s%s.json" name (if opts.quick then ".quick" else "")
+
 let fprint_json_header oc experiment =
   Printf.fprintf oc "{\n  \"experiment\": %S,\n" experiment;
   Printf.fprintf oc "  \"commit\": %S,\n" (Lazy.force commit_hash);
@@ -619,7 +625,7 @@ let par_measured opts =
       (labels opts)
   in
   Table_fmt.print ~align:Table_fmt.Right t;
-  let path = "BENCH_PARALLEL.json" in
+  let path = artifact opts "PARALLEL" in
   write_parallel_json path rows;
   Runner.note (Printf.sprintf "wrote %s" path)
 
@@ -633,7 +639,7 @@ let par opts =
       "Single-core host: jobs=N cannot beat jobs=1 here, so speedup rows \
        would only measure dispatch overhead.  Skipping the measurements \
        and recording the reason in the JSON artifact.";
-    let path = "BENCH_PARALLEL.json" in
+    let path = artifact opts "PARALLEL" in
     write_parallel_json ~skipped_reason:"single-core host" path [];
     Runner.note (Printf.sprintf "wrote %s" path)
   end
@@ -788,7 +794,7 @@ let inc opts =
         planners)
     tasks;
   Table_fmt.print ~align:Table_fmt.Right t;
-  let path = "BENCH_INCREMENTAL.json" in
+  let path = artifact opts "INCREMENTAL" in
   write_incremental_json path (List.rev !rows);
   Runner.note (Printf.sprintf "wrote %s" path)
 
@@ -1032,7 +1038,7 @@ let robust opts =
         ])
     tasks;
   Table_fmt.print ~align:Table_fmt.Right sim_t;
-  let path = "BENCH_ROBUST.json" in
+  let path = artifact opts "ROBUST" in
   write_robust_json path (List.rev !rows) (List.rev !sims);
   Runner.note (Printf.sprintf "wrote %s" path)
 
@@ -1208,7 +1214,7 @@ let scale opts =
        scale_bytes_per_circuit_budget
        (if !budget_ok then "all tiers within budget"
         else "BUDGET EXCEEDED on at least one tier"));
-  let path = "BENCH_SCALE.json" in
+  let path = artifact opts "SCALE" in
   write_scale_json path (List.rev !rows);
   Runner.note (Printf.sprintf "wrote %s" path)
 
@@ -1427,7 +1433,7 @@ let ocs opts =
     (Printf.sprintf "swap variant (%s): %s" swap_label
        (String.concat ", "
           (List.map (fun (p, o) -> Printf.sprintf "%s %s" p o) swaps)));
-  let path = "BENCH_OCS.json" in
+  let path = artifact opts "OCS" in
   write_ocs_json path ~label ~swap_label (List.rev !rows) swaps;
   Runner.note (Printf.sprintf "wrote %s" path)
 

@@ -83,6 +83,14 @@ let require_float flag ~range in_range x =
 
 let unit_fraction x = x > 0.0 && x <= 1.0
 
+(* The exit statuses a subcommand documents in its --help, before
+   cmdliner's own (0, 123, 124, 125). *)
+let exits codes = codes @ Cmd.Exit.defaults
+
+let exit_bad_input =
+  Cmd.Exit.info 1
+    ~doc:"on an unreadable or malformed input, or a flag out of its range."
+
 let resolve_ensemble k q config =
   if k < 1 then begin
     Printf.eprintf "error: --ensemble must be >= 1\n";
@@ -163,7 +171,8 @@ let gen_cmd =
             exit 1)
   in
   Cmd.v
-    (Cmd.info "gen" ~doc:"Generate a Table-3 topology as an NPD document.")
+    (Cmd.info "gen" ~exits:(exits [ exit_bad_input ])
+       ~doc:"Generate a Table-3 topology as an NPD document.")
     Term.(const run $ label $ kind $ output)
 
 (* ------------------------------------------------------------------ *)
@@ -198,7 +207,14 @@ let info_cmd =
         end
   in
   Cmd.v
-    (Cmd.info "info" ~doc:"Topology and migration statistics of an NPD file.")
+    (Cmd.info "info"
+       ~exits:
+         (exits
+            [
+              exit_bad_input;
+              Cmd.Exit.info 2 ~doc:"when the structural audit reports a finding.";
+            ])
+       ~doc:"Topology and migration statistics of an NPD file.")
     Term.(const run $ npd_file)
 
 (* ------------------------------------------------------------------ *)
@@ -224,7 +240,7 @@ let check_cmd =
       s.Constraint.hottest
   in
   Cmd.v
-    (Cmd.info "check"
+    (Cmd.info "check" ~exits:(exits [ exit_bad_input ])
        ~doc:"Evaluate the demand and port constraints on the original state.")
     Term.(const run $ npd_file $ theta $ seed)
 
@@ -318,7 +334,21 @@ let plan_cmd =
     | Planner.Unsupported _ -> exit 5
   in
   Cmd.v
-    (Cmd.info "plan" ~doc:"Compute a safe migration plan from an NPD file.")
+    (Cmd.info "plan"
+       ~exits:
+         (exits
+            [
+              exit_bad_input;
+              Cmd.Exit.info 2
+                ~doc:"when the audit finds an unsafe intermediate state in the plan.";
+              Cmd.Exit.info 3 ~doc:"when no safe plan exists (infeasible).";
+              Cmd.Exit.info 4 ~doc:"when the budget expires before a plan is found.";
+              Cmd.Exit.info 5
+                ~doc:
+                  "when the planner does not support the task (MRC and Janus on \
+                   OCS rewires).";
+            ])
+       ~doc:"Compute a safe migration plan from an NPD file.")
     Term.(
       const run $ npd_file $ planner $ theta $ alpha $ budget
       $ block_factor $ seed $ jobs $ no_incremental $ ensemble $ quantile
@@ -396,6 +426,13 @@ let simulate_cmd =
   in
   Cmd.v
     (Cmd.info "simulate"
+       ~exits:
+         (exits
+            [
+              exit_bad_input;
+              Cmd.Exit.info 3
+                ~doc:"when the migration does not complete, or no plan is found.";
+            ])
        ~doc:
          "Plan a migration and simulate operating it: weekly forecasts, \
           pre-step audits, push failures and replanning (the deployment \
@@ -441,7 +478,8 @@ let export_cmd =
             exit 1)
   in
   Cmd.v
-    (Cmd.info "export" ~doc:"Export the original topology state as Graphviz.")
+    (Cmd.info "export" ~exits:(exits [ exit_bad_input ])
+       ~doc:"Export the original topology state as Graphviz.")
     Term.(const run $ npd_file $ output $ roles $ max_switches)
 
 let () =
