@@ -87,12 +87,13 @@ let min_full_cost = 1024.0
    at 0.85–0.96x the plain full path when a patch re-ran that suffix),
    and such tasks skip the delta layer entirely.  One-block ratios are
    0.76–0.92 on HGRID A/B/C versus 0.33–0.44 on the SSW-forklift and
-   DMAG migrations.  Since the patch re-splits only the switches a
-   toggle moved rather than re-running the suffix, the model overstates
-   a patch's cost (on E-SSW a patch visits about 29,000 rows where the
-   model charges the 78,000 it used to re-run); it stays the decision
-   rule, so the HGRID tiers stay on the full path until the delta layer
-   is measured there. *)
+   DMAG migrations.  Since a patch re-judges only the rows the toggles
+   reach and re-splits only the switches they moved rather than
+   re-running the suffix, the model overstates a patch's cost (on E-SSW
+   a patch's sweep re-judges about 2,500 rows where the model charges
+   the 78,000 it used to re-run);
+   it stays the decision rule, so the HGRID tiers stay on the full path
+   until the delta layer is measured there. *)
 let profitable ~compiled ~n_blocks ~deps =
   let full_cost =
     Array.fold_left

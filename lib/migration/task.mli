@@ -135,10 +135,11 @@ val delta_profitable : t -> bool
     layer is used when the mean over blocks is below half a full
     evaluation (and a full evaluation visits at least 1024 candidates).
     The model predates the sparse patch ({!Ecmp.evaluate_patch}), which
-    visits only the switches a toggle moved, so it overstates a patch's
-    cost; it stays the rule, keeping the HGRID tiers (one-block ratios
-    0.76–0.92, against 0.33–0.44 on the SSW-forklift and DMAG
-    migrations) on the full path. *)
+    re-judges only the rows the toggles reach and re-splits only the
+    switches they moved, so it overstates a patch's cost; it stays the
+    rule, keeping the HGRID tiers (one-block ratios 0.76–0.92, against
+    0.33–0.44 on the SSW-forklift and DMAG migrations) on the full
+    path. *)
 
 val universe : t -> Universe.t
 (** The immutable structure shared by every checker of this task. *)
