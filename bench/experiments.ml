@@ -486,166 +486,6 @@ let ext opts =
   Table_fmt.print ~align:Table_fmt.Right t
 
 (* ------------------------------------------------------------------ *)
-(* Parallel planning: the domain-pool satisfiability engine, jobs=1 vs
-   jobs=N on the Table-3 topologies.  Wall-clock times and speedups are
-   also dumped to BENCH_PARALLEL.json for the record. *)
-
-type par_row = {
-  label : string;
-  jobs_n : int;
-  workers : int;  (* the engine's effective worker count at jobs_n *)
-  pairs : int;
-  t1 : float;  (* median seconds, jobs=1 *)
-  tn : float;  (* median seconds, jobs=N *)
-  wins : int;  (* pairs in which jobs=N was faster *)
-  same_cost : bool;
-  same_counters : bool;
-}
-
-let write_parallel_json ?skipped_reason path rows =
-  let oc = open_out path in
-  fprint_json_header oc "parallel-planning";
-  (match skipped_reason with
-  | Some reason -> Printf.fprintf oc "  \"skipped_reason\": %S,\n" reason
-  | None -> ());
-  Printf.fprintf oc "  \"rows\": [\n";
-  let n = List.length rows in
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc
-        "    {\"topology\": %S, \"jobs\": %d, \"workers\": %d, \"pairs\": \
-         %d, \"seconds_jobs1\": %.6f, \"seconds_jobsN\": %.6f, \"speedup\": \
-         %.3f, \"wins_jobsN\": %d, \"same_cost\": %b, \"same_counters\": %b}%s\n"
-        r.label r.jobs_n r.workers r.pairs r.t1 r.tn
-        (r.t1 /. Float.max r.tn 1e-9)
-        r.wins r.same_cost r.same_counters
-        (if i = n - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc
-
-let search_counters (r : Planner.result) =
-  let s = r.Planner.stats in
-  [ s.Planner.expanded; s.Planner.generated; s.Planner.sat_checks;
-    s.Planner.cache_hits ]
-
-(* One row: alternate jobs=1 and jobs=N plans, swapping which side goes
-   first every pair so drift in machine load hits both sides alike, and
-   report each side's median.  Plans under a few milliseconds are noisy,
-   so the pair count grows until a row spends about two seconds per
-   side, from 7 up to 201. *)
-let par_row opts label jobs_n =
-  let task = task label in
-  let seq_cfg = cfg opts and par_cfg = Planner.with_jobs jobs_n (cfg opts) in
-  let workers =
-    let e = Sat_engine.create ~jobs:jobs_n task in
-    let w = Sat_engine.jobs e in
-    Sat_engine.shutdown e;
-    w
-  in
-  let reference = Astar.plan ~config:seq_cfg task in
-  let want = search_counters reference in
-  ignore (Astar.plan ~config:par_cfg task : Planner.result);
-  let warm = reference.Planner.stats.Planner.elapsed in
-  let pairs = max 7 (min 201 (int_of_float (2.0 /. Float.max warm 1e-4))) in
-  let t1 = Array.make pairs 0.0 and tn = Array.make pairs 0.0 in
-  let same_cost = ref true and same_counters = ref true in
-  Gc.full_major ();
-  for i = 0 to pairs - 1 do
-    let run config = Astar.plan ~config task in
-    let seq, par =
-      if i land 1 = 0 then
-        let seq = run seq_cfg in
-        (seq, run par_cfg)
-      else
-        let par = run par_cfg in
-        (run seq_cfg, par)
-    in
-    t1.(i) <- seq.Planner.stats.Planner.elapsed;
-    tn.(i) <- par.Planner.stats.Planner.elapsed;
-    (match (Planner.cost_of reference, Planner.cost_of par) with
-    | Some a, Some b -> if Float.abs (a -. b) >= 1e-9 then same_cost := false
-    | None, None -> ()
-    | _ -> same_cost := false);
-    if not (List.equal Int.equal (search_counters par) want) then
-      same_counters := false
-  done;
-  let wins = ref 0 in
-  Array.iteri (fun i t -> if tn.(i) < t then incr wins) t1;
-  {
-    label;
-    jobs_n;
-    workers;
-    pairs;
-    t1 = Kutil.Stats.median t1;
-    tn = Kutil.Stats.median tn;
-    wins = !wins;
-    same_cost = !same_cost;
-    same_counters = !same_counters;
-  }
-
-let par_measured opts =
-  Runner.note
-    (Printf.sprintf
-       "A* with the domain-pool engine, one expansion's successors per \
-        batch; jobs in {2, 4, 8} per topology, workers capped at the %d \
-        cores reported by the runtime.  Each row alternates jobs=1 and \
-        jobs=N plans and reports the median of each side, with the \
-        engine's shutdown inside every timing."
-       (Kutil.Domain_pool.recommended_jobs ()));
-  let t =
-    Table_fmt.create
-      ~headers:
-        [ "Topology"; "Jobs"; "Workers"; "Pairs"; "jobs=1 (s)"; "jobs=N (s)";
-          "Speedup"; "N wins"; "Same cost"; "Same counters" ]
-  in
-  let yes b = if b then "yes" else "NO" in
-  let rows =
-    List.concat_map
-      (fun label ->
-        Printf.printf "  planning %s...\n%!" label;
-        List.map
-          (fun jobs_n ->
-            let r = par_row opts label jobs_n in
-            Table_fmt.add_row t
-              [
-                label;
-                string_of_int jobs_n;
-                string_of_int r.workers;
-                string_of_int r.pairs;
-                Printf.sprintf "%.4f" r.t1;
-                Printf.sprintf "%.4f" r.tn;
-                Printf.sprintf "%.2fx" (r.t1 /. Float.max r.tn 1e-9);
-                Printf.sprintf "%d/%d" r.wins r.pairs;
-                yes r.same_cost;
-                yes r.same_counters;
-              ];
-            r)
-          [ 2; 4; 8 ])
-      (labels opts)
-  in
-  Table_fmt.print ~align:Table_fmt.Right t;
-  let path = artifact opts "PARALLEL" in
-  write_parallel_json path rows;
-  Runner.note (Printf.sprintf "wrote %s" path)
-
-let par opts =
-  Runner.heading "Parallel planning: satisfiability engine, jobs=1 vs jobs=N";
-  (* On a single-core host jobs=N degenerates to sequential execution
-     plus dispatch overhead; a table of speedups near 1.0x would only
-     invite misreading.  Record why the rows are absent instead. *)
-  if Domain.recommended_domain_count () = 1 then begin
-    Runner.note
-      "Single-core host: jobs=N cannot beat jobs=1 here, so speedup rows \
-       would only measure dispatch overhead.  Skipping the measurements \
-       and recording the reason in the JSON artifact.";
-    let path = artifact opts "PARALLEL" in
-    write_parallel_json ~skipped_reason:"single-core host" path [];
-    Runner.note (Printf.sprintf "wrote %s" path)
-  end
-  else par_measured opts
-
-(* ------------------------------------------------------------------ *)
 (* Incremental satisfiability: full ECMP replay per check vs the
    demand–block delta evaluation, per topology and planner.  Reported as
    seconds per full (uncached) check, so the comparison is independent of
@@ -1267,11 +1107,11 @@ let write_ocs_json path ~label ~swap_label planners swaps =
           Printf.fprintf oc ",\n     \"runs\": [\n";
           let nv = List.length vs in
           List.iteri
-            (fun k (jobs, incremental, vcost, seconds) ->
+            (fun k (incremental, vcost, seconds) ->
               Printf.fprintf oc
-                "       {\"jobs\": %d, \"incremental\": %b, \"cost\": %s, \
-                 \"seconds\": %.3f}%s\n"
-                jobs incremental
+                "       {\"incremental\": %b, \"cost\": %s, \"seconds\": \
+                 %.3f}%s\n"
+                incremental
                 (match vcost with
                 | Some c -> Printf.sprintf "%.6f" c
                 | None -> "null")
@@ -1300,9 +1140,9 @@ let ocs opts =
      OCS.  Zero FAUU port headroom plus a hot uplink stripe make every \
      drain/undrain-only ordering unsafe, so the swap variant of the \
      same target is infeasible while Rewire plans cleanly; MRC and \
-     Janus have no wiring semantics and refuse.  A*/DP run at jobs 1 \
-     and 4, incremental and full evaluation; same_cost asserts all \
-     four agree per planner.";
+     Janus have no wiring semantics and refuse.  A*/DP run with \
+     incremental and full evaluation; same_cost asserts both agree per \
+     planner.";
   let label, swap_label =
     if opts.quick then ("OCS-LITE", "OCS-SWAP-LITE") else ("OCS", "OCS-SWAP")
   in
@@ -1325,8 +1165,7 @@ let ocs opts =
   let t =
     Table_fmt.create
       ~headers:
-        [ "Planner"; "Jobs"; "Eval"; "Outcome"; "Cost"; "Rewires"; "Audit";
-          "Seconds" ]
+        [ "Planner"; "Eval"; "Outcome"; "Cost"; "Rewires"; "Audit"; "Seconds" ]
   in
   let rows = ref [] in
   (* MRC / Janus: one run each; both must refuse the wiring alphabet. *)
@@ -1336,7 +1175,7 @@ let ocs opts =
       let r = plan ~config:(cfg opts) task in
       Table_fmt.add_row t
         [
-          pname; "1"; "inc"; outcome_string r; Runner.cross; "0"; "";
+          pname; "inc"; outcome_string r; Runner.cross; "0"; "";
           Printf.sprintf "%.3f" r.Planner.stats.Planner.elapsed;
         ];
       rows := (pname, outcome_string r, None, 0, None, None, []) :: !rows)
@@ -1344,32 +1183,28 @@ let ocs opts =
       ("MRC", fun ~config task -> Mrc.plan ~config task);
       ("Janus", fun ~config task -> Janus.plan ~config task);
     ];
-  (* A* / DP: the jobs x evaluation grid; every cell must agree on the
-     plan cost, and the jobs=1 incremental plan must audit clean and
-     actually contain rewire phases. *)
+  (* A* / DP: incremental and full evaluation must agree on the plan
+     cost, and the incremental plan must audit clean and actually
+     contain rewire phases. *)
   List.iter
     (fun (pname, plan) ->
       let variants =
         List.map
-          (fun (jobs, incremental) ->
-            Printf.printf "  %s / %s jobs=%d %s...\n%!" label pname jobs
+          (fun incremental ->
+            Printf.printf "  %s / %s %s...\n%!" label pname
               (if incremental then "inc" else "full");
-            let config =
-              Planner.with_incremental incremental
-                (Planner.with_jobs jobs (cfg opts))
-            in
-            let r = plan ~config task in
-            (jobs, incremental, r))
-          [ (1, true); (1, false); (4, true); (4, false) ]
+            let config = Planner.with_incremental incremental (cfg opts) in
+            (incremental, plan ~config task))
+          [ true; false ]
       in
       let base =
-        match variants with (_, _, r) :: _ -> r | [] -> assert false
+        match variants with (_, r) :: _ -> r | [] -> assert false
       in
       let base_cost = Planner.cost_of base in
       let same_cost =
         Some
           (List.for_all
-             (fun (_, _, r) ->
+             (fun (_, r) ->
                match (base_cost, Planner.cost_of r) with
                | Some a, Some b -> Float.abs (a -. b) < 1e-9
                | None, None -> true
@@ -1384,11 +1219,10 @@ let ocs opts =
         | _ -> (0, None)
       in
       List.iter
-        (fun (jobs, incremental, r) ->
+        (fun (incremental, r) ->
           Table_fmt.add_row t
             [
               pname;
-              string_of_int jobs;
               (if incremental then "inc" else "full");
               outcome_string r;
               (match Planner.cost_of r with
@@ -1405,9 +1239,8 @@ let ocs opts =
       rows :=
         ( pname, outcome_string base, base_cost, rewires, audit, same_cost,
           List.map
-            (fun (jobs, incremental, r) ->
-              ( jobs, incremental, Planner.cost_of r,
-                r.Planner.stats.Planner.elapsed ))
+            (fun (incremental, r) ->
+              (incremental, Planner.cost_of r, r.Planner.stats.Planner.elapsed))
             variants )
         :: !rows)
     [
@@ -1446,7 +1279,6 @@ let all = [
   ("fig11", fig11);
   ("fig12", fig12);
   ("fig13", fig13);
-  ("par", par);
   ("inc", inc);
   ("robust", robust);
   ("ext", ext);

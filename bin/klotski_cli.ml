@@ -36,16 +36,6 @@ let seed =
   let doc = "Seed for the synthetic demand matrix." in
   Arg.(value & opt int 42 & info [ "seed" ] ~doc)
 
-let jobs =
-  let doc =
-    "Satisfiability-engine workers (OCaml domains), capped at the core \
-     count.  1 is the sequential path; 0 picks the runtime's recommended \
-     domain count.  Of the planners, astar and dp spread their checks \
-     over the workers; the others check on one domain."
-  in
-  let env = Cmd.Env.info "KLOTSKI_JOBS" ~doc in
-  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~env ~docv:"N" ~doc)
-
 let no_incremental =
   let doc =
     "Disable incremental demand evaluation: every satisfiability check \
@@ -98,14 +88,6 @@ let resolve_ensemble k q config =
   end;
   require_float "quantile" ~range:"in (0, 1]" unit_fraction q;
   if k = 1 then config else Planner.with_ensemble ~quantile:q k config
-
-let resolve_jobs n =
-  if n = 0 then Kutil.Domain_pool.recommended_jobs ()
-  else if n < 0 then begin
-    Printf.eprintf "error: --jobs must be >= 1 (or 0 for auto)\n";
-    exit 1
-  end
-  else n
 
 let load_task ?(theta = 0.75) ?(alpha = 0.0) ?(block_factor = 1.0) ?(seed = 42)
     path =
@@ -267,8 +249,8 @@ let plan_cmd =
     let doc = "Print the per-step utilization timeline of the plan." in
     Arg.(value & flag & info [ "timeline" ] ~doc)
   in
-  let run path planner theta alpha budget block_factor seed jobs
-      no_incremental ensemble quantile no_validate plan_out timeline =
+  let run path planner theta alpha budget block_factor seed no_incremental
+      ensemble quantile no_validate plan_out timeline =
     require_float "alpha" ~range:"in [0, 1]" (fun a -> a >= 0.0 && a <= 1.0) alpha;
     require_float "budget" ~range:"a positive, finite number of seconds"
       (fun b -> b > 0.0) budget;
@@ -289,8 +271,7 @@ let plan_cmd =
     let config =
       resolve_ensemble ensemble quantile
         (Planner.with_incremental (not no_incremental)
-           (Planner.with_jobs (resolve_jobs jobs)
-              (Planner.with_budget (Some budget))))
+           (Planner.with_budget (Some budget)))
     in
     let result = Klotski.plan ~planner:planner_kind ~config task in
     Format.printf "%a@." Planner.pp_result result;
@@ -351,7 +332,7 @@ let plan_cmd =
        ~doc:"Compute a safe migration plan from an NPD file.")
     Term.(
       const run $ npd_file $ planner $ theta $ alpha $ budget
-      $ block_factor $ seed $ jobs $ no_incremental $ ensemble $ quantile
+      $ block_factor $ seed $ no_incremental $ ensemble $ quantile
       $ no_validate $ plan_out $ timeline)
 
 (* ------------------------------------------------------------------ *)
@@ -381,13 +362,12 @@ let simulate_cmd =
     let doc = "Multiplicative size of a demand surprise (0.5 = +50%)." in
     Arg.(value & opt float 0.5 & info [ "surprise-magnitude" ] ~doc)
   in
-  let run path theta seed jobs no_incremental ensemble quantile weeks
+  let run path theta seed no_incremental ensemble quantile weeks
       failure_probability growth surprise_probability surprise_magnitude =
     let _, task = load_task ~theta ~seed path in
     let config =
       resolve_ensemble ensemble quantile
-        (Planner.with_incremental (not no_incremental)
-           (Planner.with_jobs (resolve_jobs jobs) Planner.default_config))
+        (Planner.with_incremental (not no_incremental) Planner.default_config)
     in
     match Klotski.plan ~config task with
     | { Planner.outcome = Planner.Found plan; _ } ->
@@ -438,7 +418,7 @@ let simulate_cmd =
           pre-step audits, push failures and replanning (the deployment \
           workflow of the paper's experience section).")
     Term.(
-      const run $ npd_file $ theta $ seed $ jobs $ no_incremental
+      const run $ npd_file $ theta $ seed $ no_incremental
       $ ensemble $ quantile $ weeks $ failure_probability $ growth
       $ surprise_probability $ surprise_magnitude)
 

@@ -12,10 +12,10 @@
    comments and the S4 stale-suppression audit (default: lib bin bench
    perfbench).
 
-   Prints the S1 worker-closure report and S5's test-only exports, then
-   one [file:line:col [rule] message] line per finding, and exits
-   non-zero when any remain unsuppressed.  Rule catalog R1-R6 and S1-S5:
-   DESIGN.md section 7. *)
+   Prints the audited [@@klotski.domain_safe] state and S5's test-only
+   exports, then one [file:line:col [rule] message] line per finding,
+   and exits non-zero when any remain unsuppressed.  Rule catalog R1-R6
+   and S2-S5: DESIGN.md section 7. *)
 
 let () =
   let rec parse_args srcs roots = function

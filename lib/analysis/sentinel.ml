@@ -1,5 +1,5 @@
 (* Driver for klotski-sentinel: load [.cmt] typedtrees, build the call
-   graph, solve the effect lattice over SCCs, run S1–S5 and the site
+   graph, solve the effect lattice over SCCs, run S2–S5 and the site
    rules R1–R6, apply suppression comments, and audit the suppressions
    themselves.  Printing is left to the caller ([bin/klotski_sentinel]):
    nothing in [lib/] writes to the console. *)
@@ -7,7 +7,6 @@
 module G = Sentinel_callgraph
 
 type config = {
-  s1_roots : string list;  (* worker entry points for the race closure *)
   s3_roots : string list;  (* key-feeding functions that must stay deterministic *)
   source_roots : string list;
       (* source trees scanned for suppression comments: malformed and
@@ -20,7 +19,6 @@ type config = {
 
 let default_config =
   {
-    s1_roots = [ "Sat_engine.check"; "Sat_engine.check_batch"; "Domain_pool.map" ];
     s3_roots =
       [
         "Cache.key_of"; "Ensemble.hash_of"; "Ensemble.id"; "Vec_key.hash";
@@ -34,10 +32,8 @@ type report = {
   findings : Sentinel_finding.t list;  (* post-suppression, stable order *)
   unit_count : int;
   def_count : int;
-  closure_roots : string list;
-  closure_units : string list;  (* display names, sorted *)
   audited : (string * string * int * string) list;
-      (* display, file, line, reason of each in-closure annotation *)
+      (* display, file, line, reason of each reasoned annotation *)
   test_only : string list;  (* S5: exports only tests reference, sorted *)
 }
 
@@ -80,13 +76,10 @@ let analyze ?(config = default_config) ~cmt_roots () =
                | Some d -> Some (G.gid_key d.G.gid)
                | None -> None))
   in
-  let entries, missing1 = Sentinel_rules.s1_closure graph ~roots:config.s1_roots in
   let raw =
-    Sentinel_rules.s1 graph entries
-    @ Sentinel_rules.s2 graph effects
+    Sentinel_rules.s2 graph effects
     @ Sentinel_rules.s3 graph effects ~roots:config.s3_roots
     @ Sentinel_rules.s4_annotations graph
-    @ List.map (Sentinel_rules.missing_root ~rule:"S1") missing1
     @ List.concat_map (Sentinel_sites.check graph) units
     @ dead
   in
@@ -145,8 +138,6 @@ let analyze ?(config = default_config) ~cmt_roots () =
         (problems @ ref_problems @ kept @ stale @ malformed);
     unit_count = List.length units;
     def_count = List.length vis;
-    closure_roots = config.s1_roots;
-    closure_units = Sentinel_rules.closure_units entries;
     audited =
       List.map
         (fun ((d : G.def), (aloc : Location.t), reason) ->
@@ -154,25 +145,21 @@ let analyze ?(config = default_config) ~cmt_roots () =
             d.G.source,
             aloc.Location.loc_start.Lexing.pos_lnum,
             reason ))
-        (Sentinel_rules.audited graph entries);
+        (Sentinel_rules.audited graph);
     test_only;
   }
 
-(* The closure report CI greps: which units the worker entry points can
-   reach, which annotations vouch for the shared state they touch, and
+(* The report's summary: which annotations vouch for shared state, and
    which exports only tests keep alive. *)
 let render_summary r =
   [
     Printf.sprintf "klotski-sentinel: %d units, %d defs analyzed" r.unit_count
       r.def_count;
-    Printf.sprintf "S1 roots: %s" (String.concat ", " r.closure_roots);
-    Printf.sprintf "S1 worker-reachable units: %s"
-      (String.concat ", " r.closure_units);
   ]
   @ (match r.audited with
     | [] -> []
     | audited ->
-        "audited [@@klotski.domain_safe] state in the closure:"
+        "audited [@@klotski.domain_safe] state:"
         :: List.map
              (fun (display, file, line, reason) ->
                Printf.sprintf "  %s (%s:%d) — %s" display file line reason)

@@ -23,7 +23,8 @@
    direction: writes whose root is a caller-supplied or unknown value
    are the *caller's* responsibility (the per-worker overlay discipline
    makes them the common, safe case), while writes rooted in
-   module-level state are exactly what S1 must see. *)
+   module-level state are the shared writes S4 and the effect lattice
+   must see. *)
 
 open Typedtree
 
@@ -31,7 +32,7 @@ type gid = { unit_ : string; vpath : string list }
 
 let gid_key g = String.concat "." (g.unit_ :: g.vpath)
 
-(* "Kutil__Domain_pool" displays as "Domain_pool": strip through the
+(* "Kutil__Vec_key" displays as "Vec_key": strip through the
    last "__" library-wrapping separator. *)
 let display_unit u =
   let n = String.length u in
@@ -74,7 +75,6 @@ type def = {
   mutable_init : (Location.t * string) option;
       (* module-load-time mutable allocation in the RHS (the R2 trigger) *)
   expr : expression;
-  mutable locks : bool;  (* takes a Mutex somewhere: direct writes are guarded *)
   mutable events : event list;
   mutable calls : gid list;
 }
@@ -180,7 +180,6 @@ type builtin =
   | B_io of string
   | B_float
   | B_hash_iter of string
-  | B_lock
   | B_none
 
 let mem s l = List.exists (String.equal s) l
@@ -218,8 +217,6 @@ let classify comps =
           then B_write { kind = dotted; target = 0; guarded = true }
           else if String.equal last "make" then B_fresh
           else B_none
-      | _ when prev_is "Mutex" && mem last [ "lock"; "try_lock"; "protect" ] ->
-          B_lock
       | _ when mem dotted [ ":=" ] -> B_write { kind = "ref assignment"; target = 0; guarded = false }
       | _ when mem dotted [ "incr"; "decr" ] ->
           B_write { kind = dotted; target = 0; guarded = false }
@@ -357,7 +354,7 @@ let reasoned_attr name attrs =
       else acc)
     None attrs
 
-(* [[@@klotski.domain_safe]] vouches for shared mutable state (R2, S1),
+(* [[@@klotski.domain_safe]] vouches for shared mutable state (R2),
    [[@@klotski.unchecked]] for unchecked access (R6). *)
 let domain_safe_attr = reasoned_attr "klotski.domain_safe"
 let unchecked_attr = reasoned_attr "klotski.unchecked"
@@ -418,7 +415,6 @@ let register_def t uenv ~path ~name ~loc ~attrs expr =
       domain_safe = domain_safe_attr attrs;
       mutable_init = find_mutable_init t uenv expr;
       expr;
-      locks = false;
       events = [];
       calls = [];
     }
@@ -627,8 +623,9 @@ let scan_def t uenv (def : def) =
     | Fresh -> ()
     | Own -> if not guarded then add (Write_own loc)
     | Shared target ->
-        (* Guarded (atomic) writes are recorded too: S1 skips them, but
-           S4 needs them to know the written state is live. *)
+        (* Guarded (atomic) writes are recorded too: the effect lattice
+           skips them, but S4 needs them to know the written state is
+           live. *)
         add (Write_shared { loc; target; kind; guarded })
   in
   let classify_of p =
@@ -684,7 +681,6 @@ let scan_def t uenv (def : def) =
                       match first_args args target with
                       | Some tgt -> add_write ~loc:e.exp_loc ~kind ~guarded tgt
                       | None -> if not guarded then add (Write_own e.exp_loc))
-                  | B_lock -> def.locks <- true
                   | B_hash_iter what -> (
                       match first_args args 0 with
                       | Some cb ->
@@ -715,7 +711,6 @@ let scan_def t uenv (def : def) =
                          invisible, record a caller-owned write. *)
                       add (Write_own e.exp_loc)
                   | B_read | B_deref | B_atomic_get -> add (Read_mut e.exp_loc)
-                  | B_lock -> def.locks <- true
                   | B_fresh | B_hash_iter _ | B_none -> ()))
           | Texp_field (_, _, lbl)
             when (match lbl.Types.lbl_mut with

@@ -6,7 +6,7 @@ type t = {
   line : int;
   col : int;
   rule : string;
-      (* "R1".."R6", "S1".."S5", or "lint"/"sentinel" for malformed
+      (* "R1".."R6", "S2".."S5", or "lint"/"sentinel" for malformed
          directives and annotations, unreadable cmts *)
   message : string;
 }

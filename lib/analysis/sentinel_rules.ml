@@ -2,11 +2,6 @@
    ([Sentinel_callgraph]) and solved effect lattice ([Sentinel_effect]);
    the site rules R1–R6 are [Sentinel_sites].
 
-   S1  no unguarded write to module-level (domain-shared) mutable state
-       anywhere in the closure reachable from the worker entry points
-       ([Sat_engine.check]/[check_batch], [Domain_pool.map]) — unless
-       the written state carries an audited [[@@klotski.domain_safe
-       "reason"]].  An annotation without a reason audits nothing.
    S2  no float accumulation inside hash-order container traversals
        ([Hashtbl.fold]/[iter] and functor instances), including named
        callbacks whose *solved* effect does float arithmetic.
@@ -47,8 +42,8 @@ let direct_effect (d : G.def) =
         | G.Float_op _ -> { E.bottom with E.float_arith = true }))
     E.bottom d.G.events
 
-(* A configured root names a def by display ("Domain_pool.map") or
-   canonical ("Kutil__Domain_pool.map") form. *)
+(* A configured root names a def by display ("Vec_key.hash") or
+   canonical ("Kutil__Vec_key.hash") form. *)
 let match_roots g roots =
   let vis = visible g in
   List.map
@@ -65,79 +60,15 @@ let missing_root ~rule r =
   Sentinel_finding.v ~file:"(sentinel-config)" ~line:0 ~col:0 ~rule
     (Printf.sprintf "configured root %S matches no analyzed definition" r)
 
-(* ---------------------------------------------------------------- *)
-(* S1: worker-reachable closure and race findings. *)
-
-type closure_entry = { def : G.def; via : string  (* root that reached it *) }
-
-let s1_closure g ~roots =
-  let seen = Hashtbl.create 128 in
-  let order = ref [] in
-  let missing = ref [] in
-  let rec visit via (d : G.def) =
-    let k = G.gid_key d.G.gid in
-    if not (Hashtbl.mem seen k) then begin
-      Hashtbl.replace seen k ();
-      order := { def = d; via } :: !order;
-      List.iter
-        (fun gid ->
-          match G.find_def g gid with Some c -> visit via c | None -> ())
-        d.G.calls
-    end
-  in
-  List.iter
-    (fun (r, defs) ->
-      match defs with
-      | [] -> missing := r :: !missing
-      | defs -> List.iter (visit r) defs)
-    (match_roots g roots);
-  (List.rev !order, List.rev !missing)
-
-let s1 g entries =
-  List.concat_map
-    (fun { def = d; via } ->
-      if d.G.locks || G.reasoned d.G.domain_safe then []
-      else
-        List.filter_map
-          (function
-            | G.Write_shared { loc; target; kind; guarded = false } ->
-                let audited =
-                  match G.find_def g target with
-                  | Some td -> G.reasoned td.G.domain_safe
-                  | None -> false
-                in
-                if audited then None
-                else
-                  Some
-                    (Sentinel_finding.make ~file:d.G.source ~loc ~rule:"S1"
-                       (Printf.sprintf
-                          "unguarded write (%s) to shared %s, worker-reachable \
-                           via %s — guard with Mutex/Atomic or annotate the \
-                           state [@@klotski.domain_safe \"reason\"]"
-                          kind (G.display target) via))
-            | _ -> None)
-          d.G.events)
-    entries
-
-(* Audited shared state visible to the closure: every reasoned
-   [[@@klotski.domain_safe]] binding in a unit the closure touches.
-   Rendered in the report so the audit surface is explicit. *)
-let audited g entries =
-  let units = Hashtbl.create 16 in
-  List.iter
-    (fun { def; _ } -> Hashtbl.replace units def.G.unit_name ())
-    entries;
+(* Audited shared state: every reasoned [[@@klotski.domain_safe]]
+   binding, rendered in the report so the audit surface is explicit. *)
+let audited g =
   List.filter_map
     (fun (d : G.def) ->
       match d.G.domain_safe with
-      | Some (aloc, Some reason) when Hashtbl.mem units d.G.unit_name ->
-          Some (d, aloc, reason)
+      | Some (aloc, Some reason) -> Some (d, aloc, reason)
       | _ -> None)
     (visible g)
-
-let closure_units entries =
-  List.map (fun { def; _ } -> G.display_unit def.G.unit_name) entries
-  |> List.sort_uniq String.compare
 
 (* ---------------------------------------------------------------- *)
 (* S2: float accumulation under hash-order traversal. *)

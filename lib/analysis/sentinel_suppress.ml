@@ -33,7 +33,7 @@ let find_sub s sub =
    S-rules over the call graph); its S4 audits directives that silence
    nothing. *)
 let known_rules =
-  [ "R1"; "R2"; "R3"; "R4"; "R5"; "R6"; "S1"; "S2"; "S3"; "S4"; "S5" ]
+  [ "R1"; "R2"; "R3"; "R4"; "R5"; "R6"; "S2"; "S3"; "S4"; "S5" ]
 
 let drop s k = String.trim (String.sub s k (String.length s - k))
 
@@ -76,7 +76,7 @@ let parse_directive rest =
         tokens
     in
     match (tokens, unknown, reason) with
-    | [], _, _ -> Error "suppression lists no rule ids (expected R1..R6 / S1..S5)"
+    | [], _, _ -> Error "suppression lists no rule ids (expected R1..R6 / S2..S5)"
     | _, u :: _, _ -> Error (Printf.sprintf "unknown rule id %S in suppression" u)
     | _, [], None ->
         Error "suppression missing reason string (allow R<n> \"why this is safe\")"

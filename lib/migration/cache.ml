@@ -1,22 +1,18 @@
 module Table = Kutil.Vec_key.Table
 
-(* One table behind one mutex, so checker domains can consult it
-   concurrently.  The lock covers only the probe and the insert: the
-   expensive constraint evaluation runs outside it, and two workers
-   racing on the same fresh key merely both compute the same
-   deterministic result.  Counters are atomics for the same reason, and
-   so that stats can be read from the calling domain mid-batch. *)
+(* One table and three counters, owned by one search: the planner
+   checks its candidates one at a time, so nothing here is shared
+   between domains. *)
 
 type t = {
   enabled : bool;
   funneling : bool;
   ensemble_id : int option;  (* appended to keys when the task is robust *)
   task : Task.t;  (* for the compact-state -> overlay-word lowering *)
-  lock : Mutex.t;  (* guards [table] *)
   table : bool Table.t;
-  hits : int Atomic.t;
-  misses : int Atomic.t;
-  bypassed : int Atomic.t;
+  mutable hits : int;
+  mutable misses : int;
+  mutable bypassed : int;
 }
 
 let create ?(enabled = true) (task : Task.t) =
@@ -28,11 +24,10 @@ let create ?(enabled = true) (task : Task.t) =
       | Some e when Ensemble.k e > 1 -> Some (Ensemble.id e)
       | _ -> None);
     task;
-    lock = Mutex.create ();
     table = Table.create 1024;
-    hits = Atomic.make 0;
-    misses = Atomic.make 0;
-    bypassed = Atomic.make 0;
+    hits = 0;
+    misses = 0;
+    bypassed = 0;
   }
 
 (* Keys are the packed applied-block overlay words the compact vector
@@ -71,29 +66,25 @@ let check cache ck ?last_type ?last_block v =
     (* Disabled cache ("w/o ESC"): the check is not a miss — counting it
        as one would give the ablation a nonzero miss count and a
        meaningless hit-rate denominator. *)
-    Atomic.incr cache.bypassed;
+    cache.bypassed <- cache.bypassed + 1;
     Constraint.check ?last_block ck v
   end
   else begin
     let key = key_of cache ?last_type v in
-    match
-      Mutex.protect cache.lock (fun () -> Table.find_opt cache.table key)
-    with
+    match Table.find_opt cache.table key with
     | Some result ->
-        Atomic.incr cache.hits;
+        cache.hits <- cache.hits + 1;
         result
     | None ->
-        Atomic.incr cache.misses;
+        cache.misses <- cache.misses + 1;
         let result = Constraint.check ?last_block ck v in
         (* [key] is freshly lowered per lookup, never aliased: store as
-           is.  A racing worker may have stored it meanwhile; the
-           verdicts agree, so replacing keeps one entry. *)
-        Mutex.protect cache.lock (fun () ->
-            Table.replace cache.table key result);
+           is. *)
+        Table.replace cache.table key result;
         result
   end
 
-let hits c = Atomic.get c.hits
-let misses c = Atomic.get c.misses
-let bypassed c = Atomic.get c.bypassed
-let size c = Mutex.protect c.lock (fun () -> Table.length c.table)
+let hits c = c.hits
+let misses c = c.misses
+let bypassed c = c.bypassed
+let size c = Table.length c.table

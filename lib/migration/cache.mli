@@ -12,13 +12,8 @@
     cache key is extended with the last action type, which identifies the
     last block given V.
 
-    The table is domain-safe: one hashtable behind one mutex, so the
-    parallel satisfiability engine's workers can look up, evaluate and
-    insert concurrently.  The lock covers the probe and the insert only;
-    the constraint evaluation runs outside it.  Checks are deterministic
-    per state, so two workers that miss on the same key concurrently
-    both evaluate it and agree; the table keeps one entry, and both
-    lookups count as misses. *)
+    One table belongs to one search, which checks its candidates one
+    at a time; it takes no lock. *)
 
 type t
 
@@ -27,11 +22,6 @@ val create : ?enabled:bool -> Task.t -> t
     reproduces the "Klotski w/o ESC" ablation: every check bypasses the
     table and re-runs the full evaluation (counted by {!bypassed}, not
     {!misses}). *)
-
-val key_of : t -> ?last_type:int -> Compact.t -> int array
-(** The table key of state [v] (with the last action type when the task
-    enables funneling): two lookups share an entry exactly when their
-    keys are equal under {!Kutil.Vec_key}. *)
 
 val check :
   t -> Constraint.t -> ?last_type:int -> ?last_block:int -> Compact.t -> bool

@@ -40,7 +40,7 @@ type delta = {
 (* Demand-evaluation state: the per-circuit loads, the ECMP scratch and
    the delta layer.  Allocated lazily on the first demand evaluation —
    checker creation itself touches only the overlay words, which is what
-   makes per-worker (and future per-fork) checkers cheap.  Without the
+   makes a checker cheap to build.  Without the
    delta layer every evaluation is a rebuild, and θ one early-exit scan
    per load vector. *)
 type eval_state = {

@@ -94,8 +94,12 @@ let lex_string lx =
   loop ();
   String_lit (Buffer.contents buf)
 
+(* A sign, digits, a fraction and an exponent, each optional: the scan
+   accepts text that is no number ("-", "1e", "-."), which is refused
+   at the token's start. *)
 let lex_number lx =
   let start = lx.pos in
+  let at = position lx in
   (match peek_char lx with Some '-' -> advance lx | Some _ | None -> ());
   let is_float = ref false in
   let rec digits () =
@@ -122,11 +126,12 @@ let lex_number lx =
       digits ()
   | Some _ | None -> ());
   let text = String.sub lx.src start (lx.pos - start) in
-  if !is_float then Float_lit (float_of_string text)
-  else
-    match int_of_string_opt text with
-    | Some i -> Int_lit i
-    | None -> Float_lit (float_of_string text)
+  match (if !is_float then None else int_of_string_opt text) with
+  | Some i -> Int_lit i
+  | None -> (
+      match float_of_string_opt text with
+      | Some f -> Float_lit f
+      | None -> raise (Lex_error (Printf.sprintf "malformed number %S" text, at)))
 
 let lex_token lx =
   skip_trivia lx;

@@ -20,7 +20,9 @@ type token =
 type position = { line : int; column : int }
 
 exception Lex_error of string * position
-(** Raised on malformed input (unterminated string, stray character…). *)
+(** Raised on malformed input (unterminated string, stray character, a
+    number such as [-] or [1e] that does not parse), at the offending
+    token's start. *)
 
 type t
 (** A lexer over an in-memory document. *)

@@ -43,7 +43,6 @@ let entry_compare a b =
    states are re-generated and re-checked once per ordering. *)
 let plan ?(config = Planner.default_config) ?(dedup = true) task =
   Search.run ~name config task @@ fun s task ->
-  let engine = Search.engine s in
   let n_types = Action.Set.cardinal task.Task.actions in
   let counts = task.Task.counts in
   let alpha = task.Task.alpha in
@@ -88,11 +87,6 @@ let plan ?(config = Planner.default_config) ?(dedup = true) task =
         | None -> true)
        || Vec_key.Table.mem closed key)
   in
-  let cand_sat =
-    Array.make n_types
-      { Sat_engine.last_type = None; last_block = None; v = [||] }
-  in
-  let cand_type = Array.make n_types 0 in
   let rec pop_live () =
     match Kutil.Heap.pop open_heap with
     | Some e when is_stale e -> pop_live ()
@@ -110,51 +104,42 @@ let plan ?(config = Planner.default_config) ?(dedup = true) task =
             (Vec_key.copy (skey_into key_scratch e.v e.last))
             ();
         Search.expand s;
-        (* One expansion's successors are one engine batch: their states
-           differ, so the batch holds no duplicate cache key and checks
-           exactly what a one-by-one loop would. *)
-        let nc = ref 0 in
+        (* Successors in ascending type order, which fixes the [seq]
+           order. *)
         for a = 0 to n_types - 1 do
           if e.v.(a) < counts.(a) then begin
-            cand_type.(!nc) <- a;
-            cand_sat.(!nc) <- Search.succ s e.v a;
-            incr nc
-          end
-        done;
-        let oks = Sat_engine.check_batch engine (Array.sub cand_sat 0 !nc) in
-        (* Relax in ascending type order, which fixes the [seq] order. *)
-        for c = 0 to !nc - 1 do
-          Search.generate s;
-          if oks.(c) then begin
-            let a = cand_type.(c) in
-            let v' = cand_sat.(c).Sat_engine.v in
-            let g' =
-              e.g
-              +. Cost.step ~alpha ?weights
-                   ~last:(if e.last >= 0 then Some e.last else None)
-                   a
-            in
-            let key' = skey_into key_scratch v' a in
-            let better =
-              (not dedup)
-              ||
-              match Vec_key.Table.find_opt best_g key' with
-              | Some g -> g' < g -. 1e-12
-              | None -> true
-            in
-            if better then begin
-              if dedup then
-                Vec_key.Table.replace best_g (Vec_key.copy key') g';
-              Kutil.Heap.push open_heap
-                {
-                  f = g' +. heuristic v' a;
-                  finished = Compact.finished v';
-                  g = g';
-                  v = v';
-                  last = a;
-                  rev_types = a :: e.rev_types;
-                  seq = next_seq ();
-                }
+            let c = Search.succ s e.v a in
+            Search.generate s;
+            if Search.check s c then begin
+              let v' = c.Search.v in
+              let g' =
+                e.g
+                +. Cost.step ~alpha ?weights
+                     ~last:(if e.last >= 0 then Some e.last else None)
+                     a
+              in
+              let key' = skey_into key_scratch v' a in
+              let better =
+                (not dedup)
+                ||
+                match Vec_key.Table.find_opt best_g key' with
+                | Some g -> g' < g -. 1e-12
+                | None -> true
+              in
+              if better then begin
+                if dedup then
+                  Vec_key.Table.replace best_g (Vec_key.copy key') g';
+                Kutil.Heap.push open_heap
+                  {
+                    f = g' +. heuristic v' a;
+                    finished = Compact.finished v';
+                    g = g';
+                    v = v';
+                    last = a;
+                    rev_types = a :: e.rev_types;
+                    seq = next_seq ();
+                  }
+              end
             end
           end
         done;

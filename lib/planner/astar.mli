@@ -6,10 +6,8 @@
     in-progress run, see {!Cost.heuristic_with_last}).  States with equal
     f are ordered by the number of finished actions, descending — deeper
     states first, the secondary priority of §4.4.  Satisfiability of every
-    candidate state goes through the ESC cache: each expansion's
-    successors are checked as one {!Sat_engine.check_batch}, so with
-    [jobs > 1] they spread over the engine's workers.  Their states are
-    distinct, so every job count runs the same checks and cache hits.
+    candidate state goes through the ESC cache ({!Search.check}), one
+    successor at a time in ascending action type.
 
     Terminates with the cost-optimal plan, a proof of infeasibility (open
     list exhausted), or a timeout. *)

@@ -8,7 +8,6 @@ let plan ?(config = Planner.default_config) ?(bound = `Cost_only) task =
     | `Cost_only -> (true, false)
     | `Heuristic -> (true, true)
   in
-  let engine = Search.engine s in
   let n_types = Action.Set.cardinal task.Task.actions in
   let counts = task.Task.counts in
   let alpha = task.Task.alpha in
@@ -55,7 +54,9 @@ let plan ?(config = Planner.default_config) ?(bound = `Cost_only) task =
             let block = task.Task.blocks_by_type.(a).(v.(a)) in
             v.(a) <- v.(a) + 1;
             Search.generate s;
-            if Sat_engine.check engine ~last_type:a ~last_block:block v
+            if
+              Search.check s
+                { Search.last_type = Some a; last_block = Some block; v }
             then begin
               seq.(depth) <- a;
               remaining.(a) <- remaining.(a) - 1;

@@ -1,7 +1,6 @@
 type config = {
   budget_seconds : float option;
   use_cache : bool;
-  jobs : int;
   incremental : bool;
   ensemble : int;
   quantile : float;
@@ -11,17 +10,12 @@ let default_config =
   {
     budget_seconds = Some 120.0;
     use_cache = true;
-    jobs = 1;
     incremental = true;
     ensemble = 1;
     quantile = 1.0;
   }
 
 let with_budget budget_seconds = { default_config with budget_seconds }
-
-let with_jobs jobs config =
-  if jobs < 1 then invalid_arg "Planner.with_jobs: jobs must be >= 1";
-  { config with jobs }
 
 let with_incremental incremental config = { config with incremental }
 
@@ -40,8 +34,7 @@ let ensemble_horizon_weeks = 8
    planner's entry.  A task that already carries an ensemble wins (the
    caller constructed it deliberately); otherwise k > 1 attaches a
    deterministic default built from a fixed-seed forecast over the
-   task's own classes — the same matrices in any process and at any job
-   count.  k = 1 leaves the task untouched: the single-matrix path. *)
+   task's own classes — the same matrices in any process.  k = 1 leaves the task untouched: the single-matrix path. *)
 let robust_task config (task : Task.t) =
   if config.ensemble <= 1 || Option.is_some task.Task.ensemble then task
   else begin

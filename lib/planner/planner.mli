@@ -11,13 +11,6 @@ type config = {
   use_cache : bool;
       (** Efficient satisfiability checking (the cache table T{_c} of
           §4.2).  [false] reproduces the "Klotski w/o ESC" ablation. *)
-  jobs : int;
-      (** Satisfiability-engine workers (domains).  [1] (the default) is
-          the bit-identical sequential path; [n > 1] fans batched
-          candidate checks out over a {!Kutil.Domain_pool} of
-          [min n cores] workers.  Only A*, DP and Greedy check batches
-          across workers; Exhaustive, MRC and Janus check on the calling
-          domain at every job count. *)
   incremental : bool;
       (** Incremental demand evaluation in the satisfiability checkers
           (default [true]; see {!Constraint.create}).  [false] runs the
@@ -37,14 +30,10 @@ type config = {
 }
 
 val default_config : config
-(** 120-second budget, cache enabled, one worker, incremental checking. *)
+(** 120-second budget, cache enabled, incremental checking. *)
 
 val with_budget : float option -> config
 (** {!default_config} with another budget. *)
-
-val with_jobs : int -> config -> config
-(** [with_jobs n config] sets the worker count.  Raises
-    [Invalid_argument] when [n < 1]. *)
 
 val with_incremental : bool -> config -> config
 (** [with_incremental b config] toggles incremental demand evaluation. *)
@@ -74,11 +63,12 @@ type stats = {
   sat_checks : int;  (** Full (uncached) satisfiability checks. *)
   cache_hits : int;  (** Checks answered by the cache table. *)
   check_seconds : float;
-      (** Wall-clock seconds spent inside satisfiability checking (the
-          engine's batches); [0.] for planners that do not meter it. *)
+      (** Wall-clock seconds spent inside the search's cached
+          satisfiability checks ({!Search.check}); [0.] for planners
+          that do not meter it. *)
   elapsed : float;
-      (** Planning wall-clock seconds, including the shutdown of the
-          satisfiability engine's worker domains. *)
+      (** Planning wall-clock seconds, from the ensemble resolution to
+          the outcome. *)
 }
 
 type outcome =

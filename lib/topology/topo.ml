@@ -3,8 +3,8 @@ module Bitset = Kutil.Bitset
 (* The mutable overlay over an immutable [Universe.t]: activity bitsets
    plus the incrementally maintained usable set, usable degrees and
    port-violation counter.  Copying an overlay copies only these words —
-   the universe is shared physically, which is what lets every worker
-   domain of the satisfiability engine hold its own overlay cheaply.
+   the universe is shared physically, which is what lets every checker
+   hold its own overlay cheaply.
 
    OCS rewiring lives here too: [rewired]/[remap] record the sparse set
    of circuits whose [hi] endpoint currently differs from the as-built

@@ -15,7 +15,7 @@
     multiple DCs").
 
     {!copy} duplicates only the overlay words and shares the universe
-    physically, so per-worker checkers cost O(overlay), not O(topology).
+    physically, so a checker's copy costs O(overlay), not O(topology).
     The overlay maintains, incrementally under toggles, the usable degree
     of every switch and the number of port-constraint violations, so the
     port check of Eq. 6 is O(1) per state.

@@ -6,8 +6,8 @@
     once by {!create_packed} and never mutated
     afterwards, so a single universe is safely shared —
     physically, without copies or locks — by every {!Topo.t} overlay and
-    hence every constraint checker and worker domain spawned from one
-    task.
+    hence every constraint checker built from one task, on any
+    domain.
 
     Storage is packed: circuits live in flat parallel arrays (endpoints,
     unboxed capacities, rank pairs) and adjacency is CSR-style — one flat

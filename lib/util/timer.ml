@@ -1,7 +1,6 @@
-(* Wall clock, not CPU clock: planning budgets and elapsed-time
-   reporting use it because the satisfiability engine fans checks out
-   over a domain pool, so CPU time accrues [jobs] times faster than wall
-   time and would shrink budgets under parallelism. *)
+(* Wall clock, not CPU clock: budgets and elapsed-time reporting
+   measure what the caller waits for, and a caller that runs the
+   library on several domains accrues CPU time faster than wall time. *)
 
 let now () = Unix.gettimeofday ()
 

@@ -7,9 +7,9 @@
 
 val now : unit -> float
 (** Wall-clock seconds ([Unix.gettimeofday]).  Planning budgets and
-    elapsed-time reporting use the wall clock: with the parallel
-    satisfiability engine, CPU time accrues [jobs] times faster than wall
-    time and would shrink budgets under parallelism. *)
+    elapsed-time reporting use the wall clock, the time a caller waits
+    for: a caller that runs the library on several domains accrues CPU
+    time faster than wall time. *)
 
 val time : (unit -> 'a) -> 'a * float
 (** [time f] runs [f ()] and returns its result together with the elapsed

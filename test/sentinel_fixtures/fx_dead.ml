@@ -3,5 +3,5 @@
 
 let limit = 42 [@@klotski.domain_safe "fixture: nothing mutable here"]
 
-(* klotski-lint: allow S1 "fixture: suppresses nothing" *)
+(* klotski-lint: allow S2 "fixture: suppresses nothing" *)
 let unrelated = limit + 1

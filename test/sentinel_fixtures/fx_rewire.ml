@@ -1,7 +1,7 @@
-(* Effect-style dispatch over an action alphabet (the Rewire op carries
-   a record payload): the S1 closure must follow the match arms — the
-   racy write hides inside one constructor case of the dispatch, not at
-   the worker entry point [apply]. *)
+(* R2 on an effect-style dispatch over an action alphabet (the Rewire
+   op carries a record payload): a module-level ref and a module-level
+   atomic are both state every domain shares, whichever match arm
+   writes them. *)
 
 type op = Drain | Undrain | Rewire of { sel : string; hi : int }
 
@@ -13,7 +13,6 @@ let apply_effect = function
   | Drain | Undrain -> ()
   | Rewire _ -> incr rewires
 
-(* Clean: the same dispatch through an atomic counter. *)
 let apply_guarded = function
   | Drain | Undrain -> ()
   | Rewire { hi; _ } -> if hi >= 0 then Atomic.incr flips

@@ -1,13 +1,12 @@
 (* Differential tests for incremental satisfiability: the demand–block
    dependency index plus per-demand delta evaluation must produce exactly
    the same verdicts, plans and costs as the full ECMP replay, for every
-   planner, alone and combined with the parallel engine. *)
+   planner. *)
 
-let cfg ~incremental ~jobs =
-  Planner.with_incremental incremental
-    (Planner.with_jobs jobs (Planner.with_budget (Some 60.0)))
+let cfg ~incremental =
+  Planner.with_incremental incremental (Planner.with_budget (Some 60.0))
 
-(* Small randomized HGRID scenarios, as in the parallel suite. *)
+(* Small randomized HGRID scenarios, as in the planner suite. *)
 let random_params seed =
   let g = Kutil.Prng.create ~seed in
   {
@@ -44,15 +43,12 @@ let planners : (string * (Planner.config -> Task.t -> Planner.result)) list =
 let check_task label task =
   List.iter
     (fun (name, plan) ->
-      let reference = plan (cfg ~incremental:false ~jobs:1) task in
-      List.iter
-        (fun jobs ->
-          let inc = plan (cfg ~incremental:true ~jobs) task in
-          Alcotest.(check string)
-            (Printf.sprintf "%s: %s incremental jobs=%d" label name jobs)
-            (outcome_fingerprint reference.Planner.outcome)
-            (outcome_fingerprint inc.Planner.outcome))
-        [ 1; 4 ])
+      let reference = plan (cfg ~incremental:false) task in
+      let inc = plan (cfg ~incremental:true) task in
+      Alcotest.(check string)
+        (Printf.sprintf "%s: %s incremental" label name)
+        (outcome_fingerprint reference.Planner.outcome)
+        (outcome_fingerprint inc.Planner.outcome))
     planners
 
 let test_differential_random () =

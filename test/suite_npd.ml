@@ -42,6 +42,28 @@ let test_lexer_errors () =
       Alcotest.(check bool) "message mentions char" true (String.length msg > 0)
   | _ -> Alcotest.fail "stray character accepted"
 
+(* Text the number scan accepts but no number parses: a typed error at
+   the token's start, not [Failure "float_of_string"]. *)
+let test_lexer_malformed_numbers () =
+  List.iter
+    (fun text ->
+      let lx = Npd_lexer.create ("  " ^ text ^ " ") in
+      match Npd_lexer.next lx with
+      | exception Npd_lexer.Lex_error (msg, pos) ->
+          Alcotest.(check int) (text ^ ": column") 3 pos.Npd_lexer.column;
+          Alcotest.(check string) (text ^ ": message")
+            (Printf.sprintf "malformed number %S" text)
+            msg
+      | t, _ ->
+          Alcotest.fail
+            (Printf.sprintf "%S lexed as %s" text (Npd_lexer.token_to_string t)))
+    [ "-"; "1e"; "-."; "1e+"; "-e5" ];
+  match Npd_parser.parse_result "npd \"r\" { fabric { dcs = - } }" with
+  | Error e ->
+      Alcotest.(check string) "parse_result names the place"
+        "line 1, column 26: malformed number \"-\"" e
+  | Ok _ -> Alcotest.fail "dcs = - accepted"
+
 let test_parser_minimal () =
   match Npd_parser.parse_result "npd \"r\" { eb { count = 4 } }" with
   | Ok doc ->
@@ -136,6 +158,41 @@ let prop_print_parse_roundtrip =
       match Npd_parser.parse_result (Npd_printer.to_string doc) with
       | Ok doc' -> Npd_ast.equal doc doc'
       | Error _ -> false)
+
+(* Single-byte edits of each kind's A document come back from the
+   parser and from [Npd_convert.to_params] as a result, never an
+   exception.  The scenario is not built: an edited count can ask [Gen]
+   for a topology too large to build.  Most edits write a byte of a
+   number, where the scan and the conversions meet. *)
+let a_documents =
+  List.map
+    (fun kind ->
+      Npd_printer.to_string (Npd_convert.of_params kind (Gen.params_a ())))
+    [ Gen.Hgrid_v1_to_v2; Gen.Ssw_forklift; Gen.Dmag; Gen.Ocs_rewire ]
+
+let gen_single_byte_edit =
+  let open QCheck.Gen in
+  let* doc = oneofl a_documents in
+  let* at = int_bound (String.length doc - 1) in
+  let* byte =
+    frequency
+      [ (3, oneofl [ '-'; '+'; '.'; 'e'; 'E'; '0'; '9' ]); (1, char) ]
+  in
+  let keep n = String.sub doc 0 n and from n = String.sub doc n (String.length doc - n) in
+  oneofl
+    [
+      keep at ^ String.make 1 byte ^ from (at + 1);
+      keep at ^ String.make 1 byte ^ from at;
+      keep at ^ from (at + 1);
+    ]
+
+let prop_single_byte_edits =
+  QCheck.Test.make ~count:3000 ~name:"single-byte edits of A never raise"
+    (QCheck.make ~print:Fun.id gen_single_byte_edit) (fun src ->
+      match Npd_parser.parse_result src with
+      | Error _ -> true
+      | Ok doc -> (
+          match Npd_convert.to_params doc with Ok _ | Error _ -> true))
 
 let test_convert_roundtrip_all () =
   List.iter
@@ -574,4 +631,8 @@ let suite =
       Alcotest.test_case "unknown section refused" `Quick test_unknown_section;
       Alcotest.test_case "repeated section refused" `Quick test_repeated_section;
       Alcotest.test_case "section arguments refused" `Quick test_section_arguments;
+      Alcotest.test_case "lexer malformed numbers" `Quick
+        test_lexer_malformed_numbers;
+      QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 42 |])
+        prop_single_byte_edits;
     ] )

@@ -5,9 +5,8 @@
    word lowering) behave exactly like the naive reference
    implementations they replace. *)
 
-let cfg ~incremental ~jobs =
-  Planner.with_incremental incremental
-    (Planner.with_jobs jobs (Planner.with_budget (Some 60.0)))
+let cfg ~incremental =
+  Planner.with_incremental incremental (Planner.with_budget (Some 60.0))
 
 let random_params seed =
   let g = Kutil.Prng.create ~seed in
@@ -242,7 +241,7 @@ let test_state_words () =
   check_state_words (Task.of_scenario (Gen.scenario_of_label "A"))
 
 (* ------------------------------------------------------------------ *)
-(* Cache counters are part of the pinned behaviour: at jobs=1 the
+(* Cache counters are part of the pinned behaviour: the
    full-replay and incremental configurations must run the same checks
    and hit the cache the same number of times, for every planner, in
    addition to producing identical outcomes. *)
@@ -250,8 +249,8 @@ let test_state_words () =
 let check_counters label task =
   List.iter
     (fun (name, plan) ->
-      let full = plan (cfg ~incremental:false ~jobs:1) task in
-      let inc = plan (cfg ~incremental:true ~jobs:1) task in
+      let full = plan (cfg ~incremental:false) task in
+      let inc = plan (cfg ~incremental:true) task in
       Alcotest.(check string)
         (Printf.sprintf "%s: %s outcome" label name)
         (outcome_fingerprint full.Planner.outcome)
@@ -263,15 +262,7 @@ let check_counters label task =
       Alcotest.(check int)
         (Printf.sprintf "%s: %s cache_hits" label name)
         full.Planner.stats.Planner.cache_hits
-        inc.Planner.stats.Planner.cache_hits;
-      List.iter
-        (fun jobs ->
-          let fanned = plan (cfg ~incremental:true ~jobs) task in
-          Alcotest.(check string)
-            (Printf.sprintf "%s: %s jobs=%d outcome" label name jobs)
-            (outcome_fingerprint full.Planner.outcome)
-            (outcome_fingerprint fanned.Planner.outcome))
-        [ 4 ])
+        inc.Planner.stats.Planner.cache_hits)
     planners
 
 let test_counters_random () =
@@ -287,38 +278,6 @@ let test_counters_ocs () =
   check_counters "topology OCS-LITE"
     (Task.of_scenario (Gen.scenario_of_label "OCS-LITE"))
 
-(* ------------------------------------------------------------------ *)
-(* Engine check counter: after a batch drains, checks_performed equals
-   the cache misses (each miss is exactly one full evaluation), and a
-   repeat of the same batch is answered by the cache alone.  Exercises
-   the atomic publication path with a real multi-domain pool. *)
-
-let test_engine_counter () =
-  let task = random_task 2 in
-  let e = Sat_engine.create ~jobs:4 task in
-  let origin = Compact.origin task.Task.actions in
-  let n_types = Array.length task.Task.counts in
-  let cands =
-    Array.init n_types (fun a ->
-        {
-          Sat_engine.last_type = Some a;
-          last_block = Some task.Task.blocks_by_type.(a).(0);
-          v = Compact.succ origin a;
-        })
-  in
-  let (_ : bool array) = Sat_engine.check_batch e cands in
-  Alcotest.(check int) "checks_performed = cache misses"
-    (Sat_engine.cache_misses e)
-    (Sat_engine.checks_performed e);
-  let before = Sat_engine.checks_performed e in
-  let (_ : bool array) = Sat_engine.check_batch e cands in
-  Alcotest.(check int) "repeat batch hits the cache" before
-    (Sat_engine.checks_performed e);
-  Alcotest.(check int) "no new misses" before (Sat_engine.cache_misses e);
-  Alcotest.(check int) "hits recorded" (Array.length cands)
-    (Sat_engine.cache_hits e);
-  Sat_engine.shutdown e
-
 let suite =
   ( "overlay",
     [
@@ -333,6 +292,4 @@ let suite =
         test_counters_label_a;
       Alcotest.test_case "cache counters pinned (topology OCS-LITE)" `Quick
         test_counters_ocs;
-      Alcotest.test_case "engine counter consistent" `Quick
-        test_engine_counter;
     ] )

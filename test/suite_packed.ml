@@ -206,12 +206,10 @@ let test_footprint () =
    to the values the pre-packing (record-of-arrays) implementation
    produced, for all four paper planners.  Packing is a memory layout
    change; any drift here is an arithmetic regression.  The same
-   fingerprints must come back with the incremental checker off, and
-   A*'s under jobs=4. *)
+   fingerprints must come back with the incremental checker off. *)
 
-let cfg ~incremental ~jobs =
-  Planner.with_incremental incremental
-    (Planner.with_jobs jobs (Planner.with_budget (Some 120.0)))
+let cfg ~incremental =
+  Planner.with_incremental incremental (Planner.with_budget (Some 120.0))
 
 let planners : (string * (Planner.config -> Task.t -> Planner.result)) list =
   [
@@ -236,7 +234,7 @@ let fingerprint (r : Planner.result) =
     r.Planner.stats.Planner.sat_checks r.Planner.stats.Planner.cache_hits
 
 (* Produced by the seed implementation (commit before the CSR packing)
-   at jobs=1 with the incremental checker on — the defaults.  Janus is
+   with the incremental checker on — the default.  Janus is
    pinned on A–C only (its uniform-cost sweep on D takes minutes and
    exceeds any reasonable test budget on E, matching Fig. 8); D and E
    pin the remaining planners, E without DP for the same time reason. *)
@@ -301,26 +299,15 @@ let check_label (label, expected) =
   List.iter
     (fun (name, want) ->
       let plan = List.assoc name planners in
-      let r = plan (cfg ~incremental:true ~jobs:1) task in
+      let r = plan (cfg ~incremental:true) task in
       Alcotest.(check string)
         (Printf.sprintf "%s %s pinned" label name)
         want (fingerprint r);
-      (* Full replay at jobs=1 runs the very same checks.  A* checks one
-         expansion's successors per batch, whose cache keys are
-         distinct, so jobs=4 runs them too. *)
-      let full = plan (cfg ~incremental:false ~jobs:1) task in
+      (* Full replay runs the very same checks. *)
+      let full = plan (cfg ~incremental:false) task in
       Alcotest.(check string)
         (Printf.sprintf "%s %s full replay" label name)
-        want (fingerprint full);
-      if name = "astar" then
-        List.iter
-          (fun (incremental, jobs) ->
-            let r' = plan (cfg ~incremental ~jobs) task in
-            Alcotest.(check string)
-              (Printf.sprintf "%s %s incremental=%b jobs=%d" label name
-                 incremental jobs)
-              want (fingerprint r'))
-          [ (true, 4); (false, 4) ])
+        want (fingerprint full))
     expected
 
 let test_golden_a () = check_label (List.nth golden 0)

@@ -411,9 +411,11 @@ let greedy_suite =
    sat_checks and cache_hits.  The values were recorded from the
    per-planner implementations that each owned their own budget,
    engine and stats; any drift means a refactor changed which states a
-   planner visits or checks.  Each row must hold at jobs=1 with the
-   incremental checker on and off, and at jobs=2 as
-   [test_counter_pins_jobs2] says.  Refusals pin their reason. *)
+   planner visits or checks.  Each row must hold with the incremental
+   checker on and off.  Refusals pin their reason.  The DP rows pin a
+   layer that reaches one state by two action types: without funneling
+   the cache key leaves out the last type, so the state is checked once
+   and its second arrival is a hit (on A, 65 checks and 74 hits). *)
 
 let pin_task = function
   | "A-SSW" -> Task.of_scenario (Gen.build Gen.Ssw_forklift (Gen.params_a ()))
@@ -548,86 +550,44 @@ let test_counter_pins () =
         rows)
     counter_pins
 
-(* The same rows at jobs=2.  Every planner batches only distinct cache
-   keys, or checks inline, so it must reproduce its jobs=1 fingerprint
-   exactly. *)
-let test_counter_pins_jobs2 () =
-  List.iter
-    (fun (label, rows) ->
-      let task = pin_task label in
-      List.iter
-        (fun (name, want) ->
-          let plan = List.assoc name pinned_planners in
-          List.iter
-            (fun incremental ->
-              let config =
-                Planner.with_jobs 2
-                  (Planner.with_incremental incremental
-                     (Planner.with_budget (Some 120.0)))
-              in
-              Alcotest.(check string)
-                (Printf.sprintf "%s %s incremental=%b jobs=2" label name
-                   incremental)
-                want
-                (pin_fingerprint (plan config task)))
-            [ true; false ])
-        rows)
-    counter_pins
-
-(* The harness builds its engine and bare checker from every config
-   field.  A planner that ignores one fails here, as MRC and Janus once
-   ignored [incremental] by building their checker themselves. *)
+(* The harness builds its checker and cache from every config field.
+   A planner that ignores one fails here, as MRC and Janus once ignored
+   [incremental] by building their checker themselves. *)
 let test_search_follows_config () =
   let task = Task.of_scenario (Gen.scenario_of_label "A") in
   List.iter
-    (fun (incremental, jobs, use_cache) ->
+    (fun (incremental, use_cache) ->
       let config =
         { (Planner.with_budget (Some 60.0)) with
-          Planner.incremental; jobs; use_cache }
+          Planner.incremental; use_cache }
       in
       let label =
-        Printf.sprintf "incremental=%b jobs=%d use_cache=%b" incremental jobs
-          use_cache
+        Printf.sprintf "incremental=%b use_cache=%b" incremental use_cache
       in
       let r =
         Search.run ~name:"probe" config task (fun s task ->
-            let e = Search.engine s in
             Alcotest.(check bool) (label ^ ": checker") incremental
               (Constraint.incremental_active (Search.checker s));
-            Alcotest.(check bool) (label ^ ": engine") incremental
-              (Sat_engine.incremental e);
-            Alcotest.(check int) (label ^ ": workers")
-              (min jobs (Domain.recommended_domain_count ()))
-              (Sat_engine.jobs e);
             (* One state checked twice: the repeat is a hit only when the
                cache is on. *)
             let c = Search.succ s (Compact.origin task.Task.actions) 0 in
             for _ = 1 to 2 do
-              ignore (Sat_engine.check_batch e [| c |] : bool array)
+              ignore (Search.check s c : bool)
             done;
             Planner.Infeasible)
       in
       Alcotest.(check (pair int int)) (label ^ ": checks, hits")
         (if use_cache then (1, 1) else (2, 0))
         (r.Planner.stats.Planner.sat_checks, r.Planner.stats.Planner.cache_hits))
-    [
-      (true, 1, true);
-      (false, 1, true);
-      (true, 2, false);
-      (false, 2, false);
-      (true, 8, true);
-    ]
+    [ (true, true); (false, true); (true, false); (false, false) ]
 
-(* The engine is shut down on every exit path: a normal return, budget
-   expiry and an exception raised by the policy. *)
-let test_search_shuts_down () =
+(* Every exit path of the policy: a normal return, budget expiry and an
+   exception raised by the policy. *)
+let test_search_exit_paths () =
   let task = Task.of_scenario (Gen.scenario_of_label "A") in
-  let config = Planner.with_jobs 2 (Planner.with_budget (Some 60.0)) in
-  let engines = ref [] in
+  let config = Planner.with_budget (Some 60.0) in
   let run policy =
-    Search.run ~name:"probe" config task (fun s _ ->
-        engines := Search.engine s :: !engines;
-        policy ())
+    Search.run ~name:"probe" config task (fun _ _ -> policy ())
   in
   (match (run (fun () -> Planner.Infeasible)).Planner.outcome with
   | Planner.Infeasible -> ()
@@ -635,19 +595,49 @@ let test_search_shuts_down () =
   (match (run (fun () -> raise Search.Expired)).Planner.outcome with
   | Planner.Timeout None -> ()
   | _ -> Alcotest.fail "an uncaught Expired must become Timeout None");
-  (match run (fun () -> failwith "policy failure") with
+  match run (fun () -> failwith "policy failure") with
   | _ -> Alcotest.fail "the policy's exception must propagate"
-  | exception Failure _ -> ());
-  let c =
-    { Sat_engine.last_type = None; last_block = None;
-      v = Compact.origin task.Task.actions }
+  | exception Failure _ -> ()
+
+(* Each cache miss is exactly one full check, and a repeated state is a
+   hit that runs no new check. *)
+let test_search_check_counter () =
+  let task = random_task 2 in
+  let r =
+    Search.run ~name:"probe" (Planner.with_budget (Some 60.0)) task
+      (fun s task ->
+        let origin = Compact.origin task.Task.actions in
+        let cands =
+          List.init (Array.length task.Task.counts) (Search.succ s origin)
+        in
+        List.iter (fun c -> ignore (Search.check s c : bool)) cands;
+        let checks = Constraint.checks_performed (Search.checker s) in
+        Alcotest.(check int) "one check per distinct state"
+          (List.length cands) checks;
+        List.iter (fun c -> ignore (Search.check s c : bool)) cands;
+        Alcotest.(check int) "repeats run no check" checks
+          (Constraint.checks_performed (Search.checker s));
+        Planner.Infeasible)
   in
-  List.iter
-    (fun e ->
-      match Sat_engine.check_batch e [| c |] with
-      | _ -> Alcotest.fail "engine still running after Search.run"
-      | exception Invalid_argument _ -> ())
-    !engines
+  Alcotest.(check int) "hits recorded"
+    (Array.length task.Task.counts)
+    r.Planner.stats.Planner.cache_hits
+
+(* Counters are deterministic, and the metered check time fits inside
+   the run's elapsed time. *)
+let test_search_stats_deterministic () =
+  let task = random_task 2 in
+  let config = Planner.with_budget (Some 60.0) in
+  let a = Astar.plan ~config task in
+  let b = Astar.plan ~config task in
+  Alcotest.(check int) "deterministic sat_checks"
+    a.Planner.stats.Planner.sat_checks b.Planner.stats.Planner.sat_checks;
+  Alcotest.(check int) "deterministic cache_hits"
+    a.Planner.stats.Planner.cache_hits b.Planner.stats.Planner.cache_hits;
+  Alcotest.(check bool) "check time metered" true
+    (a.Planner.stats.Planner.check_seconds >= 0.0
+    && a.Planner.stats.Planner.check_seconds
+       <= a.Planner.stats.Planner.elapsed +. 1e-3)
 
 (* On C-SSW the delta layer is live ([Task.delta_profitable]), so
    this is where MRC's and Janus's checker really differs with the
@@ -713,12 +703,14 @@ let suite =
       QCheck_alcotest.to_alcotest prop_astar_equals_oracle;
       Alcotest.test_case "every planner's counters pinned" `Quick
         test_counter_pins;
-      Alcotest.test_case "counter pins hold at jobs=2" `Quick
-        test_counter_pins_jobs2;
       Alcotest.test_case "search harness follows the config" `Quick
         test_search_follows_config;
-      Alcotest.test_case "search harness shuts down on every exit" `Quick
-        test_search_shuts_down;
+      Alcotest.test_case "search harness exit paths" `Quick
+        test_search_exit_paths;
+      Alcotest.test_case "search check counter consistent" `Quick
+        test_search_check_counter;
+      Alcotest.test_case "search stats deterministic" `Quick
+        test_search_stats_deterministic;
       Alcotest.test_case "MRC and Janus incremental on C-SSW" `Quick
         test_baselines_incremental_differential;
     ]

@@ -15,9 +15,7 @@ let () =
       Suite_traffic.suite;
       Suite_migration.suite;
       Suite_constraint.suite;
-      Suite_domain_pool.suite;
       Suite_planners.suite;
-      Suite_parallel.suite;
       Suite_incremental.suite;
       Suite_robust.suite;
       Suite_overlay.suite;

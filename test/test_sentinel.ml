@@ -19,8 +19,7 @@ let fixture_dir = Filename.concat "test" "sentinel_fixtures"
 
 let config =
   {
-    Sentinel.s1_roots = [ "Fx_engine.check"; "Fx_pool.map"; "Fx_rewire.apply" ];
-    s3_roots = [ "Fx_cache.key_of" ];
+    Sentinel.s3_roots = [ "Fx_cache.key_of" ];
     source_roots = [ fixture_dir ];
     reference_roots = [];
   }
@@ -55,8 +54,6 @@ let golden base () =
 let fixtures =
   [
     "fx_state.ml";
-    "fx_engine.ml";
-    "fx_pool.ml";
     "fx_float.ml";
     "fx_cache.ml";
     "fx_dead.ml";
@@ -78,21 +75,12 @@ let suppression_is_clean () =
     "reasoned allow directives silence every finding" []
     (findings_for "suppress_ok.ml")
 
-(* A typo'd root would silently empty the closure; the analyzer reports
+(* A typo'd root would silently check nothing; the analyzer reports
    unresolved roots as findings under a synthetic file. *)
 let roots_resolve () =
   Alcotest.(check (list string))
     "all configured roots resolve" []
     (findings_for "(sentinel-config)")
-
-let closure_covers_workers () =
-  let r = Lazy.force report in
-  List.iter
-    (fun u ->
-      Alcotest.(check bool)
-        (u ^ " in S1 closure") true
-        (List.exists (String.equal u) r.Sentinel.closure_units))
-    [ "Fx_engine"; "Fx_pool"; "Fx_state" ]
 
 let audited_listed () =
   let r = Lazy.force report in
@@ -100,7 +88,7 @@ let audited_listed () =
     List.exists (fun (display, _, _, _) -> String.equal display name) r.Sentinel.audited
   in
   Alcotest.(check bool)
-    "audited annotation surfaces in the closure report" true
+    "audited annotation surfaces in the report" true
     (listed "Fx_state.audited");
   Alcotest.(check bool)
     "an annotation without a reason audits nothing" false
@@ -118,8 +106,6 @@ let suite =
     List.map (fun name -> Alcotest.test_case name `Quick (golden name)) fixtures
     @ [
         Alcotest.test_case "configured roots resolve" `Quick roots_resolve;
-        Alcotest.test_case "closure covers worker modules" `Quick
-          closure_covers_workers;
         Alcotest.test_case "audited state listed" `Quick audited_listed;
         Alcotest.test_case "test-only exports listed" `Quick test_only_listed;
         Alcotest.test_case "reasoned suppressions lint clean" `Quick
